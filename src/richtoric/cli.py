@@ -72,9 +72,7 @@ class RunConfig:
     order: TermOrder
     max_degree: int = 3
     workers: int = 1
-    fmt: str = "text"
     force: bool = False
-    output: str | None = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -162,9 +160,7 @@ def cmd_classify(args) -> int:
             n=args.n,
             order=_order(args),
             workers=args.workers,
-            fmt=args.format,
             force=args.force,
-            output=args.output,
         )
         records = classify_all(
             config.n, config.order, force=config.force, workers=config.workers

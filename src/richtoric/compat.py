@@ -29,7 +29,7 @@ from .perms import (
     Perm,
     SWEEP_MAX_N,
     all_perms,
-    bruhat_leq,
+    bruhat_leq_mask,
     check_same_n,
     induced,
     perm_str,
@@ -270,7 +270,7 @@ def tn_membership_csv(n: int, force: bool = False) -> str:
     lines = ["v,w,compatible,in_Tn"]
     for v in all_perms(n):
         for w in all_perms(n):
-            if bruhat_leq(v, w):
+            if bruhat_leq_mask(v, w):
                 lines.append(
                     f"{perm_str(v)},{perm_str(w)},"
                     f"{int(is_compatible(v, w))},{int(in_Tn(v, w))}"

@@ -22,6 +22,18 @@ keeps it (both monomials survive), turns it into a monomial witness
 (exactly one survives), or kills it.  The restricted ideal is generated by
 the surviving binomials and witnesses, so it is monomial-free exactly when
 no witness occurs.
+
+The restriction runs on bit masks over ``all_subsets(n)`` (bit i is the
+i-th subset in that order; see :mod:`richtoric.perms`).  A side of a
+generator is the mask of its columns, T is ``interval_mask(v, w)``, and a
+side survives iff it is a submask of T.  A generator is a witness iff
+exactly one side survives:
+
+>>> [(bin(lhs), bin(rhs)) for lhs, rhs in kernel_masks(3, TermOrder.DIAGONAL)]
+[('0b100001', '0b10010')]
+>>> T = interval_mask((1, 3, 2), (3, 1, 2))
+>>> list(_witnesses(kernel_masks(3, TermOrder.DIAGONAL), T))
+[True]
 """
 
 from __future__ import annotations
@@ -39,13 +51,15 @@ from .perms import (
     Subset,
     all_perms,
     all_subsets,
-    bruhat_leq,
     check_same_n,
     enumerate_T,
+    interval_mask,
+    perm_masks,
     perm_str,
+    subset_bits,
     subset_str,
 )
-from .tableaux import Tableau, row_sort, sort_columns, tableau_str
+from .tableaux import Tableau, tableau_str
 
 #: Cap on |T|^d before enumerating degree-d monomials.
 MONOMIAL_BUDGET = 2_000_000
@@ -134,8 +148,14 @@ def monomial_str(cols) -> str:
     return "*".join("P" + subset_str(tuple(c)) for c in cols)
 
 
-def _monomial_key(cols) -> tuple[str, ...]:
-    return tuple(subset_str(c) for c in cols)
+def _row_sorted_pair(m: Tableau) -> Tableau:
+    """``row_sort`` of a two-column monomial (A, B) with |A| >= |B|.
+
+    Rowwise min and max of two strictly increasing columns are strictly
+    increasing again, so no column can break.
+    """
+    A, B = m
+    return (tuple(map(min, A, B)) + A[len(B):], tuple(map(max, A, B)))
 
 
 @lru_cache(maxsize=None)
@@ -149,18 +169,24 @@ def degree2_kernel_generators(n: int, order: TermOrder) -> tuple[KernelBinomial,
     if n < 2:
         raise ValueError("n must be at least 2")
     subs = all_subsets(n)
+    # per-subset data, computed once: a pair's image is the sorted union of
+    # its columns' cells, and its key sorts the members of a class
+    cells = {J: initial_term(J, order) for J in subs}
+    label = {J: subset_str(J) for J in subs}
     classes: dict[tuple[Cell, ...], list[Tableau]] = {}
-    for a in range(len(subs)):
-        for b in range(a, len(subs)):
-            m = sort_columns((subs[a], subs[b]))
-            classes.setdefault(phi_image(m, order), []).append(m)
+    for a, A in enumerate(subs):
+        for B in subs[a:]:
+            # sort_columns((A, B)): subs runs by size, then lexicographically
+            m = (B, A) if len(B) > len(A) else (A, B)
+            classes.setdefault(tuple(sorted(cells[A] + cells[B])), []).append(m)
     gens: list[KernelBinomial] = []
     for image in sorted(classes):
-        members = sorted(classes[image], key=_monomial_key)
+        members = classes[image]
         if len(members) < 2:
             continue
+        members.sort(key=lambda m: (label[m[0]], label[m[1]]))
         if order is TermOrder.DIAGONAL:
-            canon = row_sort(members[0])
+            canon = _row_sorted_pair(members[0])
             if canon not in members:
                 raise RuntimeError(
                     f"row-sorted form {tableau_str(canon)} escaped its image class"
@@ -196,21 +222,47 @@ class RestrictionReport:
         return not self.witnesses
 
 
+def _tableau_mask(cols, bit: dict[Subset, int]) -> int:
+    mask = 0
+    for c in cols:
+        mask |= bit[c]
+    return mask
+
+
+def _masks(gens, n: int) -> tuple[tuple[int, int], ...]:
+    bit = subset_bits(n)
+    return tuple((_tableau_mask(g.lhs, bit), _tableau_mask(g.rhs, bit)) for g in gens)
+
+
+@lru_cache(maxsize=None)
+def kernel_masks(n: int, order: TermOrder) -> tuple[tuple[int, int], ...]:
+    """The (lhs, rhs) column masks of each cached degree-two generator."""
+    return _masks(degree2_kernel_generators(n, order), n)
+
+
+def _witnesses(masks, T: int):
+    """For each (lhs, rhs) mask pair: is exactly one side a submask of T?"""
+    outside = ~T
+    return ((not lhs & outside) != (not rhs & outside) for lhs, rhs in masks)
+
+
 def restrict(gens, v: Perm, w: Perm, order: TermOrder) -> RestrictionReport:
     """Classify every generator after dropping coordinates outside T."""
-    surviving = frozenset(enumerate_T(v, w))
+    T = interval_mask(v, w)
+    bit = subset_bits(len(v))
+    masks = _masks(gens, len(v))
+    outside = ~T
     keep: list[KernelBinomial] = []
     witnesses: list[MonomialWitness] = []
     vanished = 0
-    for g in gens:
-        lhs_in = all(c in surviving for c in g.lhs)
-        rhs_in = all(c in surviving for c in g.rhs)
-        if lhs_in and rhs_in:
-            keep.append(g)
-        elif lhs_in or rhs_in:
+    for g, (lhs, _), witness in zip(gens, masks, _witnesses(masks, T)):
+        lhs_in = not lhs & outside
+        if witness:
             alive, dead = (g.lhs, g.rhs) if lhs_in else (g.rhs, g.lhs)
-            missing = tuple(c for c in dead if c not in surviving)
+            missing = tuple(c for c in dead if not bit[c] & T)
             witnesses.append(MonomialWitness(g, alive, dead, missing))
+        elif lhs_in:
+            keep.append(g)
         else:
             vanished += 1
     return RestrictionReport(v, w, order, tuple(keep), tuple(witnesses), vanished)
@@ -224,14 +276,8 @@ def restriction_report(v: Perm, w: Perm, order: TermOrder) -> RestrictionReport:
 
 def is_monomial_free(v: Perm, w: Perm, order: TermOrder) -> bool:
     """True iff no kernel generator restricts to a monomial on (v, w)."""
-    check_same_n(v, w)
-    surviving = frozenset(enumerate_T(v, w))
-    for g in degree2_kernel_generators(len(v), order):
-        lhs_in = all(c in surviving for c in g.lhs)
-        rhs_in = all(c in surviving for c in g.rhs)
-        if lhs_in != rhs_in:
-            return False
-    return True
+    T = interval_mask(v, w)
+    return not any(_witnesses(kernel_masks(len(v), order), T))
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +293,8 @@ class ClassifyRecord(NamedTuple):
 
 def _classify_pair(args) -> ClassifyRecord:
     v, w, order = args
-    report = restriction_report(v, w, order)
-    return ClassifyRecord(v, w, report.monomial_free, len(report.witnesses))
+    count = sum(_witnesses(kernel_masks(len(v), order), interval_mask(v, w)))
+    return ClassifyRecord(v, w, not count, count)
 
 
 def classify_all(
@@ -264,12 +310,18 @@ def classify_all(
             f"{SWEEP_MAX_N}; pass force=True to override"
         )
     perms = all_perms(n)
-    pairs = [(v, w, order) for v in perms for w in perms if bruhat_leq(v, w)]
+    masks = [perm_masks(p) for p in perms]
+    pairs = [
+        (v, w, order)
+        for v, mv in zip(perms, masks)
+        for w, mw in zip(perms, masks)
+        if not mv.prefix & ~mw.below
+    ]
     if workers <= 1:
         return [_classify_pair(p) for p in pairs]
     import multiprocessing
 
-    degree2_kernel_generators(n, order)  # warm the parent cache before forking
+    kernel_masks(n, order)  # warm the parent cache before forking
     with multiprocessing.Pool(workers) as pool:
         return list(pool.map(_classify_pair, pairs, chunksize=64))
 

@@ -25,6 +25,30 @@ truncate the permutation to the subset's size:
 Permutations serialise as digit strings for n <= 9 ("2314") and as
 comma-separated values otherwise; subsets serialise as sorted digit strings
 ("234").  These formats are shared by the CLI and all report files.
+
+Sets of subsets are also held as bit masks: bit i stands for the i-th
+nonempty proper subset of [n] in :func:`all_subsets` order (by size, then
+lexicographically), so the least significant bit is {1}.  Each permutation
+carries three masks (:func:`perm_masks`): ``prefix`` (its prefix sets
+{w_1, ..., w_k} for k < n), ``below`` (the subsets J <= w) and ``above``
+(the subsets J >= w).  The surviving coordinates of a pair are then
+
+    T_w^v = above[v] & below[w],
+
+and the Bruhat order is the tableau criterion on prefix sets,
+
+    v <= w   iff   prefix[v] & ~below[w] == 0.
+
+>>> [subset_str(J) for J in all_subsets(3)]
+['1', '2', '3', '12', '13', '23']
+>>> bin(interval_mask((1, 3, 2), (3, 1, 2)))
+'0b10111'
+>>> subsets_of(0b10111, 3)
+[(1,), (2,), (3,), (1, 3)]
+
+The tuple comparisons below (:func:`bruhat_leq`, :func:`subset_leq_perm`,
+:func:`perm_leq_subset` and their ``_bruhat`` twins) stay the reference
+that the masks are tested against.
 """
 
 from __future__ import annotations
@@ -32,7 +56,7 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 #: Largest n accepted for single instances (permutations, subsets).
 MAX_N = 8
@@ -243,16 +267,104 @@ def enumerate_T(v: Perm, w: Perm) -> list[Subset]:
     Raises ValueError when v is not below w in Bruhat order (the
     corresponding Richardson variety is empty).
     """
-    check_same_n(v, w)
-    if not bruhat_leq(v, w):
-        raise ValueError("empty Richardson variety: v is not below w in Bruhat order")
-    return [J for J in all_subsets(len(v)) if perm_leq_subset(v, J) and subset_leq_perm(J, w)]
+    return subsets_of(interval_mask(v, w), len(v))
 
 
 def enumerate_S(v: Perm, w: Perm) -> list[Subset]:
     """The complementary set of vanishing coordinates, in canonical order."""
-    surviving = set(enumerate_T(v, w))
-    return [J for J in all_subsets(len(v)) if J not in surviving]
+    n = len(v)
+    return subsets_of(~interval_mask(v, w) & ((1 << len(all_subsets(n))) - 1), n)
+
+
+# ---------------------------------------------------------------------------
+# bit masks over all_subsets(n)
+
+
+@lru_cache(maxsize=None)
+def subset_bits(n: int) -> dict[Subset, int]:
+    """The bit of each nonempty proper subset of [n], in all_subsets order.
+
+    >>> subset_bits(3)[(1, 3)]
+    16
+    """
+    return {J: 1 << i for i, J in enumerate(all_subsets(n))}
+
+
+def subsets_of(mask: int, n: int) -> list[Subset]:
+    """Decode a mask into its subsets, in canonical order."""
+    subs = all_subsets(n)
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(subs[low.bit_length() - 1])
+        mask ^= low
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cones(P: Subset, n: int) -> tuple[int, int]:
+    """Masks of the subsets J of size |P| with J <= P, and with P <= J."""
+    bit = subset_bits(n)
+    down = up = 0
+    for J in itertools.combinations(range(1, n + 1), len(P)):
+        if all(j <= p for j, p in zip(J, P)):
+            down |= bit[J]
+        if all(p <= j for p, j in zip(P, J)):
+            up |= bit[J]
+    return down, up
+
+
+class PermMasks(NamedTuple):
+    prefix: int  # the prefix sets {w_1, ..., w_k}, 1 <= k < n
+    below: int  # the subsets J <= w
+    above: int  # the subsets J >= w
+
+
+@lru_cache(maxsize=None)
+def perm_masks(w: Perm) -> PermMasks:
+    """The prefix, below and above masks of a permutation.
+
+    J <= w compares J with the prefix set of w of the same size, so each
+    mask is a union over the prefix sets of w.
+
+    >>> m = perm_masks((2, 3, 1))
+    >>> subsets_of(m.prefix, 3), subsets_of(m.below, 3)
+    ([(2,), (2, 3)], [(1,), (2,), (1, 2), (1, 3), (2, 3)])
+    """
+    n = len(w)
+    bit = subset_bits(n)
+    prefix = below = above = 0
+    for k in range(1, n):
+        P = tuple(sorted(w[:k]))
+        down, up = _cones(P, n)
+        prefix |= bit[P]
+        below |= down
+        above |= up
+    return PermMasks(prefix, below, above)
+
+
+def bruhat_leq_mask(v: Perm, w: Perm) -> bool:
+    """Bruhat order by the tableau criterion: every prefix set of v is <= w.
+
+    Agrees with :func:`bruhat_leq` on every pair of the same size.
+
+    >>> bruhat_leq_mask((1, 3, 2), (3, 1, 2)), bruhat_leq_mask((3, 2, 1), (1, 2, 3))
+    (True, False)
+    """
+    return not perm_masks(v).prefix & ~perm_masks(w).below
+
+
+def interval_mask(v: Perm, w: Perm) -> int:
+    """The mask of T_w^v = {J : v <= J <= w}.
+
+    Raises ValueError when v is not below w in Bruhat order (the
+    corresponding Richardson variety is empty).
+    """
+    check_same_n(v, w)
+    mv, mw = perm_masks(v), perm_masks(w)
+    if mv.prefix & ~mw.below:
+        raise ValueError("empty Richardson variety: v is not below w in Bruhat order")
+    return mv.above & mw.below
 
 
 # ---------------------------------------------------------------------------

@@ -148,19 +148,14 @@ def polytope(v: Perm, w: Perm, order: TermOrder) -> LatticePolytope:
     a = restricted_map_matrix(v, w, order)
     s = segre_matrix(v, w)
     prod = a.mul(s)
-    points: list[tuple[int, ...]] = []
-    labels: list[list[str]] = []
+    labels: dict[tuple[int, ...], list[str]] = {}  # first-occurrence order
     for j, lbl in enumerate(prod.col_labels):
-        col = prod.column(j)
-        if col in points:
-            labels[points.index(col)].append(lbl)
-        else:
-            points.append(col)
-            labels.append([lbl])
+        labels.setdefault(prod.column(j), []).append(lbl)
+    points = tuple(labels)
     return LatticePolytope(
         prod.row_labels,
-        tuple(points),
-        tuple(tuple(g) for g in labels),
+        points,
+        tuple(tuple(g) for g in labels.values()),
         affine_rank(points),
     )
 
@@ -265,30 +260,30 @@ def lattice_points(
     if budget is not None and volume > budget:
         raise BudgetError(f"bounding box volume {volume} exceeds budget {budget}")
 
+    inside = _hull_test(hull_pts, k)
     out = []
     for q in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
         c = coords(q)
-        if c is not None and _hull_contains(hull_pts, c, k):
+        if c is not None and inside(c):
             out.append(q)
     return out
 
 
-def _hull_contains(pts, x, k: int) -> bool:
+def _hull_test(pts, k: int):
+    """Membership in the convex hull of ``pts`` (hull coordinates, dimension k).
+
+    The supporting edges or faces are found once, not per tested point.
+    """
     if k == 0:
-        return x == pts[0]
+        return lambda x: x == pts[0]
     if k == 1:
-        vals = [p[0] for p in pts]
-        return min(vals) <= x[0] <= max(vals)
-    if k == 2:
-        return _all_supporting(pts, x, _edges_2d(pts))
-    return _all_supporting(pts, x, _faces_3d(pts))
-
-
-def _all_supporting(pts, x, halfplanes) -> bool:
-    for normal, offset in halfplanes:
-        if sum(n * xi for n, xi in zip(normal, x)) < offset:
-            return False
-    return True
+        lo = min(p[0] for p in pts)
+        hi = max(p[0] for p in pts)
+        return lambda x: lo <= x[0] <= hi
+    halfplanes = _edges_2d(pts) if k == 2 else _faces_3d(pts)
+    return lambda x: all(
+        sum(n * xi for n, xi in zip(normal, x)) >= offset for normal, offset in halfplanes
+    )
 
 
 def _supporting(pts, normal, anchor):

@@ -11,6 +11,8 @@ from richtoric.perms import (
     identity,
     induced,
     longest,
+    perm_leq_subset,
+    subset_leq_perm,
 )
 from richtoric.compat import in_Tn, tn_pairs
 from richtoric.tableaux import enumerate_ssyt, row_sort, sort_columns
@@ -121,6 +123,28 @@ def test_generators_pair_equal_images(n, order):
         assert g.lhs != g.rhs
 
 
+def _reference_generators(n, order):
+    """The degree-two kernel built pair by pair from phi_image and row_sort."""
+    subs = all_subsets(n)
+    classes = {}
+    for a in range(len(subs)):
+        for b in range(a, len(subs)):
+            m = sort_columns((subs[a], subs[b]))
+            classes.setdefault(phi_image(m, order), []).append(m)
+    gens = []
+    for image in sorted(classes):
+        members = sorted(classes[image], key=lambda m: tuple("".join(map(str, c)) for c in m))
+        canon = row_sort(members[0]) if order is DIAG else members[0]
+        gens.extend((m, canon) for m in members if len(members) > 1 and m != canon)
+    return gens
+
+
+@pytest.mark.parametrize("order", [DIAG, ANTI])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_generators_match_pairwise_reference(n, order):
+    assert [tuple(g) for g in degree2_kernel_generators(n, order)] == _reference_generators(n, order)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_diagonal_canonical_side_is_row_sorted(n):
     for g in degree2_kernel_generators(n, DIAG):
@@ -199,6 +223,51 @@ def test_fast_path_agrees_with_full_report(order):
                     is_monomial_free(v, w, order)
                     == restriction_report(v, w, order).monomial_free
                 )
+
+
+def _tuple_restrict(gens, v, w):
+    """(survivors, witnesses, vanished count) by a tuple scan of T."""
+    n = len(v)
+    surviving = frozenset(
+        J for J in all_subsets(n) if perm_leq_subset(v, J) and subset_leq_perm(J, w)
+    )
+    keep, witnesses, vanished = [], [], 0
+    for g in gens:
+        lhs_in = all(c in surviving for c in g.lhs)
+        rhs_in = all(c in surviving for c in g.rhs)
+        if lhs_in and rhs_in:
+            keep.append(g)
+        elif lhs_in or rhs_in:
+            alive, dead = (g.lhs, g.rhs) if lhs_in else (g.rhs, g.lhs)
+            missing = tuple(c for c in dead if c not in surviving)
+            witnesses.append((g, alive, dead, missing))
+        else:
+            vanished += 1
+    return tuple(keep), tuple(witnesses), vanished
+
+
+@pytest.mark.parametrize("order", [DIAG, ANTI])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_mask_restriction_agrees_with_tuple_scan(n, order):
+    gens = degree2_kernel_generators(n, order)
+    counts = {(r.v, r.w): r for r in classify_all(n, order)}
+    for v in all_perms(n):
+        for w in all_perms(n):
+            if not bruhat_leq(v, w):
+                assert (v, w) not in counts
+                with pytest.raises(ValueError):
+                    is_monomial_free(v, w, order)
+                continue
+            keep, witnesses, vanished = _tuple_restrict(gens, v, w)
+            report = restriction_report(v, w, order)
+            assert report.survivors == keep
+            assert tuple(tuple(x) for x in report.witnesses) == witnesses
+            assert report.vanished_count == vanished
+            assert is_monomial_free(v, w, order) == (not witnesses)
+            record = counts.pop((v, w))
+            assert record.num_witnesses == len(witnesses)
+            assert record.monomial_free == (not witnesses)
+    assert not counts
 
 
 def test_witness_detail_json_roundtrip():

@@ -7,6 +7,7 @@ from richtoric.perms import (
     all_perms,
     all_subsets,
     bruhat_leq,
+    bruhat_leq_mask,
     check_perm,
     check_subset,
     complement,
@@ -15,6 +16,7 @@ from richtoric.perms import (
     gale_leq,
     identity,
     induced,
+    interval_mask,
     inversions,
     longest,
     parse_perm,
@@ -27,6 +29,7 @@ from richtoric.perms import (
     subset_leq_perm,
     subset_leq_perm_bruhat,
     subset_str,
+    subsets_of,
 )
 
 
@@ -213,6 +216,28 @@ def test_survivors_contain_both_prefix_chains(n):
             for k in range(1, n):
                 assert tuple(sorted(w[:k])) in surviving
                 assert tuple(sorted(v[:k])) in surviving
+
+
+def _tuple_scan_T(v, w):
+    return [J for J in all_subsets(len(v)) if perm_leq_subset(v, J) and subset_leq_perm(J, w)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_masks_agree_with_tuple_comparisons(n):
+    # every ordered pair, so both (v, w) and (w, v)
+    subs = all_subsets(n)
+    for v in all_perms(n):
+        for w in all_perms(n):
+            comparable = bruhat_leq(v, w)
+            assert bruhat_leq_mask(v, w) == comparable
+            if not comparable:
+                with pytest.raises(ValueError):
+                    interval_mask(v, w)
+                continue
+            T = _tuple_scan_T(v, w)
+            assert subsets_of(interval_mask(v, w), n) == T
+            assert enumerate_T(v, w) == T
+            assert enumerate_S(v, w) == [J for J in subs if J not in T]
 
 
 # ---------------------------------------------------------------------------
