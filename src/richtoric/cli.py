@@ -70,7 +70,6 @@ class RunConfig:
 
     n: int
     order: TermOrder
-    max_degree: int = 3
     workers: int = 1
     force: bool = False
 
@@ -79,8 +78,6 @@ class RunConfig:
             raise ValueError("n must be at least 2")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.max_degree < 1:
-            raise ValueError("degree must be at least 1")
 
 
 def _fail(message: str) -> int:
@@ -98,6 +95,26 @@ def _parse_pair(args) -> tuple[Perm, Perm]:
     return v, w
 
 
+def _valid_pair(args, degree: int | None = None) -> tuple[Perm, Perm] | None:
+    """The pair (v, w) of a single-pair command, or None after reporting why not.
+
+    Checks run in this order: the permutations and their size, then
+    ``degree`` when given, then v <= w in Bruhat order.  Every refusal
+    means exit code 2.
+    """
+    try:
+        v, w = _parse_pair(args)
+        if degree is not None and degree < 1:
+            raise ValueError("degree must be at least 1")
+    except ValueError as exc:
+        _fail(str(exc))
+        return None
+    if not bruhat_leq(v, w):
+        print("empty Richardson variety: v is not below w in Bruhat order")
+        return None
+    return v, w
+
+
 def _order(args) -> TermOrder:
     return TermOrder(args.order)
 
@@ -107,14 +124,11 @@ def _order(args) -> TermOrder:
 
 
 def cmd_check(args) -> int:
-    try:
-        v, w = _parse_pair(args)
-    except ValueError as exc:
-        return _fail(str(exc))
-    order = _order(args)
-    if not bruhat_leq(v, w):
-        print("empty Richardson variety: v is not below w in Bruhat order")
+    pair = _valid_pair(args)
+    if pair is None:
         return EXIT_ERROR
+    v, w = pair
+    order = _order(args)
     report = restriction_report(v, w, order)
     dim = inversions(w) - inversions(v)
     surviving = enumerate_T(v, w)
@@ -239,32 +253,26 @@ def cmd_classify(args) -> int:
 
 
 def cmd_ssyt(args) -> int:
-    try:
-        v, w = _parse_pair(args)
-        config = RunConfig(
-            n=len(v), order=_order(args), max_degree=args.d, force=args.force
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
-    order = config.order
-    if not bruhat_leq(v, w):
-        print("empty Richardson variety: v is not below w in Bruhat order")
+    pair = _valid_pair(args, degree=args.d)
+    if pair is None:
         return EXIT_ERROR
+    v, w = pair
+    order = _order(args)
     from .tableaux import SSYT_BUDGET
     from .initial import MONOMIAL_BUDGET
 
-    t_budget = None if config.force else SSYT_BUDGET
-    k_budget = None if config.force else MONOMIAL_BUDGET
+    t_budget = None if args.force else SSYT_BUDGET
+    k_budget = None if args.force else MONOMIAL_BUDGET
     try:
         print(f"pair: v={perm_str(v)} w={perm_str(w)} (n={len(v)}), order={order.value}")
-        for d in range(1, config.max_degree + 1):
+        for d in range(1, args.d + 1):
             tableaux = enumerate_ssyt(v, w, d, t_budget)
             standard = count_standard(v, w, d, t_budget)
             kernel = kernel_hilbert_dim(v, w, d, order, k_budget)
             print(f"d={d}: ssyt={len(tableaux)} standard={standard} kernel={kernel}")
         if args.list:
             n = len(v)
-            for t in enumerate_ssyt(v, w, config.max_degree, t_budget):
+            for t in enumerate_ssyt(v, w, args.d, t_budget):
                 tag = "standard" if is_standard(t, v, w) else "non-standard"
                 lo = chain_str(min_defining_chain(t, n))
                 hi = chain_str(max_defining_chain(t, n))
@@ -279,16 +287,16 @@ def cmd_ssyt(args) -> int:
 
 
 def cmd_polytope(args) -> int:
-    try:
-        v, w = _parse_pair(args)
-    except ValueError as exc:
-        return _fail(str(exc))
-    order = _order(args)
-    if not bruhat_leq(v, w):
-        print("empty Richardson variety: v is not below w in Bruhat order")
+    pair = _valid_pair(args)
+    if pair is None:
         return EXIT_ERROR
+    v, w = pair
+    order = _order(args)
+    try:
+        s = segre_matrix(v, w)
+    except BudgetError as exc:
+        return _fail(str(exc))
     a = restricted_map_matrix(v, w, order)
-    s = segre_matrix(v, w)
     prod = a.mul(s)
     poly = polytope(v, w, order)
     points = None

@@ -11,23 +11,32 @@ the exponent vectors of those products.  The polytope is the convex hull of
 the columns of AS; duplicate columns correspond to image-equal products and
 are reported explicitly.
 
-All arithmetic is exact (integers and fractions); affine dimension comes
-from Gaussian elimination on translated points, and lattice-point
-enumeration walks the bounding box with a convexity test in hull
-coordinates, supported up to affine dimension three.
+All arithmetic is on integers.  One fraction-free elimination routine,
+:func:`echelon_insert`, reduces an integer vector against integer echelon
+rows and divides each result by its gcd (integer-preserving Gaussian
+elimination).  Affine dimension is the echelon rank of the translated
+points.  Lattice-point enumeration, supported up to affine dimension three,
+walks the bounding box: the pivot columns of the echelon pick a minor M of
+the basis with determinant D, Cramer's rule on M gives D-scaled hull
+coordinates, and the convexity test runs on those integer coordinates.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .perms import BudgetError, Perm, Subset, enumerate_T, subset_str
 from .initial import TermOrder, initial_term, monomial_str
 
 #: Cap on the bounding-box volume scanned for lattice points.
 LATTICE_BUDGET = 1_000_000
+
+#: Cap on the number of products (columns of S and AS); the largest n <= 5
+#: interval, (12345, 54321), has 2,500.
+SEGRE_BUDGET = 20_000
 
 _ROW_LETTERS = ("x", "y", "z")
 
@@ -48,18 +57,21 @@ class IntMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 
+    def columns(self) -> list[tuple[int, ...]]:
+        """Every column, transposed in one pass."""
+        if not self.entries:
+            return [()] * len(self.col_labels)
+        return list(zip(*self.entries))
+
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.col_labels != other.row_labels:
             raise ValueError("matrix shapes/labels do not align")
-        rows = []
-        for row in self.entries:
-            rows.append(
-                tuple(
-                    sum(a * b for a, b in zip(row, other.column(j)))
-                    for j in range(len(other.col_labels))
-                )
-            )
-        return IntMatrix(self.row_labels, other.col_labels, tuple(rows))
+        cols = other.columns()
+        rows = tuple(
+            tuple(sum(map(operator.mul, row, col)) for col in cols)
+            for row in self.entries
+        )
+        return IntMatrix(self.row_labels, other.col_labels, rows)
 
     def text(self, name: str | None = None) -> str:
         """Aligned display; zero entries print blank."""
@@ -118,9 +130,20 @@ def segre_factors(v: Perm, w: Perm) -> list[list[Subset]]:
 
 
 def segre_matrix(v: Perm, w: Perm) -> IntMatrix:
-    """0/1 incidence matrix of products choosing one coordinate per factor."""
+    """0/1 incidence matrix of products choosing one coordinate per factor.
+
+    Raises :class:`BudgetError` before building anything when the number of
+    products exceeds ``SEGRE_BUDGET``.
+    """
     cols = enumerate_T(v, w)
-    products = list(itertools.product(*segre_factors(v, w)))
+    factors = segre_factors(v, w)
+    size = math.prod(len(f) for f in factors)
+    if size > SEGRE_BUDGET:
+        sizes = "*".join(str(len(f)) for f in factors)
+        raise BudgetError(
+            f"Segre product {sizes} = {size} columns exceeds budget {SEGRE_BUDGET}"
+        )
+    products = list(itertools.product(*factors))
     entries = tuple(
         tuple(1 if J in chosen else 0 for chosen in products) for J in cols
     )
@@ -144,13 +167,16 @@ class LatticePolytope:
 
 
 def polytope(v: Perm, w: Perm, order: TermOrder) -> LatticePolytope:
-    """Convex-hull data of the product matrix AS for the pair (v, w)."""
+    """Convex-hull data of the product matrix AS for the pair (v, w).
+
+    Raises :class:`BudgetError` when S would exceed ``SEGRE_BUDGET`` columns.
+    """
     a = restricted_map_matrix(v, w, order)
     s = segre_matrix(v, w)
     prod = a.mul(s)
     labels: dict[tuple[int, ...], list[str]] = {}  # first-occurrence order
-    for j, lbl in enumerate(prod.col_labels):
-        labels.setdefault(prod.column(j), []).append(lbl)
+    for col, lbl in zip(prod.columns(), prod.col_labels):
+        labels.setdefault(col, []).append(lbl)
     points = tuple(labels)
     return LatticePolytope(
         prod.row_labels,
@@ -164,62 +190,91 @@ def polytope(v: Perm, w: Perm, order: TermOrder) -> LatticePolytope:
 # exact linear algebra
 
 
+def echelon_insert(rows: list[tuple[int, tuple[int, ...]]], vec) -> bool:
+    """Reduce an integer vector against echelon rows; keep it if it is new.
+
+    ``rows`` holds (pivot column, row) pairs of integer rows divided by
+    their gcd; each row is zero in the pivot columns of the rows before it.
+    Elimination is fraction-free: ``vec`` becomes ``p * vec - a * row`` for
+    the pivot entry ``p`` of the row and the entry ``a`` of ``vec`` there,
+    divided by its gcd.  Returns True iff ``vec`` lies outside the span of
+    ``rows``, in which case its reduction is appended.
+
+    >>> rows = []
+    >>> [echelon_insert(rows, v) for v in [(2, 4, 0), (1, 2, 0), (0, 0, 0)]]
+    [True, False, False]
+    >>> [echelon_insert(rows, v) for v in [(3, 0, 3), (0, -6, 3)]]
+    [True, False]
+    >>> rows
+    [(0, (1, 2, 0)), (1, (0, -2, 1))]
+    """
+    vec = list(vec)
+    for pivot, row in rows:
+        a = vec[pivot]
+        if a:
+            p = row[pivot]
+            vec = [p * x - a * y for x, y in zip(vec, row)]
+            g = math.gcd(*vec)
+            if g > 1:
+                vec = [x // g for x in vec]
+    pivot = next((i for i, x in enumerate(vec) if x), None)
+    if pivot is None:
+        return False
+    g = math.gcd(*vec)
+    rows.append((pivot, tuple(x // g for x in vec)))
+    return True
+
+
 def affine_rank(points) -> int:
-    """Dimension of the affine span of a set of integer points."""
+    """Dimension of the affine span of a set of integer points.
+
+    >>> affine_rank([(0, 0), (1, 2), (3, 6)])  # collinear
+    1
+    >>> affine_rank([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])  # a plane
+    2
+    >>> affine_rank([(4, 5), (4, 5)])  # a repeated point
+    0
+    """
     pts = [tuple(p) for p in points]
     if len(pts) <= 1:
         return 0
     base = pts[0]
-    rows = [[Fraction(a - b) for a, b in zip(p, base)] for p in pts[1:]]
-    return _rank(rows)
+    rows: list = []
+    for p in pts[1:]:
+        if len(rows) == len(base):
+            break  # the span is the whole ambient space
+        echelon_insert(rows, [a - b for a, b in zip(p, base)])
+    return len(rows)
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    rows = [row[:] for row in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+def _adjugate(m: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Adjugate and determinant of a small square integer matrix.
 
+    ``adj @ m == det * identity``; with ``det > 0`` the solution of
+    ``m c = t`` is ``c = adj t / det`` (Cramer's rule).
+    """
 
-def _solve_in_span(basis: list[tuple[int, ...]], target: list[Fraction]):
-    """Coordinates of target in the span of basis vectors, or None."""
-    m = len(target)
-    k = len(basis)
-    aug = [[Fraction(basis[c][r]) for c in range(k)] + [target[r]] for r in range(m)]
-    row = 0
-    pivots = []
-    for col in range(k):
-        pivot = next((r for r in range(row, m) if aug[r][col]), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, m):
-        if aug[r][k]:
-            return None  # inconsistent: target outside the span
-    coords = [Fraction(0)] * k
-    for r, col in enumerate(pivots):
-        coords[col] = aug[r][k]
-    return tuple(coords)
+    def det(a):
+        if not a:
+            return 1
+        return sum(
+            (-1) ** j * a[0][j] * det([row[:j] + row[j + 1 :] for row in a[1:]])
+            for j in range(len(a))
+        )
+
+    k = len(m)
+    adj = [
+        [
+            (-1) ** (i + j)
+            * det([row[:i] + row[i + 1 :] for r, row in enumerate(m) if r != j])
+            for j in range(k)
+        ]
+        for i in range(k)
+    ]
+    d = sum(m[0][j] * adj[j][0] for j in range(k)) if k else 1
+    if d < 0:
+        adj, d = [[-x for x in row] for row in adj], -d
+    return adj, d
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +288,12 @@ def lattice_points(
 
     Scans the bounding box of the defining points and keeps the points that
     lie in the affine hull and inside the hull in hull coordinates.
+
+    The basis vectors b_1..b_k are the first differences p - base that add
+    to the echelon rank; the pivot columns of that echelon pick a k x k
+    minor M of the basis with determinant D > 0.  A point q gets D-scaled
+    hull coordinates D*c = adj(M) (q - base) on the pivot columns, and lies
+    in the affine hull iff D (q - base) == sum_j (D*c_j) b_j.
     """
     k = poly.affine_dim
     if k > 3:
@@ -241,15 +302,28 @@ def lattice_points(
     base = pts[0]
 
     basis: list[tuple[int, ...]] = []
+    rows: list = []
     for p in pts[1:]:
         vec = tuple(a - b for a, b in zip(p, base))
-        if _rank([[Fraction(x) for x in v] for v in basis + [vec]]) > len(basis):
+        if echelon_insert(rows, vec):
             basis.append(vec)
     assert len(basis) == k
+    pivots = [pivot for pivot, _ in rows]
+    adj, det = _adjugate([[b[r] for b in basis] for r in pivots])
+    # coordinates the pivots do not fix, with the basis entries there
+    checks = [
+        (i, tuple(b[i] for b in basis)) for i in range(len(base)) if i not in pivots
+    ]
 
     def coords(q):
-        target = [Fraction(a - b) for a, b in zip(q, base)]
-        return _solve_in_span(basis, target)
+        """D-scaled hull coordinates of q, or None off the affine hull."""
+        t = [a - b for a, b in zip(q, base)]
+        tp = [t[r] for r in pivots]
+        dc = tuple(sum(map(operator.mul, row, tp)) for row in adj)
+        for i, col in checks:
+            if det * t[i] != sum(map(operator.mul, dc, col)):
+                return None
+        return dc
 
     hull_pts = [coords(p) for p in pts]
     lows = [min(p[i] for p in pts) for i in range(len(base))]

@@ -31,7 +31,8 @@ from .perms import (
     Perm,
     Subset,
     ascending_completion,
-    bruhat_leq,
+    bruhat_leq,  # unused here; perfbench/test_perfbench.py reads tableaux.bruhat_leq
+    bruhat_leq_mask,
     check_same_n,
     complement,
     descending_completion,
@@ -152,13 +153,13 @@ def min_extension(u: Perm, J: Subset) -> Perm:
     >>> min_extension((1, 2, 3), (3,))
     (3, 1, 2)
     """
-    cands = [z for z in _perms_with_prefix(J, len(u)) if bruhat_leq(u, z)]
+    cands = [z for z in _perms_with_prefix(J, len(u)) if bruhat_leq_mask(u, z)]
     if not cands:
         raise NoExtensionError(f"no permutation above {u} with prefix {J}")
     low = min(cands, key=inversions)
     n_low = inversions(low)
     if sum(1 for z in cands if inversions(z) == n_low) > 1 or not all(
-        bruhat_leq(low, z) for z in cands
+        bruhat_leq_mask(low, z) for z in cands
     ):
         raise AmbiguousChainError(f"no unique minimum above {u} with prefix {J}")
     return low
@@ -167,13 +168,13 @@ def min_extension(u: Perm, J: Subset) -> Perm:
 @lru_cache(maxsize=None)
 def max_truncation(u: Perm, I: Subset) -> Perm:
     """The Bruhat-maximum permutation z <= u whose leading entries form I."""
-    cands = [z for z in _perms_with_prefix(I, len(u)) if bruhat_leq(z, u)]
+    cands = [z for z in _perms_with_prefix(I, len(u)) if bruhat_leq_mask(z, u)]
     if not cands:
         raise NoExtensionError(f"no permutation below {u} with prefix {I}")
     high = max(cands, key=inversions)
     n_high = inversions(high)
     if sum(1 for z in cands if inversions(z) == n_high) > 1 or not all(
-        bruhat_leq(z, high) for z in cands
+        bruhat_leq_mask(z, high) for z in cands
     ):
         raise AmbiguousChainError(f"no unique maximum below {u} with prefix {I}")
     return high
@@ -209,14 +210,14 @@ def is_standard(cols, v: Perm, w: Perm) -> bool:
     """Standard-monomial test: min chain tops out below w, max chain starts
     above v."""
     check_same_n(v, w)
-    if not bruhat_leq(v, w):
+    if not bruhat_leq_mask(v, w):
         raise ValueError("empty Richardson variety: v is not below w")
     n = len(v)
     lo = min_defining_chain(cols, n)
-    if not bruhat_leq(lo[-1], w):
+    if not bruhat_leq_mask(lo[-1], w):
         return False
     hi = max_defining_chain(cols, n)
-    return bruhat_leq(v, hi[0])
+    return bruhat_leq_mask(v, hi[0])
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,21 @@ def test_polytope_csv(capsys):
     assert "x2,1,0,0,0,0,0" in out
 
 
+def test_polytope_refuses_oversized_segre_product(capsys):
+    # 6 * 15 * 20 * 15 * 6 = 162,000 products: refused before any matrix is built
+    code, out, err = run_cli(capsys, "polytope", "--v", "123456", "--w", "654321")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "exceeds budget" in err
+
+
+def test_ssyt_bad_degree_fails_before_bruhat_check(capsys):
+    code, out, err = run_cli(capsys, "ssyt", "--v", "321", "--w", "123", "--d", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: degree must be at least 1\n"
+
+
 # ---------------------------------------------------------------------------
 # verify
 

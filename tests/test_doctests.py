@@ -1,11 +1,15 @@
 import doctest
+import importlib
 
 import pytest
 
 from richtoric import compat, initial, perms, tableaux
 
+# by module path: the package re-exports a function named ``polytope``
+polytope = importlib.import_module("richtoric.polytope")
 
-@pytest.mark.parametrize("module", [perms, tableaux, compat, initial])
+
+@pytest.mark.parametrize("module", [perms, tableaux, compat, initial, polytope])
 def test_doctests(module):
     failures, _ = doctest.testmod(module)
     assert failures == 0

@@ -1,15 +1,20 @@
 import itertools
+import random
+import re
+from fractions import Fraction
 
 import pytest
 
-from richtoric.perms import BudgetError, identity, longest
+from richtoric.perms import BudgetError, all_perms, bruhat_leq, identity, longest
 from richtoric.compat import tn_pairs
 from richtoric.initial import TermOrder, phi_image
 from richtoric.polytope import (
     IntMatrix,
     LatticePolytope,
+    _hull_test,
     affine_rank,
     cell_label,
+    echelon_insert,
     lattice_points,
     polytope,
     restricted_map_matrix,
@@ -217,3 +222,177 @@ def test_lattice_points_budget_guard():
     poly = LatticePolytope(("a",), ((0,), (2_000_000,)), (("p",), ("q",)), 1)
     with pytest.raises(BudgetError):
         lattice_points(poly)
+
+
+def test_segre_budget_refuses_before_building():
+    # 6 * 15 * 20 * 15 * 6 = 162,000 products; the largest n = 5 interval has 2,500
+    with pytest.raises(BudgetError):
+        segre_matrix(identity(6), longest(6))
+    with pytest.raises(BudgetError):
+        polytope(identity(6), longest(6), DIAG)
+    assert len(segre_matrix(identity(5), longest(5)).col_labels) == 2_500
+
+
+def test_echelon_insert_keeps_rows_primitive_and_reduced():
+    rows = []
+    assert echelon_insert(rows, (0, 4, -6))
+    assert not echelon_insert(rows, (0, -2, 3))
+    assert echelon_insert(rows, (5, 10, 0))
+    assert rows == [(1, (0, 2, -3)), (0, (1, 0, 3))]
+
+
+# ---------------------------------------------------------------------------
+# the Fraction Gauss-Jordan elimination the integer echelon replaced, kept as
+# the reference of a differential test
+
+
+def _ref_rank(rows):
+    rows = [row[:] for row in rows]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _ref_affine_rank(points):
+    pts = [tuple(p) for p in points]
+    if len(pts) <= 1:
+        return 0
+    base = pts[0]
+    return _ref_rank([[Fraction(a - b) for a, b in zip(p, base)] for p in pts[1:]])
+
+
+def _ref_solve_in_span(basis, target):
+    m = len(target)
+    k = len(basis)
+    aug = [[Fraction(basis[c][r]) for c in range(k)] + [target[r]] for r in range(m)]
+    row = 0
+    pivots = []
+    for col in range(k):
+        pivot = next((r for r in range(row, m) if aug[r][col]), None)
+        if pivot is None:
+            continue
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        inv = 1 / aug[row][col]
+        aug[row] = [x * inv for x in aug[row]]
+        for r in range(m):
+            if r != row and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
+        pivots.append(col)
+        row += 1
+    for r in range(row, m):
+        if aug[r][k]:
+            return None
+    coords = [Fraction(0)] * k
+    for r, col in enumerate(pivots):
+        coords[col] = aug[r][k]
+    return tuple(coords)
+
+
+def _ref_lattice_points(poly, budget=1_000_000):
+    k = poly.affine_dim
+    if k > 3:
+        raise ValueError(f"lattice points unsupported in affine dimension {k}")
+    pts = [tuple(p) for p in poly.points]
+    base = pts[0]
+    basis = []
+    for p in pts[1:]:
+        vec = tuple(a - b for a, b in zip(p, base))
+        if _ref_rank([[Fraction(x) for x in v] for v in basis + [vec]]) > len(basis):
+            basis.append(vec)
+
+    def coords(q):
+        return _ref_solve_in_span(basis, [Fraction(a - b) for a, b in zip(q, base)])
+
+    hull_pts = [coords(p) for p in pts]
+    lows = [min(p[i] for p in pts) for i in range(len(base))]
+    highs = [max(p[i] for p in pts) for i in range(len(base))]
+    volume = 1
+    for lo, hi in zip(lows, highs):
+        volume *= hi - lo + 1
+    if volume > budget:
+        raise BudgetError(f"bounding box volume {volume} exceeds budget {budget}")
+    inside = _hull_test(hull_pts, k)
+    return [
+        q
+        for q in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs)))
+        if (c := coords(q)) is not None and inside(c)
+    ]
+
+
+def _agree_with_reference(points):
+    k = _ref_affine_rank(points)
+    assert affine_rank(points) == k
+    poly = LatticePolytope(
+        tuple(f"e{i}" for i in range(len(points[0]))),
+        tuple(points),
+        tuple((str(i),) for i in range(len(points))),
+        k,
+    )
+    try:
+        expected = _ref_lattice_points(poly)
+    except (ValueError, BudgetError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            lattice_points(poly)
+    else:
+        assert lattice_points(poly) == expected
+
+
+def _comparable_pairs(n):
+    return [(v, w) for v in all_perms(n) for w in all_perms(n) if bruhat_leq(v, w)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_elimination_agrees_with_fraction_reference_on_pairs(n):
+    pairs = _comparable_pairs(n)
+    if n == 5:
+        pairs = random.Random(5).sample(pairs, 8)
+    for v, w in pairs:
+        for order in (DIAG, ANTI):
+            poly = polytope(v, w, order)
+            assert poly.affine_dim == _ref_affine_rank(poly.points)
+            _agree_with_reference(list(poly.points))
+
+
+def _random_point_set(rng):
+    """Integer points on a random flat of dimension <= 3, with repeats."""
+    ambient = rng.randint(1, 4)
+    dim = rng.randint(0, min(3, ambient))
+    base = [rng.randint(-3, 3) for _ in range(ambient)]
+    directions = [[rng.randint(-2, 2) for _ in range(ambient)] for _ in range(dim)]
+    points = []
+    for _ in range(rng.randint(1, 7)):
+        coeffs = [rng.randint(-1, 1) for _ in directions]
+        points.append(
+            tuple(b + sum(c * d[i] for c, d in zip(coeffs, directions)) for i, b in enumerate(base))
+        )
+    points += rng.sample(points, rng.randint(0, len(points)))  # repeated points
+    rng.shuffle(points)
+    return points
+
+
+def test_elimination_agrees_with_fraction_reference_on_random_sets():
+    rng = random.Random(20230)
+    special = [
+        [()],
+        [(), ()],
+        [(2, -1)] * 3,
+        [(0, 0), (2, -4), (-1, 2), (2, -4)],  # collinear, repeated
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1), (2, -1, 0)],  # coplanar
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+        [(-3, 1, 0, 2), (-1, 2, 1, 2), (1, 3, 2, 2), (-3, 1, 0, 2)],  # collinear in 4-space
+    ]
+    for points in special + [_random_point_set(rng) for _ in range(100)]:
+        _agree_with_reference(points)

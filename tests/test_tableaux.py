@@ -6,8 +6,11 @@ from hypothesis import given, strategies as st
 from richtoric.perms import (
     all_perms,
     all_subsets,
+    ascending_completion,
     bruhat_leq,
+    descending_completion,
     identity,
+    inversions,
     longest,
     partition_perm,
     perm_leq_subset,
@@ -16,6 +19,7 @@ from richtoric.perms import (
 from richtoric.tableaux import (
     AmbiguousChainError,
     NoExtensionError,
+    _perms_with_prefix,
     count_standard,
     enumerate_ssyt,
     is_ssyt,
@@ -233,6 +237,53 @@ def test_standard_implies_columns_survive(n):
                 if is_standard(cols, v, w):
                     for J in cols:
                         assert perm_leq_subset(v, J) and subset_leq_perm(J, w)
+
+
+def _tuple_min_extension(u, J):
+    """The scan of :func:`min_extension` on the tuple Bruhat test."""
+    cands = [z for z in _perms_with_prefix(J, len(u)) if bruhat_leq(u, z)]
+    low = min(cands, key=inversions)
+    assert all(bruhat_leq(low, z) for z in cands)
+    return low
+
+
+def _tuple_max_truncation(u, I):
+    cands = [z for z in _perms_with_prefix(I, len(u)) if bruhat_leq(z, u)]
+    high = max(cands, key=inversions)
+    assert all(bruhat_leq(z, high) for z in cands)
+    return high
+
+
+def _tuple_chains(cols, n):
+    lo = [ascending_completion(cols[0], n)]
+    for J in cols[1:]:
+        lo.append(_tuple_min_extension(lo[-1], J))
+    hi = [descending_completion(cols[-1], n)]
+    for I in reversed(cols[:-1]):
+        hi.append(_tuple_max_truncation(hi[-1], I))
+    return tuple(lo), tuple(reversed(hi))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_mask_chains_agree_with_tuple_bruhat(n):
+    # every SSYT with one or two columns, every comparable pair
+    ident, w0 = identity(n), longest(n)
+    tableaux = enumerate_ssyt(ident, w0, 1) + enumerate_ssyt(ident, w0, 2)
+    chains = {}
+    for cols in tableaux:
+        chains[cols] = _tuple_chains(cols, n)
+        assert (min_defining_chain(cols, n), max_defining_chain(cols, n)) == chains[cols]
+    for v in all_perms(n):
+        for w in all_perms(n):
+            if not bruhat_leq(v, w):
+                with pytest.raises(ValueError):
+                    is_standard(tableaux[0], v, w)
+                continue
+            for cols in tableaux:
+                lo, hi = chains[cols]
+                assert is_standard(cols, v, w) == (
+                    bruhat_leq(lo[-1], w) and bruhat_leq(v, hi[0])
+                )
 
 
 # ---------------------------------------------------------------------------
