@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .perms import (
     MAX_N,
@@ -55,29 +54,13 @@ from .initial import (
     restriction_report,
     witness_detail,
 )
-from .polytope import lattice_points, polytope, restricted_map_matrix, segre_matrix
+from .polytope import lattice_points, product_polytope, restricted_map_matrix, segre_matrix
 from .table1 import compare_with_table1, table1_rows
 from .verify import run_suites
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
-
-
-@dataclass
-class RunConfig:
-    """Validated knobs shared by the sweep-style commands."""
-
-    n: int
-    order: TermOrder
-    workers: int = 1
-    force: bool = False
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
 
 
 def _fail(message: str) -> int:
@@ -169,21 +152,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    order = _order(args)
     try:
-        config = RunConfig(
-            n=args.n,
-            order=_order(args),
-            workers=args.workers,
-            force=args.force,
-        )
-        records = classify_all(
-            config.n, config.order, force=config.force, workers=config.workers
-        )
+        records = classify_all(args.n, order, force=args.force)
     except BudgetError as exc:
         return _fail(f"{exc} (use --force to override)")
     except ValueError as exc:
         return _fail(str(exc))
-    order = config.order
 
     if args.output == "-":
         out_path = None
@@ -298,7 +273,7 @@ def cmd_polytope(args) -> int:
         return _fail(str(exc))
     a = restricted_map_matrix(v, w, order)
     prod = a.mul(s)
-    poly = polytope(v, w, order)
+    poly = product_polytope(prod)
     points = None
     points_error = None
     try:
@@ -313,7 +288,7 @@ def cmd_polytope(args) -> int:
             "order": order.value,
             "ambient": list(poly.ambient_labels),
             "columns": {
-                lbl: list(prod.column(j)) for j, lbl in enumerate(prod.col_labels)
+                lbl: list(col) for lbl, col in zip(prod.col_labels, prod.columns())
             },
             "distinct_points": [list(p) for p in poly.points],
             "point_labels": [list(g) for g in poly.point_labels],
@@ -399,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_classify.add_argument("--compare", choices=["table1", "tn"])
     p_classify.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_classify.add_argument("--workers", type=int, default=1)
     p_classify.add_argument("--force", action="store_true")
     p_classify.add_argument("--output", help="output path, or - for stdout")
     p_classify.set_defaults(func=cmd_classify)

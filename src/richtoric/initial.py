@@ -34,6 +34,18 @@ exactly one side survives:
 >>> T = interval_mask((1, 3, 2), (3, 1, 2))
 >>> list(_witnesses(kernel_masks(3, TermOrder.DIAGONAL), T))
 [True]
+
+A sweep counts witnesses the other way round, from the subsets that
+vanish.  ``subset_users`` holds, for each subset bit, the generators whose
+lhs uses that subset and those whose rhs does, as bitsets over generator
+indices.  OR-ing it over the subsets outside T gives the generators with a
+vanished lhs and those with a vanished rhs; a witness has exactly one
+vanished side, so the count is the popcount of their XOR:
+
+>>> subset_users(3, TermOrder.DIAGONAL)
+((1, 0), (0, 1), (0, 0), (0, 0), (0, 1), (1, 0))
+>>> _witness_count(subset_users(3, TermOrder.DIAGONAL), T)
+1
 """
 
 from __future__ import annotations
@@ -246,6 +258,32 @@ def _witnesses(masks, T: int):
     return ((not lhs & outside) != (not rhs & outside) for lhs, rhs in masks)
 
 
+@lru_cache(maxsize=None)
+def subset_users(n: int, order: TermOrder) -> tuple[tuple[int, int], ...]:
+    """Per subset bit: the bitsets of generators whose lhs / rhs use it.
+
+    Bit g of an entry stands for the g-th generator of ``kernel_masks``.
+    """
+    users = [[0, 0] for _ in all_subsets(n)]
+    for g, sides in enumerate(kernel_masks(n, order)):
+        for side, mask in enumerate(sides):
+            while mask:
+                low = mask & -mask
+                users[low.bit_length() - 1][side] |= 1 << g
+                mask ^= low
+    return tuple(map(tuple, users))
+
+
+def _witness_count(users, T: int) -> int:
+    """Number of generators with exactly one side outside T, from ``subset_users``."""
+    lhs = rhs = 0
+    for i, (lhs_users, rhs_users) in enumerate(users):
+        if not T >> i & 1:
+            lhs |= lhs_users
+            rhs |= rhs_users
+    return (lhs ^ rhs).bit_count()
+
+
 def restrict(gens, v: Perm, w: Perm, order: TermOrder) -> RestrictionReport:
     """Classify every generator after dropping coordinates outside T."""
     T = interval_mask(v, w)
@@ -275,7 +313,10 @@ def restriction_report(v: Perm, w: Perm, order: TermOrder) -> RestrictionReport:
 
 
 def is_monomial_free(v: Perm, w: Perm, order: TermOrder) -> bool:
-    """True iff no kernel generator restricts to a monomial on (v, w)."""
+    """True iff no kernel generator restricts to a monomial on (v, w).
+
+    Stopping the scan at the first witness beats ORing ``subset_users``.
+    """
     T = interval_mask(v, w)
     return not any(_witnesses(kernel_masks(len(v), order), T))
 
@@ -291,39 +332,30 @@ class ClassifyRecord(NamedTuple):
     num_witnesses: int
 
 
-def _classify_pair(args) -> ClassifyRecord:
-    v, w, order = args
-    count = sum(_witnesses(kernel_masks(len(v), order), interval_mask(v, w)))
-    return ClassifyRecord(v, w, not count, count)
-
-
-def classify_all(
-    n: int, order: TermOrder, force: bool = False, workers: int = 1
-) -> list[ClassifyRecord]:
+def classify_all(n: int, order: TermOrder, force: bool = False) -> list[ClassifyRecord]:
     """Monomial-freeness verdicts for all Bruhat-comparable pairs in S_n.
 
-    Canonically ordered by (v, w); deterministic for any worker count.
+    Canonically ordered by (v, w).  Each pair's witness count is one pass
+    of ``_witness_count`` over the ``subset_users`` table: the generators
+    with a vanished lhs, XOR those with a vanished rhs.
     """
+    if n < 2:
+        raise ValueError("n must be at least 2")
     if n > SWEEP_MAX_N and not force:
         raise BudgetError(
             f"classification sweep at n={n} exceeds the default bound "
             f"{SWEEP_MAX_N}; pass force=True to override"
         )
+    users = subset_users(n, order)
     perms = all_perms(n)
     masks = [perm_masks(p) for p in perms]
-    pairs = [
-        (v, w, order)
-        for v, mv in zip(perms, masks)
-        for w, mw in zip(perms, masks)
-        if not mv.prefix & ~mw.below
-    ]
-    if workers <= 1:
-        return [_classify_pair(p) for p in pairs]
-    import multiprocessing
-
-    kernel_masks(n, order)  # warm the parent cache before forking
-    with multiprocessing.Pool(workers) as pool:
-        return list(pool.map(_classify_pair, pairs, chunksize=64))
+    records = []
+    for v, mv in zip(perms, masks):
+        for w, mw in zip(perms, masks):
+            if not mv.prefix & ~mw.below:  # v <= w; T is then above[v] & below[w]
+                count = _witness_count(users, mv.above & mw.below)
+                records.append(ClassifyRecord(v, w, not count, count))
+    return records
 
 
 def classification_csv(records, order: TermOrder) -> str:

@@ -135,8 +135,8 @@ def segre_matrix(v: Perm, w: Perm) -> IntMatrix:
     Raises :class:`BudgetError` before building anything when the number of
     products exceeds ``SEGRE_BUDGET``.
     """
-    cols = enumerate_T(v, w)
     factors = segre_factors(v, w)
+    cols = [J for factor in factors for J in factor]  # T, by size then lex
     size = math.prod(len(f) for f in factors)
     if size > SEGRE_BUDGET:
         sizes = "*".join(str(len(f)) for f in factors)
@@ -172,9 +172,15 @@ def polytope(v: Perm, w: Perm, order: TermOrder) -> LatticePolytope:
     Raises :class:`BudgetError` when S would exceed ``SEGRE_BUDGET`` columns.
     """
     a = restricted_map_matrix(v, w, order)
-    s = segre_matrix(v, w)
-    prod = a.mul(s)
-    labels: dict[tuple[int, ...], list[str]] = {}  # first-occurrence order
+    return product_polytope(a.mul(segre_matrix(v, w)))
+
+
+def product_polytope(prod: IntMatrix) -> LatticePolytope:
+    """Convex-hull data of an already built product matrix AS.
+
+    Equal columns merge into one point, in first-occurrence order.
+    """
+    labels: dict[tuple[int, ...], list[str]] = {}
     for col, lbl in zip(prod.columns(), prod.col_labels):
         labels.setdefault(col, []).append(lbl)
     points = tuple(labels)

@@ -2,16 +2,15 @@
 Reproduction and property suites behind the ``verify`` command.
 
 Each suite returns (ok, detail) and is pure; the quick tier keeps every
-exhaustive sweep at n <= 4, the full tier raises the bounds to n = 5 with
-sampled coverage at n = 6.  Brute-force oracles (chain enumeration, the
-Bruhat reformulation of subset comparisons) are implemented here from
-scratch so that they stay independent of the code paths they check.
+exhaustive sweep at n <= 4, the full tier raises the bounds to n = 5 and
+classifies all of S_6.  Brute-force oracles (chain enumeration, the Bruhat
+reformulation of subset comparisons) are implemented here from scratch so
+that they stay independent of the code paths they check.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 import time
 from dataclasses import dataclass
 
@@ -60,11 +59,8 @@ from .initial import (
     monomial_str,
     restriction_report,
 )
-from .polytope import lattice_points, polytope, restricted_map_matrix, segre_matrix
+from .polytope import lattice_points, product_polytope, restricted_map_matrix, segre_matrix
 from .table1 import compare_with_table1, table1_rows
-
-SAMPLE_SEED = 104729
-SAMPLE_SIZE = 10_000
 
 
 @dataclass
@@ -112,34 +108,12 @@ def classification_family_agreement(max_n: int = 4):
     """Monomial-freeness of the diagonal degeneration vs family membership."""
     counts = []
     for n in range(3, max_n + 1):
-        mismatches = 0
-        total = 0
-        for v in all_perms(n):
-            for w in all_perms(n):
-                if bruhat_leq(v, w):
-                    total += 1
-                    if is_monomial_free(v, w, TermOrder.DIAGONAL) != in_Tn(v, w):
-                        mismatches += 1
-        counts.append((n, total, mismatches))
+        records = classify_all(n, TermOrder.DIAGONAL)
+        mismatches = sum(r.monomial_free != in_Tn(r.v, r.w) for r in records)
+        counts.append((n, len(records), mismatches))
     ok = all(m == 0 for _, _, m in counts)
     detail = "; ".join(f"n={n}: {t} pairs, {m} mismatches" for n, t, m in counts)
     return ok, detail
-
-
-def sampled_classification_n6(samples: int = SAMPLE_SIZE, seed: int = SAMPLE_SEED):
-    rng = random.Random(seed)
-    perms = all_perms(6)
-    mismatches = 0
-    drawn = 0
-    while drawn < samples:
-        v = rng.choice(perms)
-        w = rng.choice(perms)
-        if not bruhat_leq(v, w):
-            continue
-        drawn += 1
-        if is_monomial_free(v, w, TermOrder.DIAGONAL) != in_Tn(v, w):
-            mismatches += 1
-    return mismatches == 0, f"{drawn} sampled pairs, {mismatches} mismatches"
 
 
 def table1_coverage():
@@ -223,7 +197,7 @@ def polytope_instance():
     a = restricted_map_matrix(v, w, order)
     s = segre_matrix(v, w)
     prod = a.mul(s)
-    poly = polytope(v, w, order)
+    poly = product_polytope(prod)
     plane_ok = all(p[0] + p[1] + p[2] == 3 for p in poly.points)
     checks = [
         a.row_labels == ("x2", "x3", "x4", "y2", "y3", "z2"),
@@ -431,7 +405,7 @@ def run_suites(level: str = "quick") -> list[SuiteResult]:
     plan = [
         ("sets", survivor_sets),
         ("witness", diagonal_witness),
-        ("classification", lambda: classification_family_agreement(5 if full else 4)),
+        ("classification", lambda: classification_family_agreement(6 if full else 4)),
         ("table1", table1_coverage),
         ("ssyt-counts", lambda: ssyt_count_agreement(4, 3)),
         ("negative-control", negative_control),
@@ -443,8 +417,6 @@ def run_suites(level: str = "quick") -> list[SuiteResult]:
         ("oracle-complement", lambda: complement_claim(5 if full else 4)),
         ("oracle-swaps", lambda: adjacent_swap_suite(5 if full else 4)),
     ]
-    if full:
-        plan.append(("classification-n6-sample", sampled_classification_n6))
     out = []
     for name, fn in plan:
         t0 = time.perf_counter()

@@ -122,6 +122,16 @@ def test_classify_guard_exit(tmp_path, capsys):
     assert "force" in err
 
 
+def test_classify_rejects_n_below_two(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "classify", "--n", "1", "--output", str(tmp_path / "t.csv")
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: n must be at least 2\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_classify_json(tmp_path, capsys):
     out_file = tmp_path / "out.json"
     code, _, _ = run_cli(

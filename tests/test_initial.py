@@ -331,15 +331,14 @@ def test_classify_all_records():
     assert free == set(tn_pairs(3))
 
 
-def test_classify_all_is_deterministic_across_workers():
-    serial = classify_all(4, ANTI, workers=1)
-    parallel = classify_all(4, ANTI, workers=2)
-    assert serial == parallel
-
-
 def test_classify_guard():
     with pytest.raises(BudgetError):
         classify_all(7, DIAG)
+
+
+def test_classify_rejects_n_below_two():
+    with pytest.raises(ValueError, match="n must be at least 2"):
+        classify_all(1, DIAG)
 
 
 def test_classification_csv_format():
