@@ -35,7 +35,6 @@ from .perms import (
     subset_str,
 )
 from .tableaux import (
-    AmbiguousChainError,
     NoExtensionError,
     count_standard,
     enumerate_ssyt,

@@ -11,9 +11,9 @@ the flag coordinates indexed by its columns.
 A defining chain for a tableau attaches to each column a permutation whose
 leading entries form that column, the permutations increasing in Bruhat
 order along the tableau.  Every SSYT has a unique minimum and a unique
-maximum defining chain; both are built greedily here, one column at a time,
-and the greedy construction is validated against brute-force enumeration in
-the test suite.  A tableau is standard for the Richardson variety of
+maximum defining chain, built one column at a time by a direct lift into a
+parabolic coset, whose extremum is unique by Deodhar's lemma (see
+:func:`min_extension`).  A tableau is standard for the Richardson variety of
 (v, w) exactly when the top of its minimum chain stays below w and the
 bottom of its maximum chain stays above v.
 
@@ -23,8 +23,7 @@ bracketed permutation lists.
 
 from __future__ import annotations
 
-import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .perms import (
     BudgetError,
@@ -34,11 +33,9 @@ from .perms import (
     bruhat_leq,  # unused here; perfbench/test_perfbench.py reads tableaux.bruhat_leq
     bruhat_leq_mask,
     check_same_n,
-    complement,
     descending_completion,
     enumerate_T,
     gale_leq,
-    inversions,
     parse_subset,
     perm_str,
     subset_str,
@@ -52,10 +49,6 @@ Tableau = tuple[Subset, ...]
 
 class NoExtensionError(ValueError):
     """No permutation with the required prefix lies above/below the bound."""
-
-
-class AmbiguousChainError(RuntimeError):
-    """The extension step has no unique extremum; a theory assumption failed."""
 
 
 # ---------------------------------------------------------------------------
@@ -130,63 +123,72 @@ def chain_str(perms) -> str:
 # defining chains
 
 
-@lru_cache(maxsize=None)
-def _perms_with_prefix(J: Subset, n: int) -> tuple[Perm, ...]:
-    """All permutations of [n] whose first |J| entries form the set J."""
-    rest = complement(J, n)
-    return tuple(
-        head + tail
-        for head in itertools.permutations(J)
-        for tail in itertools.permutations(rest)
-    )
+def _lift(u: Perm, J: Subset) -> Perm:
+    """The Bruhat-minimum z >= u with leading set J, given that one exists.
+
+    z >= u iff each prefix set of z dominates u's of the same size.  Each
+    position takes the smallest unused entry (from J in the first |J|) that
+    keeps the prefix dominating; every such prefix extends to a whole z >= u,
+    so the minimum makes the same choices."""
+    n, k, z = len(u), len(J), []
+    for i in range(1, n + 1):
+        floor = sorted(u[:i])
+        pool = J if i <= k else range(1, n + 1)
+        z.append(min(y for y in pool if y not in z and gale_leq(floor, sorted(z + [y]))))
+    return tuple(z)
 
 
 @lru_cache(maxsize=None)
 def min_extension(u: Perm, J: Subset) -> Perm:
     """The Bruhat-minimum permutation z >= u whose leading entries form J.
 
-    Exhaustive over the |J|! * (n-|J|)! candidates; any minimum must sit at
-    the least inversion count among them, which keeps the scan linear.
+    The permutations with leading set J form a parabolic coset.  Those above
+    u have a unique minimum (Deodhar's lemma), built by :func:`_lift`; they
+    exist iff u is below the top of the coset, the descending completion of J.
 
     >>> min_extension((1, 3, 2), (2,))
     (2, 3, 1)
     >>> min_extension((1, 2, 3), (3,))
     (3, 1, 2)
     """
-    cands = [z for z in _perms_with_prefix(J, len(u)) if bruhat_leq_mask(u, z)]
-    if not cands:
+    if not bruhat_leq_mask(u, descending_completion(J, len(u))):
         raise NoExtensionError(f"no permutation above {u} with prefix {J}")
-    low = min(cands, key=inversions)
-    n_low = inversions(low)
-    if sum(1 for z in cands if inversions(z) == n_low) > 1 or not all(
-        bruhat_leq_mask(low, z) for z in cands
-    ):
-        raise AmbiguousChainError(f"no unique minimum above {u} with prefix {J}")
-    return low
+    return _lift(u, J)
 
 
 @lru_cache(maxsize=None)
 def max_truncation(u: Perm, I: Subset) -> Perm:
-    """The Bruhat-maximum permutation z <= u whose leading entries form I."""
-    cands = [z for z in _perms_with_prefix(I, len(u)) if bruhat_leq_mask(z, u)]
-    if not cands:
+    """The Bruhat-maximum permutation z <= u whose leading entries form I.
+
+    Reversing values (x -> n+1-x) reverses Bruhat order, so this is the
+    mirror of :func:`min_extension`:
+
+    >>> r = lambda p: tuple(4 - x for x in p)
+    >>> max_truncation((3, 2, 1), (1, 2)), r(min_extension(r((3, 2, 1)), r((2, 1))))
+    ((2, 1, 3), (2, 1, 3))
+    """
+    n = len(u)
+    if not bruhat_leq_mask(ascending_completion(I, n), u):
         raise NoExtensionError(f"no permutation below {u} with prefix {I}")
-    high = max(cands, key=inversions)
-    n_high = inversions(high)
-    if sum(1 for z in cands if inversions(z) == n_high) > 1 or not all(
-        bruhat_leq_mask(z, high) for z in cands
-    ):
-        raise AmbiguousChainError(f"no unique maximum below {u} with prefix {I}")
-    return high
+    z = _lift(tuple(n + 1 - x for x in u), tuple(n + 1 - x for x in I))
+    return tuple(n + 1 - x for x in z)
+
+
+def _chain_columns(cols, n: int) -> Tableau:
+    """The columns as tuples, refused unless they form a nonempty SSYT on [n]."""
+    cols = tuple(tuple(c) for c in cols)
+    if not cols:
+        raise ValueError("empty tableau has no defining chain")
+    if not all(0 < x <= n for c in cols for x in c):
+        raise ValueError(f"entries outside 1..{n}: {tableau_str(cols)}")
+    if not is_ssyt(cols):
+        raise ValueError(f"not semi-standard: {tableau_str(cols)}")
+    return cols
 
 
 def min_defining_chain(cols, n: int) -> tuple[Perm, ...]:
     """Minimum defining chain of an SSYT, built left to right."""
-    cols = tuple(tuple(c) for c in cols)
-    if not cols:
-        raise ValueError("empty tableau has no defining chain")
-    if not is_ssyt(cols):
-        raise ValueError(f"not semi-standard: {tableau_str(cols)}")
+    cols = _chain_columns(cols, n)
     chain = [ascending_completion(cols[0], n)]
     for J in cols[1:]:
         chain.append(min_extension(chain[-1], J))
@@ -195,11 +197,7 @@ def min_defining_chain(cols, n: int) -> tuple[Perm, ...]:
 
 def max_defining_chain(cols, n: int) -> tuple[Perm, ...]:
     """Maximum defining chain of an SSYT, built right to left."""
-    cols = tuple(tuple(c) for c in cols)
-    if not cols:
-        raise ValueError("empty tableau has no defining chain")
-    if not is_ssyt(cols):
-        raise ValueError(f"not semi-standard: {tableau_str(cols)}")
+    cols = _chain_columns(cols, n)
     chain = [descending_completion(cols[-1], n)]
     for I in reversed(cols[:-1]):
         chain.append(max_truncation(chain[-1], I))
@@ -213,11 +211,12 @@ def is_standard(cols, v: Perm, w: Perm) -> bool:
     if not bruhat_leq_mask(v, w):
         raise ValueError("empty Richardson variety: v is not below w")
     n = len(v)
-    lo = min_defining_chain(cols, n)
-    if not bruhat_leq_mask(lo[-1], w):
+    cols = _chain_columns(cols, n)
+    top = reduce(min_extension, cols[1:], ascending_completion(cols[0], n))
+    if not bruhat_leq_mask(top, w):
         return False
-    hi = max_defining_chain(cols, n)
-    return bruhat_leq_mask(v, hi[0])
+    bottom = reduce(max_truncation, reversed(cols[:-1]), descending_completion(cols[-1], n))
+    return bruhat_leq_mask(v, bottom)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from richtoric.perms import (
     all_subsets,
     ascending_completion,
     bruhat_leq,
+    bruhat_leq_mask,
     descending_completion,
     identity,
     inversions,
@@ -17,9 +18,7 @@ from richtoric.perms import (
     subset_leq_perm,
 )
 from richtoric.tableaux import (
-    AmbiguousChainError,
     NoExtensionError,
-    _perms_with_prefix,
     count_standard,
     enumerate_ssyt,
     is_ssyt,
@@ -122,6 +121,23 @@ def test_max_truncation_examples():
     assert max_truncation(longest(3), (1, 2)) == (2, 1, 3)
     with pytest.raises(NoExtensionError):
         max_truncation((1, 2, 3), (3,))
+
+
+@pytest.mark.parametrize("build", [min_defining_chain, max_defining_chain])
+def test_chains_refuse_bad_tableaux(build):
+    for cols, n, why in [
+        ([(1, 5)], 3, "outside 1..3"),
+        ([(1, 2), (3,)], 2, "outside 1..2"),
+        ([], 3, "empty"),
+        ([(3, 5), (1, 2, 5)], 5, "not semi-standard"),
+    ]:
+        with pytest.raises(ValueError, match=why):
+            build(cols, n)
+
+
+def test_is_standard_refuses_entries_outside_n():
+    with pytest.raises(ValueError, match="outside"):
+        is_standard([(1, 4)], (1, 2, 3), (3, 2, 1))
 
 
 def test_chain_examples():
@@ -239,28 +255,51 @@ def test_standard_implies_columns_survive(n):
                         assert perm_leq_subset(v, J) and subset_leq_perm(J, w)
 
 
-def _tuple_min_extension(u, J):
-    """The scan of :func:`min_extension` on the tuple Bruhat test."""
-    cands = [z for z in _perms_with_prefix(J, len(u)) if bruhat_leq(u, z)]
-    low = min(cands, key=inversions)
-    assert all(bruhat_leq(low, z) for z in cands)
-    return low
+def _with_prefix(J, n):
+    """All permutations of [n] whose first |J| entries form the set J."""
+    rest = [x for x in range(1, n + 1) if x not in J]
+    return [
+        head + tail
+        for head in itertools.permutations(J)
+        for tail in itertools.permutations(rest)
+    ]
 
 
-def _tuple_max_truncation(u, I):
-    cands = [z for z in _perms_with_prefix(I, len(u)) if bruhat_leq(z, u)]
-    high = max(cands, key=inversions)
-    assert all(bruhat_leq(z, high) for z in cands)
-    return high
+def _scan(u, J, leq, above):
+    """The Bruhat-least candidate with leading set J above u (or the greatest
+    below u), found by scanning every candidate; None when there is none."""
+    if above:
+        cands = [z for z in _with_prefix(J, len(u)) if leq(u, z)]
+        best = min(cands, key=inversions, default=None)
+        assert all(leq(best, z) for z in cands)
+    else:
+        cands = [z for z in _with_prefix(J, len(u)) if leq(z, u)]
+        best = max(cands, key=inversions, default=None)
+        assert all(leq(z, best) for z in cands)
+    return best
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_lift_agrees_with_the_candidate_scan(n):
+    # every (u, J), both directions, including every NoExtensionError
+    for u in all_perms(n):
+        for J in all_subsets(n):
+            for lift, above in ((min_extension, True), (max_truncation, False)):
+                want = _scan(u, J, bruhat_leq_mask, above)
+                if want is None:
+                    with pytest.raises(NoExtensionError):
+                        lift(u, J)
+                else:
+                    assert lift(u, J) == want, (lift.__name__, u, J)
 
 
 def _tuple_chains(cols, n):
     lo = [ascending_completion(cols[0], n)]
     for J in cols[1:]:
-        lo.append(_tuple_min_extension(lo[-1], J))
+        lo.append(_scan(lo[-1], J, bruhat_leq, above=True))
     hi = [descending_completion(cols[-1], n)]
     for I in reversed(cols[:-1]):
-        hi.append(_tuple_max_truncation(hi[-1], I))
+        hi.append(_scan(hi[-1], I, bruhat_leq, above=False))
     return tuple(lo), tuple(reversed(hi))
 
 
