@@ -36,15 +36,17 @@ exactly one side survives:
 [True]
 
 A sweep counts witnesses the other way round, from the subsets that
-vanish.  ``subset_users`` holds, for each subset bit, the generators whose
-lhs uses that subset and those whose rhs does, as bitsets over generator
-indices.  OR-ing it over the subsets outside T gives the generators with a
-vanished lhs and those with a vanished rhs; a witness has exactly one
-vanished side, so the count is the popcount of their XOR:
+vanish.  A subset outside T = above[v] & below[w] is outside above[v] or
+below[w], so ``witness_table`` folds, once per permutation p, the bitsets
+of generators whose lhs / rhs use a subset outside above[p] (the v-half
+La, Ra) and outside below[p] (the w-half Lb, Rb).  A witness has exactly
+one vanished side, so a pair's count is the popcount of an XOR:
 
->>> subset_users(3, TermOrder.DIAGONAL)
-((1, 0), (0, 1), (0, 0), (0, 0), (0, 1), (1, 0))
->>> _witness_count(subset_users(3, TermOrder.DIAGONAL), T)
+>>> table, perms = witness_table(3, TermOrder.DIAGONAL), all_perms(3)
+>>> (La, Ra), (Lb, Rb) = table[perms.index((1, 3, 2))][2:4], table[perms.index((3, 1, 2))][4:]
+>>> (La, Ra), (Lb, Rb)
+((0, 0), (1, 0))
+>>> ((La | Lb) ^ (Ra | Rb)).bit_count()
 1
 """
 
@@ -259,29 +261,30 @@ def _witnesses(masks, T: int):
 
 
 @lru_cache(maxsize=None)
-def subset_users(n: int, order: TermOrder) -> tuple[tuple[int, int], ...]:
-    """Per subset bit: the bitsets of generators whose lhs / rhs use it.
+def witness_table(n: int, order: TermOrder) -> tuple[tuple[int, ...], ...]:
+    """Per permutation p, in ``all_perms`` order: (prefix, below, La, Ra, Lb, Rb).
 
-    Bit g of an entry stands for the g-th generator of ``kernel_masks``.
+    prefix and below are p's ``perm_masks``.  La / Ra are the bitsets (bit g
+    for the g-th generator of ``kernel_masks``) of the generators whose lhs /
+    rhs uses a subset outside above[p]; Lb / Rb the same outside below[p].
     """
-    users = [[0, 0] for _ in all_subsets(n)]
+    users = [[0, 0] for _ in all_subsets(n)]  # per subset bit: its lhs / rhs users
     for g, sides in enumerate(kernel_masks(n, order)):
         for side, mask in enumerate(sides):
             while mask:
                 low = mask & -mask
                 users[low.bit_length() - 1][side] |= 1 << g
                 mask ^= low
-    return tuple(map(tuple, users))
 
+    def fold(inside: int) -> tuple[int, int]:
+        lhs = rhs = 0
+        for i, (lhs_users, rhs_users) in enumerate(users):
+            if not inside >> i & 1:
+                lhs, rhs = lhs | lhs_users, rhs | rhs_users
+        return lhs, rhs
 
-def _witness_count(users, T: int) -> int:
-    """Number of generators with exactly one side outside T, from ``subset_users``."""
-    lhs = rhs = 0
-    for i, (lhs_users, rhs_users) in enumerate(users):
-        if not T >> i & 1:
-            lhs |= lhs_users
-            rhs |= rhs_users
-    return (lhs ^ rhs).bit_count()
+    masks = map(perm_masks, all_perms(n))
+    return tuple((m.prefix, m.below, *fold(m.above), *fold(m.below)) for m in masks)
 
 
 def restrict(gens, v: Perm, w: Perm, order: TermOrder) -> RestrictionReport:
@@ -315,7 +318,7 @@ def restriction_report(v: Perm, w: Perm, order: TermOrder) -> RestrictionReport:
 def is_monomial_free(v: Perm, w: Perm, order: TermOrder) -> bool:
     """True iff no kernel generator restricts to a monomial on (v, w).
 
-    Stopping the scan at the first witness beats ORing ``subset_users``.
+    Stopping the scan at the first witness beats building ``witness_table``.
     """
     T = interval_mask(v, w)
     return not any(_witnesses(kernel_masks(len(v), order), T))
@@ -335,9 +338,7 @@ class ClassifyRecord(NamedTuple):
 def classify_all(n: int, order: TermOrder, force: bool = False) -> list[ClassifyRecord]:
     """Monomial-freeness verdicts for all Bruhat-comparable pairs in S_n.
 
-    Canonically ordered by (v, w).  Each pair's witness count is one pass
-    of ``_witness_count`` over the ``subset_users`` table: the generators
-    with a vanished lhs, XOR those with a vanished rhs.
+    Canonically ordered by (v, w); witness counts come from ``witness_table``.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -346,14 +347,13 @@ def classify_all(n: int, order: TermOrder, force: bool = False) -> list[Classify
             f"classification sweep at n={n} exceeds the default bound "
             f"{SWEEP_MAX_N}; pass force=True to override"
         )
-    users = subset_users(n, order)
     perms = all_perms(n)
-    masks = [perm_masks(p) for p in perms]
+    table = witness_table(n, order)
     records = []
-    for v, mv in zip(perms, masks):
-        for w, mw in zip(perms, masks):
-            if not mv.prefix & ~mw.below:  # v <= w; T is then above[v] & below[w]
-                count = _witness_count(users, mv.above & mw.below)
+    for v, (prefix, _, la, ra, _, _) in zip(perms, table):
+        for w, (_, below, _, _, lb, rb) in zip(perms, table):
+            if not prefix & ~below:  # v <= w
+                count = ((la | lb) ^ (ra | rb)).bit_count()
                 records.append(ClassifyRecord(v, w, not count, count))
     return records
 

@@ -204,19 +204,23 @@ def max_defining_chain(cols, n: int) -> tuple[Perm, ...]:
     return tuple(reversed(chain))
 
 
+def _standard(cols: Tableau, v: Perm, w: Perm) -> bool:
+    """:func:`is_standard` on a nonempty SSYT over [n] and a pair v <= w, unchecked."""
+    n = len(v)
+    top = reduce(min_extension, cols[1:], ascending_completion(cols[0], n))
+    if not bruhat_leq_mask(top, w):
+        return False
+    bottom = reduce(max_truncation, reversed(cols[:-1]), descending_completion(cols[-1], n))
+    return bruhat_leq_mask(v, bottom)
+
+
 def is_standard(cols, v: Perm, w: Perm) -> bool:
     """Standard-monomial test: min chain tops out below w, max chain starts
     above v."""
     check_same_n(v, w)
     if not bruhat_leq_mask(v, w):
         raise ValueError("empty Richardson variety: v is not below w")
-    n = len(v)
-    cols = _chain_columns(cols, n)
-    top = reduce(min_extension, cols[1:], ascending_completion(cols[0], n))
-    if not bruhat_leq_mask(top, w):
-        return False
-    bottom = reduce(max_truncation, reversed(cols[:-1]), descending_completion(cols[-1], n))
-    return bruhat_leq_mask(v, bottom)
+    return _standard(_chain_columns(cols, len(v)), v, w)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +261,9 @@ def count_standard(v: Perm, w: Perm, d: int, budget: int | None = SSYT_BUDGET) -
     Standard monomials have all columns between v and w, so counting within
     the enumerated tableaux is exhaustive.
     """
-    return sum(1 for t in enumerate_ssyt(v, w, d, budget) if is_standard(t, v, w))
+    # enumerate_ssyt refuses a bad pair and builds only SSYT over [n], so the
+    # per-tableau step skips is_standard's checks
+    return sum(_standard(t, v, w) for t in enumerate_ssyt(v, w, d, budget))
 
 
 if __name__ == "__main__":

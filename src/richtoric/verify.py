@@ -2,10 +2,11 @@
 Reproduction and property suites behind the ``verify`` command.
 
 Each suite returns (ok, detail) and is pure; the quick tier keeps every
-exhaustive sweep at n <= 4, the full tier raises the bounds to n = 5 and
-classifies all of S_6.  Brute-force oracles (chain enumeration, the Bruhat
-reformulation of subset comparisons) are implemented here from scratch so
-that they stay independent of the code paths they check.
+exhaustive sweep at n <= 4, the full tier raises the bounds to n = 5 (the
+chain oracle at degree <= 2) and classifies all of S_6.  Brute-force
+oracles (chain enumeration, the Bruhat reformulation of subset comparisons)
+are implemented here from scratch so that they stay independent of the
+code paths they check.
 """
 
 from __future__ import annotations
@@ -412,7 +413,7 @@ def run_suites(level: str = "quick") -> list[SuiteResult]:
         ("polytope", polytope_instance),
         ("patterns", lambda: pattern_avoidance(5 if full else 4)),
         ("blocks", lambda: block_suite(6 if full else 4)),
-        ("oracle-chains", lambda: chains_oracle(4, 3)),
+        ("oracle-chains", lambda: chains_oracle(5, 2) if full else chains_oracle(4, 3)),
         ("oracle-compare", lambda: subset_compare_oracle(5 if full else 4)),
         ("oracle-complement", lambda: complement_claim(5 if full else 4)),
         ("oracle-swaps", lambda: adjacent_swap_suite(5 if full else 4)),

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -10,6 +12,7 @@ from richtoric.perms import (
     bruhat_leq,
     identity,
     induced,
+    interval_mask,
     longest,
     perm_leq_subset,
     subset_leq_perm,
@@ -18,6 +21,7 @@ from richtoric.compat import in_Tn, tn_pairs
 from richtoric.tableaux import enumerate_ssyt, row_sort, sort_columns
 from richtoric.initial import (
     TermOrder,
+    _witnesses,
     classification_csv,
     classify_all,
     degree2_kernel_generators,
@@ -25,6 +29,7 @@ from richtoric.initial import (
     initial_term,
     is_monomial_free,
     kernel_hilbert_dim,
+    kernel_masks,
     monomial_str,
     phi_image,
     plucker_weight,
@@ -32,6 +37,7 @@ from richtoric.initial import (
     weight_matrix,
     weight_vector_lines,
     witness_detail,
+    witness_table,
 )
 
 DIAG = TermOrder.DIAGONAL
@@ -268,6 +274,44 @@ def test_mask_restriction_agrees_with_tuple_scan(n, order):
             assert record.num_witnesses == len(witnesses)
             assert record.monomial_free == (not witnesses)
     assert not counts
+
+
+def _seeded_pairs(n, comparable, seed):
+    """Random (v, w, v <= w) of S_n, drawn until ``comparable`` have v <= w."""
+    rng, perms, pairs = random.Random(seed), all_perms(n), []
+    while comparable:
+        v, w = rng.choice(perms), rng.choice(perms)
+        pairs.append((v, w, bruhat_leq(v, w)))
+        comparable -= pairs[-1][2]
+    return pairs
+
+
+@pytest.mark.parametrize("order", [DIAG, ANTI])
+@pytest.mark.parametrize("n", [6, 7])
+def test_folded_witness_count_agrees_with_generator_scan(n, order):
+    # past the exhaustive n <= 5 gate above: the table's Bruhat filter and
+    # folded count against the tuple Bruhat test and the per-generator scan
+    table, masks = witness_table(n, order), kernel_masks(n, order)
+    row = dict(zip(all_perms(n), table))
+    for v, w, leq in _seeded_pairs(n, 200, seed=n):
+        prefix, _, la, ra, _, _ = row[v]
+        _, below, _, _, lb, rb = row[w]
+        assert (not prefix & ~below) == leq
+        if leq:
+            count = ((la | lb) ^ (ra | rb)).bit_count()
+            assert count == sum(_witnesses(masks, interval_mask(v, w)))
+
+
+@pytest.mark.parametrize(
+    "order, digest",
+    [
+        (DIAG, "e2431c0645c6e223ac332160b1a09e3a5224ad104854fbbe841dfd32e8245696"),
+        (ANTI, "1dbfde4eb8e2ed31c752599d8b31d82ae59a5a9304b9150355f04516f52f2403"),
+    ],
+)
+def test_s6_classification_digest(order, digest):
+    csv = classification_csv(classify_all(6, order), order)
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
 
 def test_witness_detail_json_roundtrip():

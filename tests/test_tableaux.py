@@ -359,3 +359,23 @@ def test_count_standard_examples():
     # degree one always counts the surviving columns
     v, w = (2, 3, 1, 4), (4, 2, 3, 1)
     assert count_standard(v, w, 1) == 9
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_count_standard_agrees_with_is_standard(n):
+    # count_standard skips is_standard's per-tableau checks; same counts
+    for v, w in itertools.product(all_perms(n), repeat=2):
+        if bruhat_leq(v, w):
+            for d in (1, 2):
+                tableaux = enumerate_ssyt(v, w, d)
+                assert count_standard(v, w, d) == sum(is_standard(t, v, w) for t in tableaux)
+
+
+def test_count_standard_refuses_bad_pairs():
+    for v, w, d, why in [
+        ((1, 2), (3, 2, 1), 1, "mismatched sizes"),
+        ((3, 2, 1), (1, 2, 3), 1, "empty Richardson variety"),
+        ((1, 2, 3), (3, 2, 1), 0, "degree must be positive"),
+    ]:
+        with pytest.raises(ValueError, match=why):
+            count_standard(v, w, d)
