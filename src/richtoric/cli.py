@@ -153,6 +153,8 @@ def cmd_check(args) -> int:
 
 def cmd_classify(args) -> int:
     order = _order(args)
+    if args.compare == "table1" and (args.n != 4 or order is not TermOrder.ANTIDIAGONAL):
+        return _fail("--compare table1 applies to --n 4 --order antidiagonal")
     try:
         records = classify_all(args.n, order, force=args.force)
     except BudgetError as exc:
@@ -195,8 +197,6 @@ def cmd_classify(args) -> int:
 
     exit_code = EXIT_OK
     if args.compare == "table1":
-        if args.n != 4 or order is not TermOrder.ANTIDIAGONAL:
-            return _fail("--compare table1 applies to --n 4 --order antidiagonal")
         cmp = compare_with_table1([(r.v, r.w) for r in records if r.monomial_free])
         print(
             f"table1 comparison: covered {len(cmp.covered)}/{len(table1_rows())}, "

@@ -14,11 +14,13 @@ are reported explicitly.
 All arithmetic is on integers.  One fraction-free elimination routine,
 :func:`echelon_insert`, reduces an integer vector against integer echelon
 rows and divides each result by its gcd (integer-preserving Gaussian
-elimination).  Affine dimension is the echelon rank of the translated
-points.  Lattice-point enumeration, supported up to affine dimension three,
-walks the bounding box: the pivot columns of the echelon pick a minor M of
-the basis with determinant D, Cramer's rule on M gives D-scaled hull
-coordinates, and the convexity test runs on those integer coordinates.
+elimination).  Affine dimension is the size of one affine basis, the
+first translated points that add to the echelon rank.  Lattice-point
+enumeration, supported up to affine dimension three, walks the bounding
+box: the pivot columns of that echelon pick a minor M of the basis with
+determinant D, Cramer's rule on M gives D-scaled hull coordinates, and one
+facet routine, the same in every dimension, tests convexity on those
+integer coordinates.
 """
 
 from __future__ import annotations
@@ -244,40 +246,66 @@ def affine_rank(points) -> int:
     pts = [tuple(p) for p in points]
     if len(pts) <= 1:
         return 0
+    return len(_affine_basis(pts)[0])
+
+
+def _affine_basis(pts) -> tuple[list[tuple[int, ...]], list]:
+    """The first differences p - pts[0] that add to the echelon rank, and
+    the echelon rows; a basis of the affine span of ``pts``."""
     base = pts[0]
+    basis: list[tuple[int, ...]] = []
     rows: list = []
     for p in pts[1:]:
         if len(rows) == len(base):
             break  # the span is the whole ambient space
-        echelon_insert(rows, [a - b for a, b in zip(p, base)])
-    return len(rows)
+        vec = tuple(a - b for a, b in zip(p, base))
+        if echelon_insert(rows, vec):
+            basis.append(vec)
+    return basis, rows
+
+
+def _det(m) -> int:
+    """Determinant of a small square integer matrix (cofactor expansion).
+
+    >>> _det([]), _det([[1, 2], [3, 4]]), _det([[2, 0, 1], [1, 3, 2], [1, 1, 2]])
+    (1, -2, 6)
+    """
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
+    if len(m) < 2:
+        return m[0][0] if m else 1
+    return sum(
+        (-1) ** j * x * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j, x in enumerate(m[0])
+    )
+
+
+def _cofactors(rows, k: int) -> tuple[int, ...]:
+    """Signed maximal minors of k - 1 rows of length k.
+
+    Entry j is (-1)^j times the determinant left when column j is dropped,
+    so the result is orthogonal to every row: the generalised cross product.
+
+    >>> _cofactors([(1, 0, 0), (0, 1, 0)], 3), _cofactors([(2, 3)], 2), _cofactors([], 1)
+    ((0, 0, 1), (3, -2), (1,))
+    """
+    return tuple(
+        (-1) ** j * _det([row[:j] + row[j + 1 :] for row in rows]) for j in range(k)
+    )
 
 
 def _adjugate(m: list[list[int]]) -> tuple[list[list[int]], int]:
     """Adjugate and determinant of a small square integer matrix.
 
     ``adj @ m == det * identity``; with ``det > 0`` the solution of
-    ``m c = t`` is ``c = adj t / det`` (Cramer's rule).
+    ``m c = t`` is ``c = adj t / det`` (Cramer's rule).  Column j of the
+    adjugate is (-1)^j times the cofactors of the rows of m other than j.
     """
-
-    def det(a):
-        if not a:
-            return 1
-        return sum(
-            (-1) ** j * a[0][j] * det([row[:j] + row[j + 1 :] for row in a[1:]])
-            for j in range(len(a))
-        )
-
     k = len(m)
-    adj = [
-        [
-            (-1) ** (i + j)
-            * det([row[:i] + row[i + 1 :] for r, row in enumerate(m) if r != j])
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
-    d = sum(m[0][j] * adj[j][0] for j in range(k)) if k else 1
+    cols = [_cofactors(m[:j] + m[j + 1 :], k) for j in range(k)]
+    adj = [[(-1) ** j * cols[j][i] for j in range(k)] for i in range(k)]
+    d = _det(m)
     if d < 0:
         adj, d = [[-x for x in row] for row in adj], -d
     return adj, d
@@ -307,12 +335,7 @@ def lattice_points(
     pts = [tuple(p) for p in poly.points]
     base = pts[0]
 
-    basis: list[tuple[int, ...]] = []
-    rows: list = []
-    for p in pts[1:]:
-        vec = tuple(a - b for a, b in zip(p, base))
-        if echelon_insert(rows, vec):
-            basis.append(vec)
+    basis, rows = _affine_basis(pts)
     assert len(basis) == k
     pivots = [pivot for pivot, _ in rows]
     adj, det = _adjugate([[b[r] for b in basis] for r in pivots])
@@ -352,56 +375,30 @@ def lattice_points(
 def _hull_test(pts, k: int):
     """Membership in the convex hull of ``pts`` (hull coordinates, dimension k).
 
-    The supporting edges or faces are found once, not per tested point.
+    Every k-subset {a, b, ...} of the points gives a candidate facet normal,
+    the cofactors of its k - 1 differences b - a, ...; the candidates that
+    support every point are the facets, found once, not per tested point.
     """
     if k == 0:
         return lambda x: x == pts[0]
-    if k == 1:
-        lo = min(p[0] for p in pts)
-        hi = max(p[0] for p in pts)
-        return lambda x: lo <= x[0] <= hi
-    halfplanes = _edges_2d(pts) if k == 2 else _faces_3d(pts)
+    halfspaces = []
+    for a, *rest in itertools.combinations(pts, k):
+        normal = _cofactors([tuple(bi - ai for ai, bi in zip(a, b)) for b in rest], k)
+        if any(normal):
+            supported = _supporting(pts, normal, a)
+            if supported:
+                halfspaces.append(supported)
     return lambda x: all(
-        sum(n * xi for n, xi in zip(normal, x)) >= offset for normal, offset in halfplanes
+        sum(map(operator.mul, normal, x)) >= offset for normal, offset in halfspaces
     )
 
 
 def _supporting(pts, normal, anchor):
     """Orient normal so every point satisfies <normal, p> >= <normal, anchor>."""
-    offset = sum(n * a for n, a in zip(normal, anchor))
-    sides = [sum(n * p[i] for i, n in enumerate(normal)) - offset for p in pts]
-    if all(s >= 0 for s in sides):
+    offset = sum(map(operator.mul, normal, anchor))
+    sides = [sum(map(operator.mul, normal, p)) for p in pts]
+    if min(sides) >= offset:
         return normal, offset
-    if all(s <= 0 for s in sides):
+    if max(sides) <= offset:
         return tuple(-n for n in normal), -offset
     return None
-
-
-def _edges_2d(pts):
-    out = []
-    for a, b in itertools.combinations(pts, 2):
-        d = (b[0] - a[0], b[1] - a[1])
-        if d == (0, 0):
-            continue
-        supported = _supporting(pts, (-d[1], d[0]), a)
-        if supported:
-            out.append(supported)
-    return out
-
-
-def _faces_3d(pts):
-    out = []
-    for a, b, c in itertools.combinations(pts, 3):
-        u = tuple(bi - ai for ai, bi in zip(a, b))
-        v = tuple(ci - ai for ai, ci in zip(a, c))
-        normal = (
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        )
-        if normal == (0, 0, 0):
-            continue
-        supported = _supporting(pts, normal, a)
-        if supported:
-            out.append(supported)
-    return out

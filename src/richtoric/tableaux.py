@@ -230,13 +230,15 @@ def is_standard(cols, v: Perm, w: Perm) -> bool:
 def enumerate_ssyt(v: Perm, w: Perm, d: int, budget: int | None = SSYT_BUDGET) -> list[Tableau]:
     """All SSYT with exactly d columns, every column J satisfying v <= J <= w.
 
-    Returned in canonical order (lexicographic on serialised columns).
+    Returned in canonical order (lexicographic on serialised columns): the
+    depth-first search tries columns in serialised order at every depth.
     """
     if d < 1:
         raise ValueError("degree must be positive")
     cols = enumerate_T(v, w)
     if budget is not None and len(cols) ** d > budget:
         raise BudgetError(f"|T|^d = {len(cols)}^{d} exceeds budget {budget}")
+    cols = sorted(cols, key=subset_str)
     succ = {I: [J for J in cols if gale_leq(I, J)] for I in cols}
     out: list[Tableau] = []
 
@@ -250,7 +252,6 @@ def enumerate_ssyt(v: Perm, w: Perm, d: int, budget: int | None = SSYT_BUDGET) -
             prefix.pop()
 
     extend([])
-    out.sort(key=lambda t: tuple(subset_str(c) for c in t))
     return out
 
 

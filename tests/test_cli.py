@@ -132,6 +132,18 @@ def test_classify_rejects_n_below_two(tmp_path, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("n, order", [("5", "antidiagonal"), ("4", "diagonal")])
+def test_classify_table1_refuses_before_the_sweep(tmp_path, capsys, monkeypatch, n, order):
+    monkeypatch.setenv("RICHTORIC_OUTDIR", str(tmp_path))
+    code, out, err = run_cli(
+        capsys, "classify", "--n", n, "--order", order, "--compare", "table1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --compare table1 applies to --n 4 --order antidiagonal\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_classify_json(tmp_path, capsys):
     out_file = tmp_path / "out.json"
     code, _, _ = run_cli(

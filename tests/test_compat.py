@@ -103,6 +103,14 @@ def test_sweep_guard():
         tn_pairs(7)
 
 
+def test_forced_and_unforced_families_share_one_cache():
+    assert tn_pairs(5, force=True) is tn_pairs(5)
+    assert tn_pairs(4) is tn_pairs(4, force=True)
+    # the guard sits outside the cache: a forced call leaves it standing
+    with pytest.raises(BudgetError, match="pass force=True to override"):
+        tn_pairs(7)
+
+
 # ---------------------------------------------------------------------------
 # blocks
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -12,6 +13,7 @@ from richtoric.polytope import (
     IntMatrix,
     LatticePolytope,
     _hull_test,
+    _det,
     affine_rank,
     cell_label,
     echelon_insert,
@@ -242,8 +244,9 @@ def test_echelon_insert_keeps_rows_primitive_and_reduced():
 
 
 # ---------------------------------------------------------------------------
-# the Fraction Gauss-Jordan elimination the integer echelon replaced, kept as
-# the reference of a differential test
+# the Fraction Gauss-Jordan elimination the integer echelon replaced, and the
+# per-dimension hull test the facet routine replaced, kept as the references
+# of differential tests
 
 
 def _ref_rank(rows):
@@ -301,6 +304,61 @@ def _ref_solve_in_span(basis, target):
     return tuple(coords)
 
 
+def _ref_hull_test(pts, k):
+    """The per-dimension hull membership the single facet routine replaced:
+    an interval for k = 1, supporting edges for k = 2 and faces for k = 3."""
+    if k == 0:
+        return lambda x: x == pts[0]
+    if k == 1:
+        lo = min(p[0] for p in pts)
+        hi = max(p[0] for p in pts)
+        return lambda x: lo <= x[0] <= hi
+    halfplanes = _ref_edges_2d(pts) if k == 2 else _ref_faces_3d(pts)
+    return lambda x: all(
+        sum(n * xi for n, xi in zip(normal, x)) >= offset for normal, offset in halfplanes
+    )
+
+
+def _ref_supporting(pts, normal, anchor):
+    offset = sum(n * a for n, a in zip(normal, anchor))
+    sides = [sum(n * p[i] for i, n in enumerate(normal)) - offset for p in pts]
+    if all(s >= 0 for s in sides):
+        return normal, offset
+    if all(s <= 0 for s in sides):
+        return tuple(-n for n in normal), -offset
+    return None
+
+
+def _ref_edges_2d(pts):
+    out = []
+    for a, b in itertools.combinations(pts, 2):
+        d = (b[0] - a[0], b[1] - a[1])
+        if d == (0, 0):
+            continue
+        supported = _ref_supporting(pts, (-d[1], d[0]), a)
+        if supported:
+            out.append(supported)
+    return out
+
+
+def _ref_faces_3d(pts):
+    out = []
+    for a, b, c in itertools.combinations(pts, 3):
+        u = tuple(bi - ai for ai, bi in zip(a, b))
+        v = tuple(ci - ai for ai, ci in zip(a, c))
+        normal = (
+            u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0],
+        )
+        if normal == (0, 0, 0):
+            continue
+        supported = _ref_supporting(pts, normal, a)
+        if supported:
+            out.append(supported)
+    return out
+
+
 def _ref_lattice_points(poly, budget=1_000_000):
     k = poly.affine_dim
     if k > 3:
@@ -324,7 +382,7 @@ def _ref_lattice_points(poly, budget=1_000_000):
         volume *= hi - lo + 1
     if volume > budget:
         raise BudgetError(f"bounding box volume {volume} exceeds budget {budget}")
-    inside = _hull_test(hull_pts, k)
+    inside = _ref_hull_test(hull_pts, k)
     return [
         q
         for q in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs)))
@@ -396,3 +454,38 @@ def test_elimination_agrees_with_fraction_reference_on_random_sets():
     ]
     for points in special + [_random_point_set(rng) for _ in range(100)]:
         _agree_with_reference(points)
+
+
+def _full_rank_set(rng, k):
+    """Distinct integer points of Z^k, 2 to 8 of them, spanning Z^k affinely."""
+    while True:
+        size = rng.randint(2, 8)
+        pts = sorted({tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(size)})
+        if _ref_affine_rank(pts) == k:
+            rng.shuffle(pts)
+            return pts
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_facet_routine_agrees_with_per_dimension_hull_test(k):
+    # every point of a box one step beyond the bounding box of each set
+    rng = random.Random(7000 + k)
+    for _ in range(100):
+        pts = _full_rank_set(rng, k)
+        new, old = _hull_test(pts, k), _ref_hull_test(pts, k)
+        box = [range(min(p[i] for p in pts) - 1, max(p[i] for p in pts) + 2)
+               for i in range(k)]
+        for x in itertools.product(*box):
+            assert new(x) == old(x), (pts, x)
+
+
+def test_det_matches_leibniz_formula():
+    rng = random.Random(11)
+    for k in [0, 1, 2, 3, 4] * 20:
+        m = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
+        leibniz = sum(
+            (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+            * math.prod(m[i][perm[i]] for i in range(k))
+            for perm in itertools.permutations(range(k))
+        )
+        assert _det(m) == leibniz

@@ -16,6 +16,7 @@ from richtoric.perms import (
     partition_perm,
     perm_leq_subset,
     subset_leq_perm,
+    subset_str,
 )
 from richtoric.tableaux import (
     NoExtensionError,
@@ -350,6 +351,16 @@ def test_enumerate_ssyt_canonical_order():
     out = enumerate_ssyt(identity(3), (3, 1, 2), 2)
     keys = [tuple(map("".join, (map(str, c) for c in t))) for t in out]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_enumerate_ssyt_emits_the_sorted_form(n):
+    # the search emits canonical order directly; pin it against sorting
+    for v, w in itertools.product(all_perms(n), repeat=2):
+        if bruhat_leq(v, w):
+            for d in (1, 2, 3):
+                out = enumerate_ssyt(v, w, d)
+                assert out == sorted(out, key=lambda t: tuple(map(subset_str, t)))
 
 
 def test_count_standard_examples():
