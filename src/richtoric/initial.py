@@ -399,6 +399,16 @@ def witness_detail(report: RestrictionReport) -> dict:
 # Hilbert-style counts of the restricted kernel
 
 
+def _cell_codes(cols, n: int, d: int, order: TermOrder) -> list[int]:
+    """One integer per column: bit 1 in the field of each cell of its
+    initial term, cell (r, j) owning bits from d.bit_length() * ((r-1) n + j-1)."""
+    width = d.bit_length()
+    return [
+        sum(1 << width * ((r - 1) * n + j - 1) for r, j in initial_term(J, order))
+        for J in cols
+    ]
+
+
 def kernel_hilbert_dim(
     v: Perm,
     w: Perm,
@@ -412,17 +422,28 @@ def kernel_hilbert_dim(
     For d = 1 this is |T|; for the diagonal order on family pairs it matches
     the semi-standard tableau count, which the test suite checks rather than
     assumes.
+
+    Each column is packed into one integer by :func:`_cell_codes`, a field
+    of d.bit_length() bits per grid cell.  A column hits a cell at most
+    once, so a degree-d exponent never carries out of its field, and the
+    image of a monomial is the sum of its columns' codes.  On the 3-column
+    grid at d = 2 (2-bit fields, cells in row-major order), P_1 P_23 and
+    P_2 P_13 share the image x_11 x_12 x_23:
+
+    >>> codes = _cell_codes([(1,), (2, 3), (2,), (1, 3)], 3, 2, TermOrder.DIAGONAL)
+    >>> fields = lambda c: [c >> 2 * i & 3 for i in range(6)]
+    >>> [fields(c) for c in codes]
+    [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 1]]
+    >>> fields(codes[0] + codes[1]), codes[0] + codes[1] == codes[2] + codes[3]
+    ([1, 1, 0, 0, 0, 1], True)
     """
     if d < 1:
         raise ValueError("degree must be positive")
     cols = enumerate_T(v, w)
     if budget is not None and len(cols) ** d > budget:
         raise BudgetError(f"|T|^d = {len(cols)}^{d} exceeds budget {budget}")
-    images = {
-        phi_image(m, order)
-        for m in itertools.combinations_with_replacement(cols, d)
-    }
-    return len(images)
+    codes = _cell_codes(cols, len(v), d, order)
+    return len(set(map(sum, itertools.combinations_with_replacement(codes, d))))
 
 
 if __name__ == "__main__":

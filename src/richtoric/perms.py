@@ -54,6 +54,7 @@ that the masks are tested against.
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import insort
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -168,9 +169,7 @@ def gale_leq(I: Subset, J: Subset) -> bool:
     >>> gale_leq((1, 3), (1, 3))
     True
     """
-    if len(I) < len(J):
-        return False
-    return all(i <= j for i, j in zip(I, J))
+    return len(I) >= len(J) and all(map(operator.le, I, J))
 
 
 def bruhat_leq(v: Perm, w: Perm) -> bool:

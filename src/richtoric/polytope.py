@@ -378,16 +378,21 @@ def _hull_test(pts, k: int):
     Every k-subset {a, b, ...} of the points gives a candidate facet normal,
     the cofactors of its k - 1 differences b - a, ...; the candidates that
     support every point are the facets, found once, not per tested point.
+    A facet through more than k points is found once per k-subset of them,
+    so each halfspace is divided by the gcd of its normal (the offset is an
+    integer combination of the normal) and kept once, in a dict.
     """
     if k == 0:
         return lambda x: x == pts[0]
-    halfspaces = []
+    halfspaces = {}
     for a, *rest in itertools.combinations(pts, k):
         normal = _cofactors([tuple(bi - ai for ai, bi in zip(a, b)) for b in rest], k)
         if any(normal):
             supported = _supporting(pts, normal, a)
             if supported:
-                halfspaces.append(supported)
+                normal, offset = supported
+                g = math.gcd(*normal)
+                halfspaces[tuple(x // g for x in normal), offset // g] = None
     return lambda x: all(
         sum(map(operator.mul, normal, x)) >= offset for normal, offset in halfspaces
     )

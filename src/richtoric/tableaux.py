@@ -36,6 +36,8 @@ from .perms import (
     descending_completion,
     enumerate_T,
     gale_leq,
+    identity,
+    longest,
     parse_subset,
     perm_str,
     subset_str,
@@ -259,12 +261,48 @@ def count_standard(v: Perm, w: Perm, d: int, budget: int | None = SSYT_BUDGET) -
     """Number of degree-d standard monomials for the Richardson variety of
     (v, w).
 
-    Standard monomials have all columns between v and w, so counting within
-    the enumerated tableaux is exhaustive.
+    Standard monomials have all columns between v and w, so one depth-first
+    walk over T's Gale successors meets every candidate.  The walk carries
+    the top of each prefix's minimum chain, one :func:`min_extension` per
+    node; the empty prefix tops at the identity.  Since min_extension(u, J)
+    >= u, tops only rise along a chain, so a prefix whose top is not <= w
+    has no standard completion and the walk prunes it.  At a leaf, the
+    bottom of the maximum chain is the :func:`max_truncation` of its
+    suffix's bottom by the first column, with the suffix bottoms kept in a
+    per-call dict; the empty suffix bottoms at w0.
+
+    >>> count_standard((1, 2, 3), (3, 1, 2), 2), len(enumerate_ssyt((1, 2, 3), (3, 1, 2), 2))
+    (14, 15)
     """
-    # enumerate_ssyt refuses a bad pair and builds only SSYT over [n], so the
-    # per-tableau step skips is_standard's checks
-    return sum(_standard(t, v, w) for t in enumerate_ssyt(v, w, d, budget))
+    if d < 1:
+        raise ValueError("degree must be positive")
+    cols = enumerate_T(v, w)
+    if budget is not None and len(cols) ** d > budget:
+        raise BudgetError(f"|T|^d = {len(cols)}^{d} exceeds budget {budget}")
+    n = len(v)
+    succ = {I: [J for J in cols if gale_leq(I, J)] for I in cols} if d > 1 else {}
+    bottoms: dict[Tableau, Perm] = {(): longest(n)}
+
+    def bottom(suffix: Tableau) -> Perm:
+        b = bottoms.get(suffix)
+        if b is None:
+            b = bottoms[suffix] = max_truncation(bottom(suffix[1:]), suffix[0])
+        return b
+
+    def walk(prefix: Tableau, top: Perm) -> int:
+        count = 0
+        for J in succ[prefix[-1]] if prefix else cols:
+            z = min_extension(top, J)
+            if not bruhat_leq_mask(z, w):
+                continue
+            if len(prefix) + 1 < d:
+                count += walk(prefix + (J,), z)
+            else:
+                leaf = prefix + (J,)
+                count += bruhat_leq_mask(v, max_truncation(bottom(leaf[1:]), leaf[0]))
+        return count
+
+    return walk((), identity(n))
 
 
 if __name__ == "__main__":

@@ -408,7 +408,7 @@ def run_suites(level: str = "quick") -> list[SuiteResult]:
         ("witness", diagonal_witness),
         ("classification", lambda: classification_family_agreement(6 if full else 4)),
         ("table1", table1_coverage),
-        ("ssyt-counts", lambda: ssyt_count_agreement(4, 3)),
+        ("ssyt-counts", lambda: ssyt_count_agreement(5 if full else 4, 3)),
         ("negative-control", negative_control),
         ("polytope", polytope_instance),
         ("patterns", lambda: pattern_avoidance(5 if full else 4)),

@@ -10,6 +10,7 @@ from richtoric.perms import (
     all_perms,
     all_subsets,
     bruhat_leq,
+    enumerate_T,
     identity,
     induced,
     interval_mask,
@@ -18,7 +19,7 @@ from richtoric.perms import (
     subset_leq_perm,
 )
 from richtoric.compat import in_Tn, tn_pairs
-from richtoric.tableaux import enumerate_ssyt, row_sort, sort_columns
+from richtoric.tableaux import count_standard, enumerate_ssyt, row_sort, sort_columns
 from richtoric.initial import (
     TermOrder,
     _witnesses,
@@ -419,3 +420,46 @@ def test_hilbert_dim_matches_tableau_count_on_family_pairs():
 def test_hilbert_budget_guard():
     with pytest.raises(BudgetError):
         kernel_hilbert_dim(identity(4), longest(4), 3, DIAG, budget=10)
+
+
+def _ref_kernel_hilbert_dim(v, w, d, order):
+    """kernel_hilbert_dim before packed codes: a set of sorted phi images."""
+    return len({
+        phi_image(m, order)
+        for m in itertools.combinations_with_replacement(enumerate_T(v, w), d)
+    })
+
+
+def _comparable(n):
+    return [(v, w) for v, w in itertools.product(all_perms(n), repeat=2) if bruhat_leq(v, w)]
+
+
+@pytest.mark.parametrize("order", [DIAG, ANTI])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_packed_hilbert_agrees_with_phi_images(n, order):
+    for v, w in _comparable(n):
+        for d in (1, 2, 3):
+            assert kernel_hilbert_dim(v, w, d, order) == _ref_kernel_hilbert_dim(v, w, d, order)
+
+
+@pytest.mark.parametrize("order", [DIAG, ANTI])
+@pytest.mark.parametrize("n,max_d,pairs", [(5, 3, 40), (6, 2, 40)])
+def test_packed_hilbert_agrees_with_phi_images_seeded(n, max_d, pairs, order):
+    for v, w, leq in _seeded_pairs(n, pairs, seed=n):
+        for d in range(1, max_d + 1) if leq else ():
+            assert kernel_hilbert_dim(v, w, d, order) == _ref_kernel_hilbert_dim(v, w, d, order)
+
+
+@pytest.mark.parametrize("order", [DIAG, ANTI])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_degree_two_hilbert_count_against_standard_count(n, order):
+    # observed on every comparable pair with n <= 5 in both orders, not a
+    # theorem: the images outnumber the standard monomials exactly when
+    # the restricted kernel has a monomial witness, and in the diagonal
+    # order they number the degree-two tableaux
+    for v, w in _comparable(n):
+        hilbert, standard = kernel_hilbert_dim(v, w, 2, order), count_standard(v, w, 2)
+        assert hilbert >= standard
+        assert is_monomial_free(v, w, order) == (hilbert == standard)
+        if order is DIAG:
+            assert hilbert == len(enumerate_ssyt(v, w, 2))

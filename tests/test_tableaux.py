@@ -1,9 +1,12 @@
 import itertools
+import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from richtoric.perms import (
+    BudgetError,
     all_perms,
     all_subsets,
     ascending_completion,
@@ -372,14 +375,28 @@ def test_count_standard_examples():
     assert count_standard(v, w, 1) == 9
 
 
-@pytest.mark.parametrize("n", [3, 4])
+def _ref_count_standard(v, w, d):
+    """count_standard before the pruned walk: the standard test on every SSYT."""
+    return sum(is_standard(t, v, w) for t in enumerate_ssyt(v, w, d))
+
+
+def _comparable_pairs(n):
+    return [(v, w) for v, w in itertools.product(all_perms(n), repeat=2) if bruhat_leq(v, w)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_count_standard_agrees_with_is_standard(n):
-    # count_standard skips is_standard's per-tableau checks; same counts
-    for v, w in itertools.product(all_perms(n), repeat=2):
-        if bruhat_leq(v, w):
-            for d in (1, 2):
-                tableaux = enumerate_ssyt(v, w, d)
-                assert count_standard(v, w, d) == sum(is_standard(t, v, w) for t in tableaux)
+    # the pruned walk against is_standard on every enumerated tableau
+    for v, w in _comparable_pairs(n):
+        for d in (1, 2, 3):
+            assert count_standard(v, w, d) == _ref_count_standard(v, w, d), (v, w, d)
+
+
+@pytest.mark.parametrize("n,max_d,count", [(5, 3, 40), (6, 2, 25)])
+def test_count_standard_agrees_with_is_standard_seeded(n, max_d, count):
+    for v, w in random.Random(n).sample(_comparable_pairs(n), count):
+        for d in range(1, max_d + 1):
+            assert count_standard(v, w, d) == _ref_count_standard(v, w, d), (v, w, d)
 
 
 def test_count_standard_refuses_bad_pairs():
@@ -390,3 +407,10 @@ def test_count_standard_refuses_bad_pairs():
     ]:
         with pytest.raises(ValueError, match=why):
             count_standard(v, w, d)
+
+
+def test_count_standard_refuses_over_budget():
+    # the walk checks |T|^d itself, before any tableau is built
+    with pytest.raises(BudgetError, match=re.escape("|T|^d = 14^3 exceeds budget 10")):
+        count_standard(identity(4), longest(4), 3, budget=10)
+
