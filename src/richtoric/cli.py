@@ -190,8 +190,11 @@ def cmd_classify(args) -> int:
     if out_path is None:
         sys.stdout.write(body)
     else:
-        with open(out_path, "w") as fh:
-            fh.write(body)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(body)
+        except OSError as exc:
+            return _fail(f"cannot write {out_path}: {exc.strerror}")
         free = sum(1 for r in records if r.monomial_free)
         print(f"wrote {out_path}: {len(records)} pairs, {free} monomial-free")
 

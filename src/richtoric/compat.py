@@ -25,6 +25,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .perms import (
+    MAX_N,
     BudgetError,
     Perm,
     SWEEP_MAX_N,
@@ -121,6 +122,8 @@ def tn_pairs(n: int, force: bool = False) -> tuple[tuple[Perm, Perm], ...]:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if n > MAX_N:
+        raise ValueError(f"n={n} is outside the supported range 1..{MAX_N}")
     if n > SWEEP_MAX_N and not force:
         raise BudgetError(_sweep_message(n))
     return _tn_pairs(n)
@@ -276,6 +279,8 @@ def is_213_avoiding(v: Perm) -> bool:
 
 def tn_membership_csv(n: int, force: bool = False) -> str:
     """CSV table v,w,compatible,in_Tn over all Bruhat-comparable pairs."""
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n={n} is outside the supported range 1..{MAX_N}")
     if n > SWEEP_MAX_N and not force:
         raise BudgetError(_sweep_message(n))
     lines = ["v,w,compatible,in_Tn"]

@@ -59,6 +59,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .perms import (
+    MAX_N,
     BudgetError,
     Perm,
     SWEEP_MAX_N,
@@ -66,7 +67,7 @@ from .perms import (
     all_perms,
     all_subsets,
     check_same_n,
-    enumerate_T,
+    degree_columns,
     interval_mask,
     perm_masks,
     perm_str,
@@ -342,6 +343,8 @@ def classify_all(n: int, order: TermOrder, force: bool = False) -> list[Classify
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    if n > MAX_N:
+        raise ValueError(f"n={n} is outside the supported range 2..{MAX_N}")
     if n > SWEEP_MAX_N and not force:
         raise BudgetError(
             f"classification sweep at n={n} exceeds the default bound "
@@ -437,11 +440,7 @@ def kernel_hilbert_dim(
     >>> fields(codes[0] + codes[1]), codes[0] + codes[1] == codes[2] + codes[3]
     ([1, 1, 0, 0, 0, 1], True)
     """
-    if d < 1:
-        raise ValueError("degree must be positive")
-    cols = enumerate_T(v, w)
-    if budget is not None and len(cols) ** d > budget:
-        raise BudgetError(f"|T|^d = {len(cols)}^{d} exceeds budget {budget}")
+    cols = degree_columns(v, w, d, budget)
     codes = _cell_codes(cols, len(v), d, order)
     return len(set(map(sum, itertools.combinations_with_replacement(codes, d))))
 

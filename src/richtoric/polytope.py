@@ -12,15 +12,15 @@ the columns of AS; duplicate columns correspond to image-equal products and
 are reported explicitly.
 
 All arithmetic is on integers.  One fraction-free elimination routine,
-:func:`echelon_insert`, reduces an integer vector against integer echelon
-rows and divides each result by its gcd (integer-preserving Gaussian
-elimination).  Affine dimension is the size of one affine basis, the
-first translated points that add to the echelon rank.  Lattice-point
+:func:`_reduce`, reduces an integer vector against integer echelon rows and
+divides each step by its gcd (integer-preserving Gaussian elimination);
+:func:`echelon_insert` keeps what it leaves nonzero.  Affine dimension is
+the number of echelon rows spanning the translated points.  Lattice-point
 enumeration, supported up to affine dimension three, walks the bounding
-box: the pivot columns of that echelon pick a minor M of the basis with
-determinant D, Cramer's rule on M gives D-scaled hull coordinates, and one
-facet routine, the same in every dimension, tests convexity on those
-integer coordinates.
+box: a box point lies in the affine hull iff its translate reduces to
+zero, and the hull projects one-to-one onto the k pivot columns of the
+echelon, where one facet routine, the same in every dimension, tests
+convexity on plain integer coordinates.
 """
 
 from __future__ import annotations
@@ -198,23 +198,14 @@ def product_polytope(prod: IntMatrix) -> LatticePolytope:
 # exact linear algebra
 
 
-def echelon_insert(rows: list[tuple[int, tuple[int, ...]]], vec) -> bool:
-    """Reduce an integer vector against echelon rows; keep it if it is new.
+def _reduce(rows: list[tuple[int, tuple[int, ...]]], vec) -> list[int]:
+    """The fraction-free reduction of an integer vector against echelon rows.
 
     ``rows`` holds (pivot column, row) pairs of integer rows divided by
     their gcd; each row is zero in the pivot columns of the rows before it.
-    Elimination is fraction-free: ``vec`` becomes ``p * vec - a * row`` for
-    the pivot entry ``p`` of the row and the entry ``a`` of ``vec`` there,
-    divided by its gcd.  Returns True iff ``vec`` lies outside the span of
-    ``rows``, in which case its reduction is appended.
-
-    >>> rows = []
-    >>> [echelon_insert(rows, v) for v in [(2, 4, 0), (1, 2, 0), (0, 0, 0)]]
-    [True, False, False]
-    >>> [echelon_insert(rows, v) for v in [(3, 0, 3), (0, -6, 3)]]
-    [True, False]
-    >>> rows
-    [(0, (1, 2, 0)), (1, (0, -2, 1))]
+    ``vec`` becomes ``p * vec - a * row`` for the pivot entry ``p`` of each
+    row and the entry ``a`` of ``vec`` there, divided by its gcd.  The
+    result is zero iff ``vec`` lies in the span of ``rows``.
     """
     vec = list(vec)
     for pivot, row in rows:
@@ -225,6 +216,25 @@ def echelon_insert(rows: list[tuple[int, tuple[int, ...]]], vec) -> bool:
             g = math.gcd(*vec)
             if g > 1:
                 vec = [x // g for x in vec]
+    return vec
+
+
+def echelon_insert(rows: list[tuple[int, tuple[int, ...]]], vec) -> bool:
+    """Reduce an integer vector against echelon rows; keep it if it is new.
+
+    Returns True iff :func:`_reduce` leaves ``vec`` nonzero, in which case
+    the reduction, divided by its gcd, is appended with its first nonzero
+    column as pivot.
+
+    >>> rows = []
+    >>> [echelon_insert(rows, v) for v in [(2, 4, 0), (1, 2, 0), (0, 0, 0)]]
+    [True, False, False]
+    >>> [echelon_insert(rows, v) for v in [(3, 0, 3), (0, -6, 3)]]
+    [True, False]
+    >>> rows
+    [(0, (1, 2, 0)), (1, (0, -2, 1))]
+    """
+    vec = _reduce(rows, vec)
     pivot = next((i for i, x in enumerate(vec) if x), None)
     if pivot is None:
         return False
@@ -246,22 +256,19 @@ def affine_rank(points) -> int:
     pts = [tuple(p) for p in points]
     if len(pts) <= 1:
         return 0
-    return len(_affine_basis(pts)[0])
+    return len(_affine_basis(pts))
 
 
-def _affine_basis(pts) -> tuple[list[tuple[int, ...]], list]:
-    """The first differences p - pts[0] that add to the echelon rank, and
-    the echelon rows; a basis of the affine span of ``pts``."""
+def _affine_basis(pts) -> list[tuple[int, tuple[int, ...]]]:
+    """Echelon rows spanning the differences p - pts[0]: one row for each
+    difference that adds to the rank, so their count is the affine dimension."""
     base = pts[0]
-    basis: list[tuple[int, ...]] = []
     rows: list = []
     for p in pts[1:]:
         if len(rows) == len(base):
             break  # the span is the whole ambient space
-        vec = tuple(a - b for a, b in zip(p, base))
-        if echelon_insert(rows, vec):
-            basis.append(vec)
-    return basis, rows
+        echelon_insert(rows, tuple(a - b for a, b in zip(p, base)))
+    return rows
 
 
 def _det(m) -> int:
@@ -295,22 +302,6 @@ def _cofactors(rows, k: int) -> tuple[int, ...]:
     )
 
 
-def _adjugate(m: list[list[int]]) -> tuple[list[list[int]], int]:
-    """Adjugate and determinant of a small square integer matrix.
-
-    ``adj @ m == det * identity``; with ``det > 0`` the solution of
-    ``m c = t`` is ``c = adj t / det`` (Cramer's rule).  Column j of the
-    adjugate is (-1)^j times the cofactors of the rows of m other than j.
-    """
-    k = len(m)
-    cols = [_cofactors(m[:j] + m[j + 1 :], k) for j in range(k)]
-    adj = [[(-1) ** j * cols[j][i] for j in range(k)] for i in range(k)]
-    d = _det(m)
-    if d < 0:
-        adj, d = [[-x for x in row] for row in adj], -d
-    return adj, d
-
-
 # ---------------------------------------------------------------------------
 # lattice points
 
@@ -321,13 +312,14 @@ def lattice_points(
     """All integer points of the convex hull, for affine dimension <= 3.
 
     Scans the bounding box of the defining points and keeps the points that
-    lie in the affine hull and inside the hull in hull coordinates.
+    lie in the affine hull and inside the hull's projection onto the pivot
+    columns of the echelon rows from :func:`_affine_basis`.
 
-    The basis vectors b_1..b_k are the first differences p - base that add
-    to the echelon rank; the pivot columns of that echelon pick a k x k
-    minor M of the basis with determinant D > 0.  A point q gets D-scaled
-    hull coordinates D*c = adj(M) (q - base) on the pivot columns, and lies
-    in the affine hull iff D (q - base) == sum_j (D*c_j) b_j.
+    Restricted to their pivot columns those k rows form a triangular matrix
+    with a nonzero diagonal, so the projection onto the pivots is one-to-one
+    on the affine hull and maps it onto Z^k-coordinates where the hull is
+    full-dimensional.  A box point q lies in the affine hull iff q - base
+    reduces to zero against the same rows.
     """
     k = poly.affine_dim
     if k > 3:
@@ -335,26 +327,9 @@ def lattice_points(
     pts = [tuple(p) for p in poly.points]
     base = pts[0]
 
-    basis, rows = _affine_basis(pts)
-    assert len(basis) == k
+    rows = _affine_basis(pts)
+    assert len(rows) == k
     pivots = [pivot for pivot, _ in rows]
-    adj, det = _adjugate([[b[r] for b in basis] for r in pivots])
-    # coordinates the pivots do not fix, with the basis entries there
-    checks = [
-        (i, tuple(b[i] for b in basis)) for i in range(len(base)) if i not in pivots
-    ]
-
-    def coords(q):
-        """D-scaled hull coordinates of q, or None off the affine hull."""
-        t = [a - b for a, b in zip(q, base)]
-        tp = [t[r] for r in pivots]
-        dc = tuple(sum(map(operator.mul, row, tp)) for row in adj)
-        for i, col in checks:
-            if det * t[i] != sum(map(operator.mul, dc, col)):
-                return None
-        return dc
-
-    hull_pts = [coords(p) for p in pts]
     lows = [min(p[i] for p in pts) for i in range(len(base))]
     highs = [max(p[i] for p in pts) for i in range(len(base))]
     volume = 1
@@ -363,17 +338,19 @@ def lattice_points(
     if budget is not None and volume > budget:
         raise BudgetError(f"bounding box volume {volume} exceeds budget {budget}")
 
-    inside = _hull_test(hull_pts, k)
+    inside = _hull_test([tuple(p[i] for i in pivots) for p in pts], k)
     out = []
     for q in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
-        c = coords(q)
-        if c is not None and inside(c):
+        if inside(tuple(q[i] for i in pivots)) and not any(
+            _reduce(rows, [a - b for a, b in zip(q, base)])
+        ):
             out.append(q)
     return out
 
 
 def _hull_test(pts, k: int):
-    """Membership in the convex hull of ``pts`` (hull coordinates, dimension k).
+    """Membership in the convex hull of ``pts``, points of Z^k whose affine
+    span is all of Z^k.
 
     Every k-subset {a, b, ...} of the points gives a candidate facet normal,
     the cofactors of its k - 1 differences b - a, ...; the candidates that

@@ -23,18 +23,17 @@ bracketed permutation lists.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .perms import (
-    BudgetError,
     Perm,
     Subset,
     ascending_completion,
     bruhat_leq,  # unused here; perfbench/test_perfbench.py reads tableaux.bruhat_leq
     bruhat_leq_mask,
     check_same_n,
+    degree_columns,
     descending_completion,
-    enumerate_T,
     gale_leq,
     identity,
     longest,
@@ -206,27 +205,25 @@ def max_defining_chain(cols, n: int) -> tuple[Perm, ...]:
     return tuple(reversed(chain))
 
 
-def _standard(cols: Tableau, v: Perm, w: Perm) -> bool:
-    """:func:`is_standard` on a nonempty SSYT over [n] and a pair v <= w, unchecked."""
-    n = len(v)
-    top = reduce(min_extension, cols[1:], ascending_completion(cols[0], n))
-    if not bruhat_leq_mask(top, w):
-        return False
-    bottom = reduce(max_truncation, reversed(cols[:-1]), descending_completion(cols[-1], n))
-    return bruhat_leq_mask(v, bottom)
-
-
 def is_standard(cols, v: Perm, w: Perm) -> bool:
     """Standard-monomial test: min chain tops out below w, max chain starts
     above v."""
     check_same_n(v, w)
     if not bruhat_leq_mask(v, w):
         raise ValueError("empty Richardson variety: v is not below w")
-    return _standard(_chain_columns(cols, len(v)), v, w)
+    n = len(v)
+    return bruhat_leq_mask(min_defining_chain(cols, n)[-1], w) and bruhat_leq_mask(
+        v, max_defining_chain(cols, n)[0]
+    )
 
 
 # ---------------------------------------------------------------------------
 # enumeration and counting
+
+
+def _gale_successors(cols) -> dict[Subset, list[Subset]]:
+    """Each column's Gale successors among ``cols``, in the order of ``cols``."""
+    return {I: [J for J in cols if gale_leq(I, J)] for I in cols}
 
 
 def enumerate_ssyt(v: Perm, w: Perm, d: int, budget: int | None = SSYT_BUDGET) -> list[Tableau]:
@@ -235,13 +232,8 @@ def enumerate_ssyt(v: Perm, w: Perm, d: int, budget: int | None = SSYT_BUDGET) -
     Returned in canonical order (lexicographic on serialised columns): the
     depth-first search tries columns in serialised order at every depth.
     """
-    if d < 1:
-        raise ValueError("degree must be positive")
-    cols = enumerate_T(v, w)
-    if budget is not None and len(cols) ** d > budget:
-        raise BudgetError(f"|T|^d = {len(cols)}^{d} exceeds budget {budget}")
-    cols = sorted(cols, key=subset_str)
-    succ = {I: [J for J in cols if gale_leq(I, J)] for I in cols}
+    cols = sorted(degree_columns(v, w, d, budget), key=subset_str)
+    succ = _gale_successors(cols)
     out: list[Tableau] = []
 
     def extend(prefix: list[Subset]) -> None:
@@ -274,13 +266,9 @@ def count_standard(v: Perm, w: Perm, d: int, budget: int | None = SSYT_BUDGET) -
     >>> count_standard((1, 2, 3), (3, 1, 2), 2), len(enumerate_ssyt((1, 2, 3), (3, 1, 2), 2))
     (14, 15)
     """
-    if d < 1:
-        raise ValueError("degree must be positive")
-    cols = enumerate_T(v, w)
-    if budget is not None and len(cols) ** d > budget:
-        raise BudgetError(f"|T|^d = {len(cols)}^{d} exceeds budget {budget}")
+    cols = degree_columns(v, w, d, budget)
     n = len(v)
-    succ = {I: [J for J in cols if gale_leq(I, J)] for I in cols} if d > 1 else {}
+    succ = _gale_successors(cols) if d > 1 else {}
     bottoms: dict[Tableau, Perm] = {(): longest(n)}
 
     def bottom(suffix: Tableau) -> Perm:

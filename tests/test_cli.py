@@ -88,6 +88,30 @@ def test_classify_outdir_env(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "classify_n3_diagonal.csv").exists()
 
 
+@pytest.mark.parametrize("route", ["output", "outdir"])
+def test_classify_write_error_exits_2(tmp_path, capsys, monkeypatch, route):
+    missing = tmp_path / "missing"
+    if route == "output":
+        path, argv = str(missing / "t.csv"), ["--output", str(missing / "t.csv")]
+    else:
+        monkeypatch.setenv("RICHTORIC_OUTDIR", str(missing))
+        path, argv = os.path.join(str(missing), "classify_n3_diagonal.csv"), []
+    code, out, err = run_cli(capsys, "classify", "--n", "3", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_classify_force_refuses_n_above_max_n(tmp_path, capsys, monkeypatch):
+    # refused before the sweep: --force lifts the sweep bound, not MAX_N
+    monkeypatch.setenv("RICHTORIC_OUTDIR", str(tmp_path))
+    code, out, err = run_cli(capsys, "classify", "--n", "9", "--force")
+    assert code == 2
+    assert out == ""
+    assert err == "error: n=9 is outside the supported range 2..8\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_classify_table1_comparison(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,

@@ -111,6 +111,13 @@ def test_forced_and_unforced_families_share_one_cache():
         tn_pairs(7)
 
 
+@pytest.mark.parametrize("sweep", [tn_pairs, tn_membership_csv])
+def test_forced_sweeps_refuse_n_above_max_n(sweep):
+    # checked before the force flag, so no S_9 sweep starts
+    with pytest.raises(ValueError, match=r"^n=9 is outside the supported range 1\.\.8$"):
+        sweep(9, force=True)
+
+
 # ---------------------------------------------------------------------------
 # blocks
 

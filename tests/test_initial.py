@@ -386,6 +386,11 @@ def test_classify_rejects_n_below_two():
         classify_all(1, DIAG)
 
 
+def test_forced_classify_refuses_n_above_max_n():
+    with pytest.raises(ValueError, match=r"^n=9 is outside the supported range 2\.\.8$"):
+        classify_all(9, DIAG, force=True)
+
+
 def test_classification_csv_format():
     records = classify_all(3, DIAG)
     text = classification_csv(records, DIAG)

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
@@ -382,6 +383,25 @@ def _ref_count_standard(v, w, d):
 
 def _comparable_pairs(n):
     return [(v, w) for v, w in itertools.product(all_perms(n), repeat=2) if bruhat_leq(v, w)]
+
+
+def _ref_standard(cols, v, w):
+    """is_standard's test before it read the defining chains: both chain ends
+    folded directly with min_extension and max_truncation."""
+    n = len(v)
+    top = reduce(min_extension, cols[1:], ascending_completion(cols[0], n))
+    if not bruhat_leq_mask(top, w):
+        return False
+    bottom = reduce(max_truncation, reversed(cols[:-1]), descending_completion(cols[-1], n))
+    return bruhat_leq_mask(v, bottom)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_is_standard_agrees_with_folded_chain_ends(n):
+    for v, w in _comparable_pairs(n):
+        for d in (1, 2, 3):
+            for cols in enumerate_ssyt(v, w, d):
+                assert is_standard(cols, v, w) == _ref_standard(cols, v, w), (cols, v, w)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
