@@ -19,6 +19,7 @@ for files written by ``classify``.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -54,7 +55,7 @@ from .initial import (
     restriction_report,
     witness_detail,
 )
-from .polytope import lattice_points, product_polytope, restricted_map_matrix, segre_matrix
+from .polytope import lattice_points, polytope, restricted_map_matrix, segre_matrix
 from .table1 import compare_with_table1, table1_rows
 from .verify import run_suites
 
@@ -155,13 +156,6 @@ def cmd_classify(args) -> int:
     order = _order(args)
     if args.compare == "table1" and (args.n != 4 or order is not TermOrder.ANTIDIAGONAL):
         return _fail("--compare table1 applies to --n 4 --order antidiagonal")
-    try:
-        records = classify_all(args.n, order, force=args.force)
-    except BudgetError as exc:
-        return _fail(f"{exc} (use --force to override)")
-    except ValueError as exc:
-        return _fail(str(exc))
-
     if args.output == "-":
         out_path = None
     elif args.output:
@@ -169,6 +163,21 @@ def cmd_classify(args) -> int:
     else:
         outdir = os.environ.get("RICHTORIC_OUTDIR", ".")
         out_path = os.path.join(outdir, f"classify_n{args.n}_{order.value}.csv")
+    if out_path is not None:
+        # refuse an unwritable directory before the sweep, not after it
+        directory = os.path.dirname(out_path) or "."
+        if not os.path.isdir(directory):
+            code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+            return _fail(f"cannot write {out_path}: {os.strerror(code)}")
+        if not os.access(directory, os.W_OK):
+            return _fail(f"cannot write {out_path}: {os.strerror(errno.EACCES)}")
+
+    try:
+        records = classify_all(args.n, order, force=args.force)
+    except BudgetError as exc:
+        return _fail(f"{exc} (use --force to override)")
+    except ValueError as exc:
+        return _fail(str(exc))
 
     if args.format == "json":
         body = json.dumps(
@@ -271,12 +280,13 @@ def cmd_polytope(args) -> int:
     v, w = pair
     order = _order(args)
     try:
-        s = segre_matrix(v, w)
+        poly = polytope(v, w, order)
     except BudgetError as exc:
         return _fail(str(exc))
+    # the matrices are display only; polytope() refused an oversized S above
     a = restricted_map_matrix(v, w, order)
+    s = segre_matrix(v, w)
     prod = a.mul(s)
-    poly = product_polytope(prod)
     points = None
     points_error = None
     try:

@@ -11,6 +11,14 @@ the exponent vectors of those products.  The polytope is the convex hull of
 the columns of AS; duplicate columns correspond to image-equal products and
 are reported explicitly.
 
+Each column of AS is the sum of one column of A per factor, so
+:func:`polytope` folds those sums factor by factor and never builds S or
+AS: the points are the Minkowski sumset of the factors' column sets.  The
+affine hull of a Minkowski sum is the sum of the factors' affine hulls, so
+the affine dimension is the rank of the in-factor differences A_J - A_J0,
+at most |T| vectors however many points the sumset has.  S and AS are
+built only for display, by :func:`segre_matrix` and :meth:`IntMatrix.mul`.
+
 All arithmetic is on integers.  One fraction-free elimination routine,
 :func:`_reduce`, reduces an integer vector against integer echelon rows and
 divides each step by its gcd (integer-preserving Gaussian elimination);
@@ -31,7 +39,7 @@ import operator
 from dataclasses import dataclass
 
 from .perms import BudgetError, Perm, Subset, enumerate_T, subset_str
-from .initial import TermOrder, initial_term, monomial_str
+from .initial import TermOrder, initial_term
 
 #: Cap on the bounding-box volume scanned for lattice points.
 LATTICE_BUDGET = 1_000_000
@@ -66,34 +74,47 @@ class IntMatrix:
         return list(zip(*self.entries))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
+        """The product matrix, for any integer entries.
+
+        Row r is the sum of ``x * other.entries[i]`` over the nonzero
+        entries ``x = self.entries[r][i]``, so the cost is proportional to
+        the nonzero entries of ``self`` times the row length of ``other``.
+        """
         if self.col_labels != other.row_labels:
             raise ValueError("matrix shapes/labels do not align")
-        cols = other.columns()
-        rows = tuple(
-            tuple(sum(map(operator.mul, row, col)) for col in cols)
-            for row in self.entries
-        )
-        return IntMatrix(self.row_labels, other.col_labels, rows)
+        zero = (0,) * len(other.col_labels)
+        rows = []
+        for row in self.entries:
+            acc = zero
+            for x, term in zip(row, other.entries):
+                if x:
+                    if x != 1:
+                        term = tuple(x * y for y in term)
+                    acc = tuple(map(operator.add, acc, term))
+            rows.append(acc)
+        return IntMatrix(self.row_labels, other.col_labels, tuple(rows))
 
     def text(self, name: str | None = None) -> str:
-        """Aligned display; zero entries print blank."""
+        """Aligned display; zero entries print blank.
+
+        A column is as wide as its label and its longest entry, and at
+        least 1 wide (a zero counts as one character).
+        """
+        cells = [[str(e) if e else "" for e in row] for row in self.entries]
+        columns = list(zip(*cells)) or [()] * len(self.col_labels)
         widths = [
-            max(len(lbl), max((len(str(row[j])) for row in self.entries), default=1))
-            for j, lbl in enumerate(self.col_labels)
+            max(len(lbl), 1, *map(len, col))
+            for lbl, col in zip(self.col_labels, columns)
         ]
         label_w = max((len(r) for r in self.row_labels), default=0)
         lines = []
         if name is not None:
             lines.append(f"{name} =")
-        header = " " * label_w + "  " + "  ".join(
-            lbl.rjust(w) for lbl, w in zip(self.col_labels, widths)
-        )
+        header = " " * label_w + "  " + "  ".join(map(str.rjust, self.col_labels, widths))
         lines.append(header.rstrip())
-        for lbl, row in zip(self.row_labels, self.entries):
-            cells = "  ".join(
-                (str(e) if e else "").rjust(w) for e, w in zip(row, widths)
-            )
-            lines.append((lbl.ljust(label_w) + "  " + cells).rstrip())
+        for lbl, row in zip(self.row_labels, cells):
+            cells_text = "  ".join(map(str.rjust, row, widths))
+            lines.append((lbl.ljust(label_w) + "  " + cells_text).rstrip())
         return "\n".join(lines)
 
     def csv(self) -> str:
@@ -131,28 +152,47 @@ def segre_factors(v: Perm, w: Perm) -> list[list[Subset]]:
     return [factors[k] for k in sorted(factors)]
 
 
-def segre_matrix(v: Perm, w: Perm) -> IntMatrix:
-    """0/1 incidence matrix of products choosing one coordinate per factor.
+def _segre_size(factors: list[list[Subset]]) -> int:
+    """Number of products choosing one coordinate per factor.
 
-    Raises :class:`BudgetError` before building anything when the number of
-    products exceeds ``SEGRE_BUDGET``.
+    Raises :class:`BudgetError` when it exceeds ``SEGRE_BUDGET``.
     """
-    factors = segre_factors(v, w)
-    cols = [J for factor in factors for J in factor]  # T, by size then lex
     size = math.prod(len(f) for f in factors)
     if size > SEGRE_BUDGET:
         sizes = "*".join(str(len(f)) for f in factors)
         raise BudgetError(
             f"Segre product {sizes} = {size} columns exceeds budget {SEGRE_BUDGET}"
         )
-    products = list(itertools.product(*factors))
-    entries = tuple(
-        tuple(1 if J in chosen else 0 for chosen in products) for J in cols
-    )
+    return size
+
+
+def segre_matrix(v: Perm, w: Perm) -> IntMatrix:
+    """0/1 incidence matrix of products choosing one coordinate per factor.
+
+    Columns run over ``itertools.product`` of the factors.  The i-th
+    coordinate of a factor is chosen by ``later`` consecutive products
+    (``later`` is the product of the sizes of the factors after it), at
+    offset ``i * later`` in each block of ``len(f) * later``, and that block
+    repeats once for every choice in the factors before it.
+
+    Raises :class:`BudgetError` before building anything when the number of
+    products exceeds ``SEGRE_BUDGET``.
+    """
+    factors = segre_factors(v, w)
+    size = _segre_size(factors)
+    rows = []
+    earlier = 1
+    for f in factors:
+        later = size // (earlier * len(f))
+        for i in range(len(f)):
+            block = (0,) * (i * later) + (1,) * later + (0,) * ((len(f) - 1 - i) * later)
+            rows.append(block * earlier)
+        earlier *= len(f)
+    names = [["P" + subset_str(J) for J in f] for f in factors]
     return IntMatrix(
-        tuple("P" + subset_str(J) for J in cols),
-        tuple(monomial_str(chosen) for chosen in products),
-        entries,
+        tuple(itertools.chain.from_iterable(names)),
+        tuple(map("*".join, itertools.product(*names))),
+        tuple(rows),
     )
 
 
@@ -171,26 +211,31 @@ class LatticePolytope:
 def polytope(v: Perm, w: Perm, order: TermOrder) -> LatticePolytope:
     """Convex-hull data of the product matrix AS for the pair (v, w).
 
+    The columns of AS, in product order, are folded from A's columns one
+    factor at a time; equal columns merge into one point, in
+    first-occurrence order.  The affine dimension is the rank of the
+    in-factor differences (see the module docstring).
+
     Raises :class:`BudgetError` when S would exceed ``SEGRE_BUDGET`` columns.
     """
+    factors = segre_factors(v, w)
+    _segre_size(factors)
     a = restricted_map_matrix(v, w, order)
-    return product_polytope(a.mul(segre_matrix(v, w)))
-
-
-def product_polytope(prod: IntMatrix) -> LatticePolytope:
-    """Convex-hull data of an already built product matrix AS.
-
-    Equal columns merge into one point, in first-occurrence order.
-    """
+    col = dict(zip(a.col_labels, a.columns()))
+    names = [["P" + subset_str(J) for J in f] for f in factors]
+    origin = (0,) * len(a.row_labels)
+    sums = [origin]
+    for f in names:
+        sums = [tuple(map(operator.add, p, col[name])) for p in sums for name in f]
     labels: dict[tuple[int, ...], list[str]] = {}
-    for col, lbl in zip(prod.columns(), prod.col_labels):
-        labels.setdefault(col, []).append(lbl)
-    points = tuple(labels)
+    for p, lbl in zip(sums, map("*".join, itertools.product(*names))):
+        labels.setdefault(p, []).append(lbl)
+    diffs = [tuple(map(operator.sub, col[name], col[f[0]])) for f in names for name in f[1:]]
     return LatticePolytope(
-        prod.row_labels,
-        points,
+        a.row_labels,
+        tuple(labels),
         tuple(tuple(g) for g in labels.values()),
-        affine_rank(points),
+        affine_rank([origin] + diffs),
     )
 
 

@@ -3,10 +3,10 @@ Reproduction and property suites behind the ``verify`` command.
 
 Each suite returns (ok, detail) and is pure; the quick tier keeps every
 exhaustive sweep at n <= 4, the full tier raises the bounds to n = 5 (the
-chain oracle at degree <= 2) and classifies all of S_6.  Brute-force
-oracles (chain enumeration, the Bruhat reformulation of subset comparisons)
-are implemented here from scratch so that they stay independent of the
-code paths they check.
+chain oracle at degree <= 2), classifies all of S_6 and adds the
+polytope-dimension suite.  Brute-force oracles (chain enumeration, the
+Bruhat reformulation of subset comparisons) are implemented here from
+scratch so that they stay independent of the code paths they check.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .initial import (
     monomial_str,
     restriction_report,
 )
-from .polytope import lattice_points, product_polytope, restricted_map_matrix, segre_matrix
+from .polytope import lattice_points, polytope, restricted_map_matrix, segre_matrix
 from .table1 import compare_with_table1, table1_rows
 
 
@@ -195,10 +195,10 @@ EXPECTED_AS = (
 def polytope_instance():
     v, w = (2, 3, 4, 1), (4, 2, 3, 1)
     order = TermOrder.ANTIDIAGONAL
+    poly = polytope(v, w, order)
     a = restricted_map_matrix(v, w, order)
     s = segre_matrix(v, w)
     prod = a.mul(s)
-    poly = product_polytope(prod)
     plane_ok = all(p[0] + p[1] + p[2] == 3 for p in poly.points)
     checks = [
         a.row_labels == ("x2", "x3", "x4", "y2", "y3", "z2"),
@@ -214,6 +214,28 @@ def polytope_instance():
     return all(checks), (
         f"dim={poly.affine_dim}, {len(poly.points)} distinct points, "
         f"plane check {'ok' if plane_ok else 'FAILED'}, checks={checks}"
+    )
+
+
+def polytope_dimensions(max_n: int = 5):
+    """The polytope's affine dimension against dim X_w^v = N(w) - N(v).
+
+    Checked on every monomial-free pair with n <= max_n, in both orders.
+    This is observed evidence that the degeneration polytope has the
+    dimension of the Richardson variety, not a theorem of the paper.
+    """
+    checked, bad = 0, []
+    for n in range(2, max_n + 1):
+        for order in TermOrder:
+            for r in classify_all(n, order):
+                if r.monomial_free:
+                    checked += 1
+                    dim = polytope(r.v, r.w, order).affine_dim
+                    if dim != inversions(r.w) - inversions(r.v):
+                        bad.append(f"{perm_str(r.v)},{perm_str(r.w)},{order.value}")
+    return not bad, (
+        f"affine dim == N(w)-N(v) on {checked} monomial-free (pair, order) "
+        f"cases, n <= {max_n} (observed); exceptions: {len(bad)} {bad[:5]}"
     )
 
 
@@ -418,6 +440,8 @@ def run_suites(level: str = "quick") -> list[SuiteResult]:
         ("oracle-complement", lambda: complement_claim(5 if full else 4)),
         ("oracle-swaps", lambda: adjacent_swap_suite(5 if full else 4)),
     ]
+    if full:
+        plan.append(("polytope-dims", lambda: polytope_dimensions(5)))
     out = []
     for name, fn in plan:
         t0 = time.perf_counter()

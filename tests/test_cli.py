@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,10 +6,14 @@ import sys
 
 import pytest
 
+from richtoric import cli
 from richtoric.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+CLI_CATALOGUE = os.path.join(
+    os.path.dirname(__file__), "..", "perfbench", "expected", "cli.json"
+)
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +105,27 @@ def test_classify_write_error_exits_2(tmp_path, capsys, monkeypatch, route):
     assert code == 2
     assert out == ""
     assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("route", ["output", "outdir"])
+def test_classify_unwritable_path_refused_before_the_sweep(
+    tmp_path, capsys, monkeypatch, route
+):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("classify_all ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "classify_all", no_sweep)
+    missing = tmp_path / "missing"
+    if route == "output":
+        path, argv = str(missing / "t.csv"), ["--output", str(missing / "t.csv")]
+    else:
+        monkeypatch.setenv("RICHTORIC_OUTDIR", str(missing))
+        path, argv = os.path.join(str(missing), "classify_n6_diagonal.csv"), []
+    code, out, err = run_cli(capsys, "classify", "--n", "6", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_classify_force_refuses_n_above_max_n(tmp_path, capsys, monkeypatch):
@@ -270,6 +296,30 @@ def test_polytope_refuses_oversized_segre_product(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "exceeds budget" in err
+
+
+@pytest.mark.parametrize("slot", ["polytope4", "polytope5"])
+def test_polytope_catalogue_requests_replay(capsys, slot):
+    # the benchmark's recorded polytope answers, checked here so that an
+    # output change fails the tests rather than the benchmark run
+    with open(CLI_CATALOGUE) as fh:
+        entries = json.load(fh)["slots"][slot]
+    assert len(entries) == 18
+    for entry in entries:
+        code, out, _ = run_cli(capsys, *entry["argv"])
+        assert code == entry["exit"], entry["argv"]
+        assert hashlib.sha256(out.encode()).hexdigest() == entry["sha256"], entry["argv"]
+
+
+def test_polytope_catalogue_hang_request_refused(capsys):
+    with open(CLI_CATALOGUE) as fh:
+        argv = json.load(fh)["hang"]["argv"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: Segre product 6*15*20*15*6 = 162000 columns exceeds budget 20000\n"
+    )
 
 
 def test_ssyt_bad_degree_fails_before_bruhat_check(capsys):

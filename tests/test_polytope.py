@@ -1,16 +1,19 @@
+import importlib
 import itertools
 import math
+import operator
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from richtoric.perms import BudgetError, all_perms, bruhat_leq, identity, longest
+from richtoric.perms import BudgetError, all_perms, bruhat_leq, identity, longest, subset_str
 from richtoric.compat import tn_pairs
-from richtoric.initial import TermOrder, phi_image
+from richtoric.initial import TermOrder, monomial_str, phi_image
 from richtoric.polytope import (
     IntMatrix,
+    SEGRE_BUDGET,
     LatticePolytope,
     _hull_test,
     _det,
@@ -23,7 +26,7 @@ from richtoric.polytope import (
     segre_factors,
     segre_matrix,
 )
-from richtoric.verify import EXPECTED_A, EXPECTED_AS, EXPECTED_S
+from richtoric.verify import EXPECTED_A, EXPECTED_AS, EXPECTED_S, polytope_dimensions
 
 DIAG = TermOrder.DIAGONAL
 ANTI = TermOrder.ANTIDIAGONAL
@@ -489,3 +492,149 @@ def test_det_matches_leibniz_formula():
             for perm in itertools.permutations(range(k))
         )
         assert _det(m) == leibniz
+
+
+# ---------------------------------------------------------------------------
+# the dense product-matrix route the factor sumset replaced, kept as the
+# reference of differential tests: S by membership tests, AS by a dense
+# triple loop, the polytope by deduping every column of AS and ranking every
+# distinct point, and the per-cell text widths
+
+
+def _ref_segre_matrix(v, w):
+    factors = segre_factors(v, w)
+    cols = [J for factor in factors for J in factor]
+    size = math.prod(len(f) for f in factors)
+    if size > SEGRE_BUDGET:
+        sizes = "*".join(str(len(f)) for f in factors)
+        raise BudgetError(
+            f"Segre product {sizes} = {size} columns exceeds budget {SEGRE_BUDGET}"
+        )
+    products = list(itertools.product(*factors))
+    entries = tuple(
+        tuple(1 if J in chosen else 0 for chosen in products) for J in cols
+    )
+    return IntMatrix(
+        tuple("P" + subset_str(J) for J in cols),
+        tuple(monomial_str(chosen) for chosen in products),
+        entries,
+    )
+
+
+def _ref_mul(a, b):
+    if a.col_labels != b.row_labels:
+        raise ValueError("matrix shapes/labels do not align")
+    cols = b.columns()
+    rows = tuple(
+        tuple(sum(map(operator.mul, row, col)) for col in cols)
+        for row in a.entries
+    )
+    return IntMatrix(a.row_labels, b.col_labels, rows)
+
+
+def _ref_text(m, name=None):
+    widths = [
+        max(len(lbl), max((len(str(row[j])) for row in m.entries), default=1))
+        for j, lbl in enumerate(m.col_labels)
+    ]
+    label_w = max((len(r) for r in m.row_labels), default=0)
+    lines = []
+    if name is not None:
+        lines.append(f"{name} =")
+    header = " " * label_w + "  " + "  ".join(
+        lbl.rjust(w) for lbl, w in zip(m.col_labels, widths)
+    )
+    lines.append(header.rstrip())
+    for lbl, row in zip(m.row_labels, m.entries):
+        cells = "  ".join(
+            (str(e) if e else "").rjust(w) for e, w in zip(row, widths)
+        )
+        lines.append((lbl.ljust(label_w) + "  " + cells).rstrip())
+    return "\n".join(lines)
+
+
+def _ref_product_polytope(prod):
+    labels = {}
+    for col, lbl in zip(prod.columns(), prod.col_labels):
+        labels.setdefault(col, []).append(lbl)
+    points = tuple(labels)
+    return LatticePolytope(
+        prod.row_labels,
+        points,
+        tuple(tuple(g) for g in labels.values()),
+        affine_rank(points),
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sumset_polytope_agrees_with_product_matrix_reference(n):
+    pairs = _comparable_pairs(n)
+    if n == 5:
+        pairs = random.Random(55).sample(pairs, 40) + [(identity(5), longest(5))]
+    for v, w in pairs:
+        s = segre_matrix(v, w)
+        assert s == _ref_segre_matrix(v, w)
+        assert s.text("S") == _ref_text(s, "S")
+        for order in (DIAG, ANTI):
+            a = restricted_map_matrix(v, w, order)
+            prod = a.mul(s)
+            assert prod == _ref_mul(a, s)
+            assert polytope(v, w, order) == _ref_product_polytope(prod)
+            assert a.text("A") == _ref_text(a, "A")
+            assert prod.text("AS") == _ref_text(prod, "AS")
+
+
+def _random_matrix_pair(rng):
+    """Two random integer matrices whose shapes and labels align."""
+    rows, inner, cols = (rng.choice([0, 1, 2, 3, 4]) for _ in range(3))
+
+    def labels(prefix, k):
+        return tuple(prefix * rng.randint(0, 3) + rng.choice(["", str(i)]) for i in range(k))
+
+    def entries(r, c):
+        return tuple(
+            tuple(rng.choice([0, 0, 0, 1, -1, rng.randint(-120, 120)]) for _ in range(c))
+            for _ in range(r)
+        )
+
+    middle = labels("m", inner)
+    return (
+        IntMatrix(labels("r", rows), middle, entries(rows, inner)),
+        IntMatrix(middle, labels("c", cols), entries(inner, cols)),
+    )
+
+
+def test_mul_and_text_agree_with_reference_on_random_matrices():
+    rng = random.Random(2024)
+    shapes = set()
+    for _ in range(200):
+        a, b = _random_matrix_pair(rng)
+        shapes.add((len(a.entries), len(b.entries), len(b.col_labels)))
+        prod = a.mul(b)
+        assert prod == _ref_mul(a, b)
+        for m in (a, b, prod):
+            assert m.text() == _ref_text(m)
+            assert m.text("M") == _ref_text(m, "M")
+    # every empty dimension is among the draws
+    assert {0} <= {r for r, _, _ in shapes}
+    assert {0} <= {i for _, i, _ in shapes}
+    assert {0} <= {c for _, _, c in shapes}
+
+
+def test_polytope_builds_neither_s_nor_as(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("display-only matrix built by polytope()")
+
+    # by module path: the package re-exports a function named ``polytope``
+    module = importlib.import_module("richtoric.polytope")
+    monkeypatch.setattr(module, "segre_matrix", refuse)
+    monkeypatch.setattr(IntMatrix, "mul", refuse)
+    poly = polytope(identity(5), longest(5), DIAG)
+    assert (len(poly.points), poly.affine_dim) == (1_024, 10)
+
+
+def test_polytope_dimension_is_richardson_dimension():
+    # observed on every monomial-free pair with n <= 4, both orders
+    ok, detail = polytope_dimensions(4)
+    assert ok, detail
+    assert detail.startswith("affine dim == N(w)-N(v) on 200 ")
