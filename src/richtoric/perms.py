@@ -39,6 +39,9 @@ and the Bruhat order is the tableau criterion on prefix sets,
 
     v <= w   iff   prefix[v] & ~below[w] == 0.
 
+The subset order itself is one table per n, :func:`gale_up`: the mask of
+the subsets J with I <= J, for every subset I.
+
 >>> [subset_str(J) for J in all_subsets(3)]
 ['1', '2', '3', '12', '13', '23']
 >>> bin(interval_mask((1, 3, 2), (3, 1, 2)))
@@ -56,7 +59,7 @@ from __future__ import annotations
 import itertools
 import operator
 from bisect import insort
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple, Sequence
 
 #: Largest n accepted for single instances (permutations, subsets).
@@ -322,6 +325,22 @@ def _cones(P: Subset, n: int) -> tuple[int, int]:
         if all(p <= j for p, j in zip(P, J)):
             up |= bit[J]
     return down, up
+
+
+@lru_cache(maxsize=None)
+def gale_up(n: int) -> dict[Subset, int]:
+    """Each subset I of [n] with the mask of the subsets J with I <= J.
+
+    I <= J compares J with the first |J| elements of I, so the mask is the
+    union of the up-cones of I's truncations I[:1], ..., I[:|I|].
+
+    >>> subsets_of(gale_up(3)[(1, 3)], 3)
+    [(1,), (2,), (3,), (1, 3), (2, 3)]
+    """
+    return {
+        I: reduce(operator.or_, (_cones(I[:t], n)[1] for t in range(1, len(I) + 1)))
+        for I in all_subsets(n)
+    }
 
 
 class PermMasks(NamedTuple):

@@ -98,22 +98,26 @@ class IntMatrix:
         """Aligned display; zero entries print blank.
 
         A column is as wide as its label and its longest entry, and at
-        least 1 wide (a zero counts as one character).
+        least 1 wide (a zero counts as one character).  Each distinct entry
+        is turned into a string once; the columns are scanned for their
+        longest entry only when some entry is wider than the narrowest
+        label, so a matrix of small entries under long labels costs one
+        join per row.
         """
-        cells = [[str(e) if e else "" for e in row] for row in self.entries]
-        columns = list(zip(*cells)) or [()] * len(self.col_labels)
-        widths = [
-            max(len(lbl), 1, *map(len, col))
-            for lbl, col in zip(self.col_labels, columns)
-        ]
+        strs = {e: str(e) if e else "" for e in set().union(*self.entries)}
+        shown = strs.__getitem__
+        widths = [max(len(lbl), 1) for lbl in self.col_labels]
+        if max(map(len, strs.values()), default=0) > min(widths, default=0):
+            columns = zip(*self.entries)
+            widths = [max(wd, *map(len, map(shown, col))) for wd, col in zip(widths, columns)]
         label_w = max((len(r) for r in self.row_labels), default=0)
         lines = []
         if name is not None:
             lines.append(f"{name} =")
         header = " " * label_w + "  " + "  ".join(map(str.rjust, self.col_labels, widths))
         lines.append(header.rstrip())
-        for lbl, row in zip(self.row_labels, cells):
-            cells_text = "  ".join(map(str.rjust, row, widths))
+        for lbl, row in zip(self.row_labels, self.entries):
+            cells_text = "  ".join(map(str.rjust, map(shown, row), widths))
             lines.append((lbl.ljust(label_w) + "  " + cells_text).rstrip())
         return "\n".join(lines)
 

@@ -17,6 +17,17 @@ parabolic coset, whose extremum is unique by Deodhar's lemma (see
 (v, w) exactly when the top of its minimum chain stays below w and the
 bottom of its maximum chain stays above v.
 
+The walks over tableaux use the subset masks of :mod:`richtoric.perms`.
+One up-set table per n, :func:`~richtoric.perms.gale_up`, holds for each
+subset I the mask of the subsets J with I <= J, so a column's successors
+among the columns of T are those whose bit meets its up-set, one AND per
+pair and no :func:`gale_leq` call.  :func:`enumerate_ssyt` extends level by
+level: level 1 is T in serialised order, and every tableau of a level is
+followed, in order, by its last column's successors in that order.  A
+level sorted by serialised columns thus gives a sorted next level, so the
+canonical order needs no sort.  :func:`count_standard` reads the masks of
+v and w once and tests each chain end with one AND.
+
 Tableaux serialise as bracketed column lists, e.g. "[125,246,35]"; chains as
 bracketed permutation lists.
 """
@@ -35,10 +46,13 @@ from .perms import (
     degree_columns,
     descending_completion,
     gale_leq,
+    gale_up,
     identity,
     longest,
     parse_subset,
+    perm_masks,
     perm_str,
+    subset_bits,
     subset_str,
 )
 
@@ -221,54 +235,58 @@ def is_standard(cols, v: Perm, w: Perm) -> bool:
 # enumeration and counting
 
 
-def _gale_successors(cols) -> dict[Subset, list[Subset]]:
+def _gale_successors(cols, n: int) -> dict[Subset, list[Subset]]:
     """Each column's Gale successors among ``cols``, in the order of ``cols``."""
-    return {I: [J for J in cols if gale_leq(I, J)] for I in cols}
+    bit, up = subset_bits(n), gale_up(n)
+    return {I: [J for J in cols if bit[J] & up[I]] for I in cols}
 
 
 def enumerate_ssyt(v: Perm, w: Perm, d: int, budget: int | None = SSYT_BUDGET) -> list[Tableau]:
     """All SSYT with exactly d columns, every column J satisfying v <= J <= w.
 
-    Returned in canonical order (lexicographic on serialised columns): the
-    depth-first search tries columns in serialised order at every depth.
+    Returned in canonical order (lexicographic on serialised columns), which
+    the level-by-level extension gives without a sort (see the module
+    docstring).
     """
     cols = sorted(degree_columns(v, w, d, budget), key=subset_str)
-    succ = _gale_successors(cols)
-    out: list[Tableau] = []
-
-    def extend(prefix: list[Subset]) -> None:
-        if len(prefix) == d:
-            out.append(tuple(prefix))
-            return
-        for J in (cols if not prefix else succ[prefix[-1]]):
-            prefix.append(J)
-            extend(prefix)
-            prefix.pop()
-
-    extend([])
-    return out
+    level = [(J,) for J in cols]
+    if d > 1:
+        succ = _gale_successors(cols, len(v))
+        for _ in range(d - 1):
+            level = [t + (J,) for t in level for J in succ[t[-1]]]
+    return level
 
 
 def count_standard(v: Perm, w: Perm, d: int, budget: int | None = SSYT_BUDGET) -> int:
     """Number of degree-d standard monomials for the Richardson variety of
     (v, w).
 
-    Standard monomials have all columns between v and w, so one depth-first
-    walk over T's Gale successors meets every candidate.  The walk carries
-    the top of each prefix's minimum chain, one :func:`min_extension` per
-    node; the empty prefix tops at the identity.  Since min_extension(u, J)
-    >= u, tops only rise along a chain, so a prefix whose top is not <= w
-    has no standard completion and the walk prunes it.  At a leaf, the
-    bottom of the maximum chain is the :func:`max_truncation` of its
-    suffix's bottom by the first column, with the suffix bottoms kept in a
-    per-call dict; the empty suffix bottoms at w0.
+    Standard monomials have all columns between v and w.  In degree one
+    every column J of T is standard, since its chains are its ascending
+    completion, <= w as J <= w, and its descending completion, >= v as
+    v <= J.  Above degree one, a depth-first walk over T's Gale successors
+    meets every candidate.  The walk carries the top of each prefix's
+    minimum chain, one :func:`min_extension` per node; the empty prefix
+    tops at the identity.  Since min_extension(u, J) >= u, tops only rise
+    along a chain, so a prefix whose top is not <= w has no standard
+    completion and the walk prunes it.  At a leaf, the bottom of the
+    maximum chain is the :func:`max_truncation` of its suffix's bottom by
+    the first column, with the suffix bottoms kept in a per-call dict; the
+    empty suffix bottoms at w0.  Both Bruhat tests are one AND against a
+    mask read once per call: a top z is <= w when no prefix set of z lies
+    outside ``below[w]``, and a bottom b is >= v when no prefix set of v
+    lies outside ``below[b]``.
 
     >>> count_standard((1, 2, 3), (3, 1, 2), 2), len(enumerate_ssyt((1, 2, 3), (3, 1, 2), 2))
     (14, 15)
     """
     cols = degree_columns(v, w, d, budget)
+    if d == 1:
+        return len(cols)
     n = len(v)
-    succ = _gale_successors(cols) if d > 1 else {}
+    succ = _gale_successors(cols, n)
+    not_below_w = ~perm_masks(w).below
+    prefix_v = perm_masks(v).prefix
     bottoms: dict[Tableau, Perm] = {(): longest(n)}
 
     def bottom(suffix: Tableau) -> Perm:
@@ -279,15 +297,18 @@ def count_standard(v: Perm, w: Perm, d: int, budget: int | None = SSYT_BUDGET) -
 
     def walk(prefix: Tableau, top: Perm) -> int:
         count = 0
-        for J in succ[prefix[-1]] if prefix else cols:
-            z = min_extension(top, J)
-            if not bruhat_leq_mask(z, w):
+        if len(prefix) + 1 < d:
+            for J in succ[prefix[-1]] if prefix else cols:
+                z = min_extension(top, J)
+                if not perm_masks(z).prefix & not_below_w:
+                    count += walk(prefix + (J,), z)
+            return count
+        first, rest = prefix[0], prefix[1:]
+        for J in succ[prefix[-1]]:
+            if perm_masks(min_extension(top, J)).prefix & not_below_w:
                 continue
-            if len(prefix) + 1 < d:
-                count += walk(prefix + (J,), z)
-            else:
-                leaf = prefix + (J,)
-                count += bruhat_leq_mask(v, max_truncation(bottom(leaf[1:]), leaf[0]))
+            b = max_truncation(bottom(rest + (J,)), first)
+            count += not prefix_v & ~perm_masks(b).below
         return count
 
     return walk((), identity(n))

@@ -36,6 +36,7 @@ from .perms import (
 from .tableaux import (
     count_standard,
     enumerate_ssyt,
+    is_ssyt,
     is_standard,
     max_defining_chain,
     min_defining_chain,
@@ -348,13 +349,22 @@ def _unique_maximum(values):
 
 
 def chains_oracle(max_n: int = 4, max_d: int = 3):
-    """Greedy min/max chains == componentwise extrema over all chains."""
+    """Greedy min/max chains == componentwise extrema over all chains.
+
+    The tableaux are drawn by filtering every d-tuple of subsets of [n] with
+    :func:`is_ssyt`, not from the fast enumeration; how many there are is
+    then checked against ``enumerate_ssyt(id, w0, d)``.
+    """
     bad = []
     checked = 0
     for n in range(2, max_n + 1):
         ident, w0 = identity(n), longest(n)
         for d in range(1, max_d + 1):
-            for cols in enumerate_ssyt(ident, w0, d):
+            drawn = [t for t in itertools.product(all_subsets(n), repeat=d) if is_ssyt(t)]
+            fast = len(enumerate_ssyt(ident, w0, d))
+            if len(drawn) != fast:
+                bad.append((n, d, f"{len(drawn)} SSYT drawn, enumerate_ssyt gives {fast}"))
+            for cols in drawn:
                 checked += 1
                 chains = _oracle_chains(cols, n)
                 lo = min_defining_chain(cols, n)

@@ -638,3 +638,82 @@ def test_polytope_dimension_is_richardson_dimension():
     ok, detail = polytope_dimensions(4)
     assert ok, detail
     assert detail.startswith("affine dim == N(w)-N(v) on 200 ")
+
+
+# ``text`` before it took the widths from the labels: one string per cell,
+# every column scanned for its widest cell
+
+
+def _ref_text_by_cells(m, name=None):
+    cells = [[str(e) if e else "" for e in row] for row in m.entries]
+    columns = list(zip(*cells)) or [()] * len(m.col_labels)
+    widths = [max(len(lbl), 1, *map(len, col)) for lbl, col in zip(m.col_labels, columns)]
+    label_w = max((len(r) for r in m.row_labels), default=0)
+    lines = []
+    if name is not None:
+        lines.append(f"{name} =")
+    header = " " * label_w + "  " + "  ".join(map(str.rjust, m.col_labels, widths))
+    lines.append(header.rstrip())
+    for lbl, row in zip(m.row_labels, cells):
+        cells_text = "  ".join(map(str.rjust, row, widths))
+        lines.append((lbl.ljust(label_w) + "  " + cells_text).rstrip())
+    return "\n".join(lines)
+
+
+def _random_labelled_matrix(rng):
+    rows, cols = rng.randint(0, 4), rng.randint(0, 5)
+    width = rng.choice([0, 1, 3, 6])
+
+    def label(prefix):
+        return (prefix * rng.randint(0, width))[:width]
+
+    magnitude = rng.choice([1, 9, 99, 99_999])
+    return IntMatrix(
+        tuple(label("r") for _ in range(rows)),
+        tuple(label("c") for _ in range(cols)),
+        tuple(
+            tuple(rng.choice([0, 0, 1, rng.randint(-magnitude, magnitude)]) for _ in range(cols))
+            for _ in range(rows)
+        ),
+    )
+
+
+def test_text_agrees_with_per_cell_reference_on_random_matrices():
+    rng = random.Random(1111)
+    seen = set()
+    for _ in range(400):
+        m = _random_labelled_matrix(rng)
+        assert m.text() == _ref_text_by_cells(m)
+        assert m.text("M") == _ref_text_by_cells(m, "M")
+        entries = [e for row in m.entries for e in row]
+        narrowest = min((max(len(lbl), 1) for lbl in m.col_labels), default=0)
+        seen.add("no rows" if not m.entries else "no columns" if not m.col_labels else "cells")
+        seen.update(
+            name
+            for name, hit in [
+                ("negative", any(e < 0 for e in entries)),
+                ("empty label", "" in m.col_labels + m.row_labels),
+                ("scanned", any(len(str(e)) > narrowest for e in entries if e)),
+                ("not scanned", entries and all(len(str(e)) <= narrowest for e in entries)),
+                (
+                    "wider than own label",
+                    any(
+                        len(str(e)) > len(lbl)
+                        for row in m.entries
+                        for e, lbl in zip(row, m.col_labels)
+                        if e
+                    ),
+                ),
+            ]
+            if hit
+        )
+    assert seen == {
+        "no rows",
+        "no columns",
+        "cells",
+        "negative",
+        "empty label",
+        "scanned",
+        "not scanned",
+        "wider than own label",
+    }

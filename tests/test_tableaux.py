@@ -14,11 +14,15 @@ from richtoric.perms import (
     bruhat_leq,
     bruhat_leq_mask,
     descending_completion,
+    enumerate_T,
+    gale_leq,
+    gale_up,
     identity,
     inversions,
     longest,
     partition_perm,
     perm_leq_subset,
+    subset_bits,
     subset_leq_perm,
     subset_str,
 )
@@ -434,3 +438,56 @@ def test_count_standard_refuses_over_budget():
     with pytest.raises(BudgetError, match=re.escape("|T|^d = 14^3 exceeds budget 10")):
         count_standard(identity(4), longest(4), 3, budget=10)
 
+
+
+# ---------------------------------------------------------------------------
+# the subset-mask tableau layer against its references
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gale_up_table_agrees_with_gale_leq(n):
+    bit, up = subset_bits(n), gale_up(n)
+    subsets = all_subsets(n)
+    assert list(up) == list(subsets)
+    for I in subsets:
+        for J in subsets:
+            assert bool(up[I] & bit[J]) == gale_leq(I, J), (I, J)
+
+
+def _ref_enumerate_ssyt(v, w, d):
+    """Every d-tuple of columns of T that is an SSYT, in canonical order."""
+    tuples = itertools.product(enumerate_T(v, w), repeat=d)
+    return sorted((t for t in tuples if is_ssyt(t)), key=lambda t: tuple(map(subset_str, t)))
+
+
+def _seeded_pairs(n, count):
+    return random.Random(1000 + n).sample(_comparable_pairs(n), count)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_enumerate_ssyt_agrees_with_product_reference(n):
+    for v, w in _comparable_pairs(n):
+        for d in (1, 2, 3):
+            assert enumerate_ssyt(v, w, d) == _ref_enumerate_ssyt(v, w, d), (v, w, d)
+
+
+@pytest.mark.parametrize("n,max_d,count", [(5, 3, 40), (6, 2, 25)])
+def test_enumerate_ssyt_and_count_standard_agree_with_product_reference_seeded(n, max_d, count):
+    for v, w in _seeded_pairs(n, count):
+        for d in range(1, max_d + 1):
+            ref = _ref_enumerate_ssyt(v, w, d)
+            assert enumerate_ssyt(v, w, d) == ref, (v, w, d)
+            assert count_standard(v, w, d) == sum(is_standard(t, v, w) for t in ref), (v, w, d)
+
+
+def test_chains_oracle_draws_its_own_tableaux(monkeypatch):
+    # the oracle filters every tuple of subsets itself and fails when the
+    # fast enumeration counts differently
+    from richtoric import verify
+
+    ok, detail = verify.chains_oracle(3, 2)
+    assert ok, detail
+    monkeypatch.setattr(verify, "enumerate_ssyt", lambda v, w, d: enumerate_ssyt(v, w, d)[1:])
+    ok, detail = verify.chains_oracle(3, 2)
+    assert not ok
+    assert "SSYT drawn, enumerate_ssyt gives" in detail
