@@ -28,7 +28,6 @@ from .perms import (
     MAX_N,
     BudgetError,
     Perm,
-    bruhat_leq,
     bruhat_leq_mask,
     enumerate_T,
     inversions,
@@ -49,7 +48,6 @@ from .initial import (
     TermOrder,
     classification_csv,
     classify_all,
-    is_monomial_free,
     kernel_hilbert_dim,
     monomial_str,
     restriction_report,
@@ -69,16 +67,6 @@ def _fail(message: str) -> int:
     return EXIT_ERROR
 
 
-def _parse_pair(args) -> tuple[Perm, Perm]:
-    v = parse_perm(args.v)
-    w = parse_perm(args.w)
-    if len(v) != len(w):
-        raise ValueError(f"v and w have different sizes ({len(v)} vs {len(w)})")
-    if not 2 <= len(v) <= MAX_N:
-        raise ValueError(f"n={len(v)} is outside the supported range 2..{MAX_N}")
-    return v, w
-
-
 def _valid_pair(args, degree: int | None = None) -> tuple[Perm, Perm] | None:
     """The pair (v, w) of a single-pair command, or None after reporting why not.
 
@@ -87,20 +75,20 @@ def _valid_pair(args, degree: int | None = None) -> tuple[Perm, Perm] | None:
     means exit code 2.
     """
     try:
-        v, w = _parse_pair(args)
+        v, w = parse_perm(args.v), parse_perm(args.w)
+        if len(v) != len(w):
+            raise ValueError(f"v and w have different sizes ({len(v)} vs {len(w)})")
+        if not 2 <= len(v) <= MAX_N:
+            raise ValueError(f"n={len(v)} is outside the supported range 2..{MAX_N}")
         if degree is not None and degree < 1:
             raise ValueError("degree must be at least 1")
     except ValueError as exc:
         _fail(str(exc))
         return None
-    if not bruhat_leq(v, w):
+    if not bruhat_leq_mask(v, w):
         print("empty Richardson variety: v is not below w in Bruhat order")
         return None
     return v, w
-
-
-def _order(args) -> TermOrder:
-    return TermOrder(args.order)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +100,7 @@ def cmd_check(args) -> int:
     if pair is None:
         return EXIT_ERROR
     v, w = pair
-    order = _order(args)
+    order = TermOrder(args.order)
     report = restriction_report(v, w, order)
     dim = inversions(w) - inversions(v)
     surviving = enumerate_T(v, w)
@@ -153,7 +141,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    order = _order(args)
+    order = TermOrder(args.order)
     if args.compare == "table1" and (args.n != 4 or order is not TermOrder.ANTIDIAGONAL):
         return _fail("--compare table1 applies to --n 4 --order antidiagonal")
     if args.output == "-":
@@ -164,8 +152,10 @@ def cmd_classify(args) -> int:
         outdir = os.environ.get("RICHTORIC_OUTDIR", ".")
         out_path = os.path.join(outdir, f"classify_n{args.n}_{order.value}.csv")
     if out_path is not None:
-        # refuse an unwritable directory before the sweep, not after it
+        # refuse an unwritable path before the sweep, not after it
         directory = os.path.dirname(out_path) or "."
+        if os.path.isdir(out_path):
+            return _fail(f"cannot write {out_path}: {os.strerror(errno.EISDIR)}")
         if not os.path.isdir(directory):
             code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
             return _fail(f"cannot write {out_path}: {os.strerror(code)}")
@@ -244,18 +234,13 @@ def cmd_ssyt(args) -> int:
     if pair is None:
         return EXIT_ERROR
     v, w = pair
-    order = _order(args)
-    from .tableaux import SSYT_BUDGET
-    from .initial import MONOMIAL_BUDGET
-
-    t_budget = None if args.force else SSYT_BUDGET
-    k_budget = None if args.force else MONOMIAL_BUDGET
+    order = TermOrder(args.order)
     try:
         print(f"pair: v={perm_str(v)} w={perm_str(w)} (n={len(v)}), order={order.value}")
         for d in range(1, args.d + 1):
-            tableaux = enumerate_ssyt(v, w, d, t_budget)
-            standard = count_standard(v, w, d, t_budget)
-            kernel = kernel_hilbert_dim(v, w, d, order, k_budget)
+            tableaux = enumerate_ssyt(v, w, d)
+            standard = count_standard(v, w, d)
+            kernel = kernel_hilbert_dim(v, w, d, order)
             print(f"d={d}: ssyt={len(tableaux)} standard={standard} kernel={kernel}")
         if args.list:
             # the loop's last list is degree args.d; the tag is is_standard's
@@ -283,7 +268,7 @@ def cmd_polytope(args) -> int:
     if pair is None:
         return EXIT_ERROR
     v, w = pair
-    order = _order(args)
+    order = TermOrder(args.order)
     try:
         poly = polytope(v, w, order)
     except BudgetError as exc:
@@ -369,14 +354,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_pair_args(p):
-        p.add_argument("--v", required=True, help="permutation v, e.g. 2314")
-        p.add_argument("--w", required=True, help="permutation w, e.g. 4231")
+    def add_order_arg(p):
         p.add_argument(
             "--order",
             choices=[o.value for o in TermOrder],
             default=TermOrder.DIAGONAL.value,
         )
+
+    def add_pair_args(p):
+        p.add_argument("--v", required=True, help="permutation v, e.g. 2314")
+        p.add_argument("--w", required=True, help="permutation w, e.g. 4231")
+        add_order_arg(p)
 
     p_check = sub.add_parser("check", help="classify a single pair")
     add_pair_args(p_check)
@@ -385,11 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="sweep all comparable pairs of S_n")
     p_classify.add_argument("--n", type=int, required=True)
-    p_classify.add_argument(
-        "--order",
-        choices=[o.value for o in TermOrder],
-        default=TermOrder.DIAGONAL.value,
-    )
+    add_order_arg(p_classify)
     p_classify.add_argument("--compare", choices=["table1", "tn"])
     p_classify.add_argument("--format", choices=["csv", "json"], default="csv")
     p_classify.add_argument("--force", action="store_true")
@@ -400,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_pair_args(p_ssyt)
     p_ssyt.add_argument("--d", type=int, default=3, help="maximum degree")
     p_ssyt.add_argument("--list", action="store_true", help="list tableaux and chains")
-    p_ssyt.add_argument("--force", action="store_true")
     p_ssyt.set_defaults(func=cmd_ssyt)
 
     p_poly = sub.add_parser("polytope", help="degeneration matrices and polytope")

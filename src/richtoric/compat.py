@@ -29,8 +29,6 @@ from .perms import (
     BudgetError,
     Perm,
     SWEEP_MAX_N,
-    all_perms,
-    bruhat_leq_mask,
     check_same_n,
     induced,
     perm_str,
@@ -125,7 +123,10 @@ def tn_pairs(n: int, force: bool = False) -> tuple[tuple[Perm, Perm], ...]:
     if n > MAX_N:
         raise ValueError(f"n={n} is outside the supported range 1..{MAX_N}")
     if n > SWEEP_MAX_N and not force:
-        raise BudgetError(_sweep_message(n))
+        raise BudgetError(
+            f"sweep at n={n} exceeds the default bound {SWEEP_MAX_N}; "
+            "pass force=True to override"
+        )
     return _tn_pairs(n)
 
 
@@ -138,13 +139,6 @@ def _tn_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
         out.extend(extensions_in_Tn(vbar, wbar))
     out.sort()
     return tuple(out)
-
-
-def _sweep_message(n: int) -> str:
-    return (
-        f"sweep at n={n} exceeds the default bound {SWEEP_MAX_N}; "
-        "pass force=True to override"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -271,27 +265,6 @@ def is_213_avoiding(v: Perm) -> bool:
         if v[j] < v[i] < v[k]:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# reporting
-
-
-def tn_membership_csv(n: int, force: bool = False) -> str:
-    """CSV table v,w,compatible,in_Tn over all Bruhat-comparable pairs."""
-    if not 1 <= n <= MAX_N:
-        raise ValueError(f"n={n} is outside the supported range 1..{MAX_N}")
-    if n > SWEEP_MAX_N and not force:
-        raise BudgetError(_sweep_message(n))
-    lines = ["v,w,compatible,in_Tn"]
-    for v in all_perms(n):
-        for w in all_perms(n):
-            if bruhat_leq_mask(v, w):
-                lines.append(
-                    f"{perm_str(v)},{perm_str(w)},"
-                    f"{int(is_compatible(v, w))},{int(in_Tn(v, w))}"
-                )
-    return "\n".join(lines) + "\n"
 
 
 if __name__ == "__main__":

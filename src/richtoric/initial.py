@@ -137,14 +137,6 @@ def phi_image(cols, order: TermOrder) -> tuple[Cell, ...]:
     return tuple(cells)
 
 
-def exponent_dict(cols, order: TermOrder) -> dict[Cell, int]:
-    """Image of a product of coordinates as a cell -> exponent map."""
-    out: dict[Cell, int] = {}
-    for cell in phi_image(cols, order):
-        out[cell] = out.get(cell, 0) + 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the degree-two kernel
 
@@ -412,13 +404,7 @@ def _cell_codes(cols, n: int, d: int, order: TermOrder) -> list[int]:
     ]
 
 
-def kernel_hilbert_dim(
-    v: Perm,
-    w: Perm,
-    d: int,
-    order: TermOrder,
-    budget: int | None = MONOMIAL_BUDGET,
-) -> int:
+def kernel_hilbert_dim(v: Perm, w: Perm, d: int, order: TermOrder) -> int:
     """Number of distinct images of degree-d monomials in surviving
     coordinates.
 
@@ -440,7 +426,7 @@ def kernel_hilbert_dim(
     >>> fields(codes[0] + codes[1]), codes[0] + codes[1] == codes[2] + codes[3]
     ([1, 1, 0, 0, 0, 1], True)
     """
-    cols = degree_columns(v, w, d, budget)
+    cols = degree_columns(v, w, d, MONOMIAL_BUDGET)
     codes = _cell_codes(cols, len(v), d, order)
     return len(set(map(sum, itertools.combinations_with_replacement(codes, d))))
 

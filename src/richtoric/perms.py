@@ -272,13 +272,13 @@ def enumerate_T(v: Perm, w: Perm) -> list[Subset]:
     return subsets_of(interval_mask(v, w), len(v))
 
 
-def degree_columns(v: Perm, w: Perm, d: int, budget: int | None) -> list[Subset]:
+def degree_columns(v: Perm, w: Perm, d: int, budget: int) -> list[Subset]:
     """T_w^v as the columns of degree-d monomials, refused for d < 1 and,
     before any monomial is built, when |T|^d exceeds ``budget``."""
     if d < 1:
         raise ValueError("degree must be positive")
     cols = enumerate_T(v, w)
-    if budget is not None and len(cols) ** d > budget:
+    if len(cols) ** d > budget:
         raise BudgetError(f"|T|^d = {len(cols)}^{d} exceeds budget {budget}")
     return cols
 

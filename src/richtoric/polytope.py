@@ -355,9 +355,7 @@ def _cofactors(rows, k: int) -> tuple[int, ...]:
 # lattice points
 
 
-def lattice_points(
-    poly: LatticePolytope, budget: int | None = LATTICE_BUDGET
-) -> list[tuple[int, ...]]:
+def lattice_points(poly: LatticePolytope) -> list[tuple[int, ...]]:
     """All integer points of the convex hull, for affine dimension <= 3.
 
     Scans the bounding box of the defining points and keeps the points that
@@ -384,8 +382,8 @@ def lattice_points(
     volume = 1
     for lo, hi in zip(lows, highs):
         volume *= hi - lo + 1
-    if budget is not None and volume > budget:
-        raise BudgetError(f"bounding box volume {volume} exceeds budget {budget}")
+    if volume > LATTICE_BUDGET:
+        raise BudgetError(f"bounding box volume {volume} exceeds budget {LATTICE_BUDGET}")
 
     inside = _hull_test([tuple(p[i] for i in pivots) for p in pts], k)
     out = []

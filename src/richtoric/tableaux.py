@@ -241,14 +241,14 @@ def _gale_successors(cols, n: int) -> dict[Subset, list[Subset]]:
     return {I: [J for J in cols if bit[J] & up[I]] for I in cols}
 
 
-def enumerate_ssyt(v: Perm, w: Perm, d: int, budget: int | None = SSYT_BUDGET) -> list[Tableau]:
+def enumerate_ssyt(v: Perm, w: Perm, d: int) -> list[Tableau]:
     """All SSYT with exactly d columns, every column J satisfying v <= J <= w.
 
     Returned in canonical order (lexicographic on serialised columns), which
     the level-by-level extension gives without a sort (see the module
     docstring).
     """
-    cols = sorted(degree_columns(v, w, d, budget), key=subset_str)
+    cols = sorted(degree_columns(v, w, d, SSYT_BUDGET), key=subset_str)
     level = [(J,) for J in cols]
     if d > 1:
         succ = _gale_successors(cols, len(v))
@@ -257,7 +257,7 @@ def enumerate_ssyt(v: Perm, w: Perm, d: int, budget: int | None = SSYT_BUDGET) -
     return level
 
 
-def count_standard(v: Perm, w: Perm, d: int, budget: int | None = SSYT_BUDGET) -> int:
+def count_standard(v: Perm, w: Perm, d: int) -> int:
     """Number of degree-d standard monomials for the Richardson variety of
     (v, w).
 
@@ -280,7 +280,7 @@ def count_standard(v: Perm, w: Perm, d: int, budget: int | None = SSYT_BUDGET) -
     >>> count_standard((1, 2, 3), (3, 1, 2), 2), len(enumerate_ssyt((1, 2, 3), (3, 1, 2), 2))
     (14, 15)
     """
-    cols = degree_columns(v, w, d, budget)
+    cols = degree_columns(v, w, d, SSYT_BUDGET)
     if d == 1:
         return len(cols)
     n = len(v)

@@ -128,6 +128,26 @@ def test_classify_unwritable_path_refused_before_the_sweep(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("route", ["output", "outdir"])
+def test_classify_directory_path_refused_before_the_sweep(
+    tmp_path, capsys, monkeypatch, route
+):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("classify_all ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "classify_all", no_sweep)
+    if route == "output":
+        path, argv = str(tmp_path), ["--output", str(tmp_path)]
+    else:
+        monkeypatch.setenv("RICHTORIC_OUTDIR", str(tmp_path))
+        path, argv = os.path.join(str(tmp_path), "classify_n6_diagonal.csv"), []
+        os.mkdir(path)
+    code, out, err = run_cli(capsys, "classify", "--n", "6", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {path}: Is a directory\n"
+
+
 def test_classify_force_refuses_n_above_max_n(tmp_path, capsys, monkeypatch):
     # refused before the sweep: --force lifts the sweep bound, not MAX_N
     monkeypatch.setenv("RICHTORIC_OUTDIR", str(tmp_path))
@@ -298,13 +318,27 @@ def test_polytope_refuses_oversized_segre_product(capsys):
     assert err.startswith("error: ") and "exceeds budget" in err
 
 
-@pytest.mark.parametrize("slot", ["polytope4", "polytope5"])
+CATALOGUE_SLOT_SIZES = {
+    "check6": 18,
+    "check7": 18,
+    "check8": 18,
+    "classify4": 8,
+    "classify5": 6,
+    "polytope4": 18,
+    "polytope5": 18,
+    "ssyt5": 18,
+    "ssyt6": 18,
+}
+
+
+@pytest.mark.parametrize("slot", sorted(CATALOGUE_SLOT_SIZES))
 def test_polytope_catalogue_requests_replay(capsys, slot):
-    # the benchmark's recorded polytope answers, checked here so that an
-    # output change fails the tests rather than the benchmark run
+    # the benchmark's recorded answers for every request but verify (whose
+    # stdout holds timings), checked here so that an output change fails
+    # the tests rather than the benchmark run
     with open(CLI_CATALOGUE) as fh:
         entries = json.load(fh)["slots"][slot]
-    assert len(entries) == 18
+    assert len(entries) == CATALOGUE_SLOT_SIZES[slot]
     for entry in entries:
         code, out, _ = run_cli(capsys, *entry["argv"])
         assert code == entry["exit"], entry["argv"]

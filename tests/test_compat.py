@@ -20,7 +20,6 @@ from richtoric.compat import (
     lower_w,
     maximum_block,
     raise_v,
-    tn_membership_csv,
     tn_pairs,
 )
 
@@ -111,11 +110,10 @@ def test_forced_and_unforced_families_share_one_cache():
         tn_pairs(7)
 
 
-@pytest.mark.parametrize("sweep", [tn_pairs, tn_membership_csv])
-def test_forced_sweeps_refuse_n_above_max_n(sweep):
+def test_forced_sweep_refuses_n_above_max_n():
     # checked before the force flag, so no S_9 sweep starts
     with pytest.raises(ValueError, match=r"^n=9 is outside the supported range 1\.\.8$"):
-        sweep(9, force=True)
+        tn_pairs(9, force=True)
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +232,3 @@ def test_pattern_characterisations(n):
     for w in all_perms(n):
         assert in_Tn(ident, w) == is_312_avoiding(w)
         assert in_Tn(w, w0) == is_213_avoiding(w)
-
-
-# ---------------------------------------------------------------------------
-# membership table export
-
-
-def test_membership_csv():
-    text = tn_membership_csv(3)
-    lines = text.strip().splitlines()
-    assert lines[0] == "v,w,compatible,in_Tn"
-    rows = {tuple(line.split(",")) for line in lines[1:]}
-    assert ("132", "312", "0", "0") in rows
-    assert ("123", "132", "1", "1") in rows
-    # one row per comparable pair
-    comparable = sum(
-        1 for v in all_perms(3) for w in all_perms(3) if bruhat_leq(v, w)
-    )
-    assert len(lines) - 1 == comparable

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -26,7 +27,6 @@ from richtoric.initial import (
     classification_csv,
     classify_all,
     degree2_kernel_generators,
-    exponent_dict,
     initial_term,
     is_monomial_free,
     kernel_hilbert_dim,
@@ -92,7 +92,6 @@ def test_phi_images():
     assert phi_image([(2, 3), (1,)], DIAG) == phi_image([(1, 3), (2,)], DIAG)
     assert phi_image([(1, 3), (2,)], DIAG) != phi_image([(1, 2), (3,)], DIAG)
     assert phi_image([], DIAG) == ()
-    assert exponent_dict([(1, 3), (1,)], DIAG) == {(1, 1): 2, (2, 3): 1}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -423,8 +422,8 @@ def test_hilbert_dim_matches_tableau_count_on_family_pairs():
 
 
 def test_hilbert_budget_guard():
-    with pytest.raises(BudgetError):
-        kernel_hilbert_dim(identity(4), longest(4), 3, DIAG, budget=10)
+    with pytest.raises(BudgetError, match=re.escape("|T|^d = 254^3 exceeds budget 2000000")):
+        kernel_hilbert_dim(identity(8), longest(8), 3, DIAG)
 
 
 def _ref_kernel_hilbert_dim(v, w, d, order):
@@ -435,14 +434,10 @@ def _ref_kernel_hilbert_dim(v, w, d, order):
     })
 
 
-def _comparable(n):
-    return [(v, w) for v, w in itertools.product(all_perms(n), repeat=2) if bruhat_leq(v, w)]
-
-
 @pytest.mark.parametrize("order", [DIAG, ANTI])
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_packed_hilbert_agrees_with_phi_images(n, order):
-    for v, w in _comparable(n):
+def test_packed_hilbert_agrees_with_phi_images(n, order, comparable_pairs):
+    for v, w in comparable_pairs(n):
         for d in (1, 2, 3):
             assert kernel_hilbert_dim(v, w, d, order) == _ref_kernel_hilbert_dim(v, w, d, order)
 
@@ -457,12 +452,12 @@ def test_packed_hilbert_agrees_with_phi_images_seeded(n, max_d, pairs, order):
 
 @pytest.mark.parametrize("order", [DIAG, ANTI])
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_degree_two_hilbert_count_against_standard_count(n, order):
+def test_degree_two_hilbert_count_against_standard_count(n, order, comparable_pairs):
     # observed on every comparable pair with n <= 5 in both orders, not a
     # theorem: the images outnumber the standard monomials exactly when
     # the restricted kernel has a monomial witness, and in the diagonal
     # order they number the degree-two tableaux
-    for v, w in _comparable(n):
+    for v, w in comparable_pairs(n):
         hilbert, standard = kernel_hilbert_dim(v, w, 2, order), count_standard(v, w, 2)
         assert hilbert >= standard
         assert is_monomial_free(v, w, order) == (hilbert == standard)

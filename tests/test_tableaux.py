@@ -385,10 +385,6 @@ def _ref_count_standard(v, w, d):
     return sum(is_standard(t, v, w) for t in enumerate_ssyt(v, w, d))
 
 
-def _comparable_pairs(n):
-    return [(v, w) for v, w in itertools.product(all_perms(n), repeat=2) if bruhat_leq(v, w)]
-
-
 def _ref_standard(cols, v, w):
     """is_standard's test before it read the defining chains: both chain ends
     folded directly with min_extension and max_truncation."""
@@ -401,24 +397,24 @@ def _ref_standard(cols, v, w):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_is_standard_agrees_with_folded_chain_ends(n):
-    for v, w in _comparable_pairs(n):
+def test_is_standard_agrees_with_folded_chain_ends(n, comparable_pairs):
+    for v, w in comparable_pairs(n):
         for d in (1, 2, 3):
             for cols in enumerate_ssyt(v, w, d):
                 assert is_standard(cols, v, w) == _ref_standard(cols, v, w), (cols, v, w)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_count_standard_agrees_with_is_standard(n):
+def test_count_standard_agrees_with_is_standard(n, comparable_pairs):
     # the pruned walk against is_standard on every enumerated tableau
-    for v, w in _comparable_pairs(n):
+    for v, w in comparable_pairs(n):
         for d in (1, 2, 3):
             assert count_standard(v, w, d) == _ref_count_standard(v, w, d), (v, w, d)
 
 
 @pytest.mark.parametrize("n,max_d,count", [(5, 3, 40), (6, 2, 25)])
-def test_count_standard_agrees_with_is_standard_seeded(n, max_d, count):
-    for v, w in random.Random(n).sample(_comparable_pairs(n), count):
+def test_count_standard_agrees_with_is_standard_seeded(n, max_d, count, comparable_pairs):
+    for v, w in random.Random(n).sample(comparable_pairs(n), count):
         for d in range(1, max_d + 1):
             assert count_standard(v, w, d) == _ref_count_standard(v, w, d), (v, w, d)
 
@@ -435,8 +431,8 @@ def test_count_standard_refuses_bad_pairs():
 
 def test_count_standard_refuses_over_budget():
     # the walk checks |T|^d itself, before any tableau is built
-    with pytest.raises(BudgetError, match=re.escape("|T|^d = 14^3 exceeds budget 10")):
-        count_standard(identity(4), longest(4), 3, budget=10)
+    with pytest.raises(BudgetError, match=re.escape("|T|^d = 254^3 exceeds budget 1000000")):
+        count_standard(identity(8), longest(8), 3)
 
 
 
@@ -460,20 +456,18 @@ def _ref_enumerate_ssyt(v, w, d):
     return sorted((t for t in tuples if is_ssyt(t)), key=lambda t: tuple(map(subset_str, t)))
 
 
-def _seeded_pairs(n, count):
-    return random.Random(1000 + n).sample(_comparable_pairs(n), count)
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_enumerate_ssyt_agrees_with_product_reference(n):
-    for v, w in _comparable_pairs(n):
+def test_enumerate_ssyt_agrees_with_product_reference(n, comparable_pairs):
+    for v, w in comparable_pairs(n):
         for d in (1, 2, 3):
             assert enumerate_ssyt(v, w, d) == _ref_enumerate_ssyt(v, w, d), (v, w, d)
 
 
 @pytest.mark.parametrize("n,max_d,count", [(5, 3, 40), (6, 2, 25)])
-def test_enumerate_ssyt_and_count_standard_agree_with_product_reference_seeded(n, max_d, count):
-    for v, w in _seeded_pairs(n, count):
+def test_enumerate_ssyt_and_count_standard_agree_with_product_reference_seeded(
+    n, max_d, count, comparable_pairs
+):
+    for v, w in random.Random(1000 + n).sample(comparable_pairs(n), count):
         for d in range(1, max_d + 1):
             ref = _ref_enumerate_ssyt(v, w, d)
             assert enumerate_ssyt(v, w, d) == ref, (v, w, d)
