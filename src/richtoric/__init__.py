@@ -67,6 +67,7 @@ from .initial import (
     RestrictionReport,
     TermOrder,
     classify_all,
+    classify_rows,
     degree2_kernel_generators,
     initial_term,
     is_monomial_free,

@@ -19,7 +19,7 @@ for files written by ``classify``.
 from __future__ import annotations
 
 import argparse
-import errno
+import itertools
 import json
 import os
 import sys
@@ -29,6 +29,7 @@ from .perms import (
     BudgetError,
     Perm,
     bruhat_leq_mask,
+    degree_columns,
     enumerate_T,
     inversions,
     parse_perm,
@@ -36,6 +37,7 @@ from .perms import (
     subset_str,
 )
 from .tableaux import (
+    SSYT_BUDGET,
     chain_str,
     count_standard,
     enumerate_ssyt,
@@ -45,9 +47,10 @@ from .tableaux import (
 )
 from .compat import in_Tn, is_compatible
 from .initial import (
+    CSV_HEADER,
     TermOrder,
-    classification_csv,
-    classify_all,
+    classify_rows,
+    csv_line,
     kernel_hilbert_dim,
     monomial_str,
     restriction_report,
@@ -140,10 +143,48 @@ def cmd_check(args) -> int:
 # classify
 
 
+def _write_rows(fh, rows, order: TermOrder, args):
+    """Write the rows as the sweep yields them, one write per v; return the
+    pair count, the monomial-free pairs and the ``--compare tn`` mismatches."""
+    as_json = args.format == "json"
+    pairs, free, mismatches = 0, [], []
+    fh.write("[\n" if as_json else CSV_HEADER)
+    sep = ""
+    for _, group in itertools.groupby(rows, key=lambda r: r.v):
+        group = list(group)
+        if as_json:
+            # the elements of json.dumps(rows, indent=2), brackets stripped
+            text = json.dumps([_json_row(r, order) for r in group], indent=2)
+            fh.write(sep + text[2:-2])
+            sep = ",\n"
+        else:
+            fh.write("".join(csv_line(r, order) for r in group))
+        pairs += len(group)
+        free += [(r.v, r.w) for r in group if r.monomial_free]
+        if args.compare == "tn":
+            mismatches += [r for r in group if r.monomial_free != in_Tn(r.v, r.w)]
+    fh.write("\n]\n" if as_json else "")
+    return pairs, free, mismatches
+
+
+def _json_row(r, order: TermOrder) -> dict:
+    return {
+        "v": perm_str(r.v),
+        "w": perm_str(r.w),
+        "order": order.value,
+        "monomial_free": r.monomial_free,
+        "num_witnesses": r.num_witnesses,
+    }
+
+
 def cmd_classify(args) -> int:
     order = TermOrder(args.order)
     if args.compare == "table1" and (args.n != 4 or order is not TermOrder.ANTIDIAGONAL):
         return _fail("--compare table1 applies to --n 4 --order antidiagonal")
+    try:
+        rows = classify_rows(args.n, order)
+    except ValueError as exc:
+        return _fail(str(exc))
     if args.output == "-":
         out_path = None
     elif args.output:
@@ -151,55 +192,21 @@ def cmd_classify(args) -> int:
     else:
         outdir = os.environ.get("RICHTORIC_OUTDIR", ".")
         out_path = os.path.join(outdir, f"classify_n{args.n}_{order.value}.csv")
-    if out_path is not None:
-        # refuse an unwritable path before the sweep, not after it
-        directory = os.path.dirname(out_path) or "."
-        if os.path.isdir(out_path):
-            return _fail(f"cannot write {out_path}: {os.strerror(errno.EISDIR)}")
-        if not os.path.isdir(directory):
-            code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
-            return _fail(f"cannot write {out_path}: {os.strerror(code)}")
-        if not os.access(directory, os.W_OK):
-            return _fail(f"cannot write {out_path}: {os.strerror(errno.EACCES)}")
 
-    try:
-        records = classify_all(args.n, order, force=args.force)
-    except BudgetError as exc:
-        return _fail(f"{exc} (use --force to override)")
-    except ValueError as exc:
-        return _fail(str(exc))
-
-    if args.format == "json":
-        body = json.dumps(
-            [
-                {
-                    "v": perm_str(r.v),
-                    "w": perm_str(r.w),
-                    "order": order.value,
-                    "monomial_free": r.monomial_free,
-                    "num_witnesses": r.num_witnesses,
-                }
-                for r in records
-            ],
-            indent=2,
-        ) + "\n"
-    else:
-        body = classification_csv(records, order)
-
+    # opened before the sweep starts, so an unwritable path is refused at once
     if out_path is None:
-        sys.stdout.write(body)
+        pairs, free, mismatches = _write_rows(sys.stdout, rows, order, args)
     else:
         try:
             with open(out_path, "w") as fh:
-                fh.write(body)
+                pairs, free, mismatches = _write_rows(fh, rows, order, args)
         except OSError as exc:
             return _fail(f"cannot write {out_path}: {exc.strerror}")
-        free = sum(1 for r in records if r.monomial_free)
-        print(f"wrote {out_path}: {len(records)} pairs, {free} monomial-free")
+        print(f"wrote {out_path}: {pairs} pairs, {len(free)} monomial-free")
 
     exit_code = EXIT_OK
     if args.compare == "table1":
-        cmp = compare_with_table1([(r.v, r.w) for r in records if r.monomial_free])
+        cmp = compare_with_table1(free)
         print(
             f"table1 comparison: covered {len(cmp.covered)}/{len(table1_rows())}, "
             f"missing {len(cmp.missing)}, surplus {len(cmp.surplus)}"
@@ -211,11 +218,8 @@ def cmd_classify(args) -> int:
         if cmp.missing:
             exit_code = EXIT_NEGATIVE
     elif args.compare == "tn":
-        mismatches = [
-            r for r in records if r.monomial_free != in_Tn(r.v, r.w)
-        ]
         print(
-            f"family comparison ({order.value}): {len(records)} pairs, "
+            f"family comparison ({order.value}): {pairs} pairs, "
             f"{len(mismatches)} mismatches"
         )
         for r in mismatches[:20]:
@@ -236,6 +240,9 @@ def cmd_ssyt(args) -> int:
     v, w = pair
     order = TermOrder(args.order)
     try:
+        # refused before anything prints: |T|^d grows with d, and no budget
+        # the loop meets is below SSYT_BUDGET
+        degree_columns(v, w, args.d, SSYT_BUDGET)
         print(f"pair: v={perm_str(v)} w={perm_str(w)} (n={len(v)}), order={order.value}")
         for d in range(1, args.d + 1):
             tableaux = enumerate_ssyt(v, w, d)
@@ -376,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_order_arg(p_classify)
     p_classify.add_argument("--compare", choices=["table1", "tn"])
     p_classify.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_classify.add_argument("--force", action="store_true")
     p_classify.add_argument("--output", help="output path, or - for stdout")
     p_classify.set_defaults(func=cmd_classify)
 

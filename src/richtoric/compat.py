@@ -26,9 +26,7 @@ from typing import NamedTuple
 
 from .perms import (
     MAX_N,
-    BudgetError,
     Perm,
-    SWEEP_MAX_N,
     check_same_n,
     induced,
     perm_str,
@@ -113,20 +111,12 @@ def extensions_in_Tn(vbar: Perm, wbar: Perm) -> list[tuple[Perm, Perm]]:
     return out
 
 
-def tn_pairs(n: int, force: bool = False) -> tuple[tuple[Perm, Perm], ...]:
-    """All of T_n, built by extending T_{n-1}, in canonical order.
-
-    The family is cached per n, so a forced and an unforced call share it.
-    """
+def tn_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
+    """All of T_n, built by extending T_{n-1}, in canonical order (cached per n)."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > MAX_N:
         raise ValueError(f"n={n} is outside the supported range 1..{MAX_N}")
-    if n > SWEEP_MAX_N and not force:
-        raise BudgetError(
-            f"sweep at n={n} exceeds the default bound {SWEEP_MAX_N}; "
-            "pass force=True to override"
-        )
     return _tn_pairs(n)
 
 

@@ -56,11 +56,9 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .perms import (
-    MAX_N,
-    BudgetError,
     Perm,
     SWEEP_MAX_N,
     Subset,
@@ -328,39 +326,45 @@ class ClassifyRecord(NamedTuple):
     num_witnesses: int
 
 
-def classify_all(n: int, order: TermOrder, force: bool = False) -> list[ClassifyRecord]:
-    """Monomial-freeness verdicts for all Bruhat-comparable pairs in S_n.
-
-    Canonically ordered by (v, w); witness counts come from ``witness_table``.
-    """
+def classify_rows(n: int, order: TermOrder) -> Iterator[ClassifyRecord]:
+    """Monomial-freeness verdicts for all Bruhat-comparable pairs in S_n, one
+    at a time in canonical (v, w) order.  n is checked at the call; the sweep
+    and its ``witness_table`` start at the first row."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    if n > MAX_N:
-        raise ValueError(f"n={n} is outside the supported range 2..{MAX_N}")
-    if n > SWEEP_MAX_N and not force:
-        raise BudgetError(
-            f"classification sweep at n={n} exceeds the default bound "
-            f"{SWEEP_MAX_N}; pass force=True to override"
-        )
+    if n > SWEEP_MAX_N:
+        raise ValueError(f"n={n} is outside the supported range 2..{SWEEP_MAX_N}")
+    return _sweep(n, order)
+
+
+def _sweep(n: int, order: TermOrder) -> Iterator[ClassifyRecord]:
     perms = all_perms(n)
     table = witness_table(n, order)
-    records = []
     for v, (prefix, _, la, ra, _, _) in zip(perms, table):
         for w, (_, below, _, _, lb, rb) in zip(perms, table):
             if not prefix & ~below:  # v <= w
                 count = ((la | lb) ^ (ra | rb)).bit_count()
-                records.append(ClassifyRecord(v, w, not count, count))
-    return records
+                yield ClassifyRecord(v, w, not count, count)
+
+
+def classify_all(n: int, order: TermOrder) -> list[ClassifyRecord]:
+    """The rows of :func:`classify_rows` as one list."""
+    return list(classify_rows(n, order))
+
+
+CSV_HEADER = "v,w,order,monomial_free,num_witnesses\n"
+
+
+def csv_line(r: ClassifyRecord, order: TermOrder) -> str:
+    """One classification CSV row, newline included."""
+    return (
+        f"{perm_str(r.v)},{perm_str(r.w)},{order.value},"
+        f"{int(r.monomial_free)},{r.num_witnesses}\n"
+    )
 
 
 def classification_csv(records, order: TermOrder) -> str:
-    lines = ["v,w,order,monomial_free,num_witnesses"]
-    for r in records:
-        lines.append(
-            f"{perm_str(r.v)},{perm_str(r.w)},{order.value},"
-            f"{int(r.monomial_free)},{r.num_witnesses}"
-        )
-    return "\n".join(lines) + "\n"
+    return CSV_HEADER + "".join(csv_line(r, order) for r in records)
 
 
 def witness_detail(report: RestrictionReport) -> dict:

@@ -65,8 +65,8 @@ from typing import Iterable, NamedTuple, Sequence
 #: Largest n accepted for single instances (permutations, subsets).
 MAX_N = 8
 
-#: Largest n for exhaustive S_n x S_n sweeps unless forced.
-SWEEP_MAX_N = 6
+#: Largest n for exhaustive S_n x S_n sweeps.
+SWEEP_MAX_N = 7
 
 
 class BudgetError(RuntimeError):

@@ -207,10 +207,6 @@ class LatticePolytope:
     point_labels: tuple[tuple[str, ...], ...]  # column labels merged per point
     affine_dim: int
 
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.ambient_labels)
-
 
 def polytope(v: Perm, w: Perm, order: TermOrder) -> LatticePolytope:
     """Convex-hull data of the product matrix AS for the pair (v, w).

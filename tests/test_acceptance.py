@@ -1,8 +1,9 @@
 """
 Acceptance suite: one test per criterion, each printing a PASS line with its
 steady-state runtime.  Exhaustive sweeps run at the stated sizes; the S_5
-classification sweep belongs to the full tier and is enabled by setting
-RICHTORIC_FULL=1 (it is also exercised by ``richtoric verify --level full``).
+classification sweep and the streamed S_7 sweep belong to the full tier and
+are enabled by setting RICHTORIC_FULL=1 (the S_5 sweep is also exercised by
+``richtoric verify --level full``).
 """
 
 import os
@@ -31,6 +32,7 @@ from richtoric.compat import in_Tn, tn_pairs
 from richtoric.initial import (
     TermOrder,
     classify_all,
+    classify_rows,
     degree2_kernel_generators,
     is_monomial_free,
     kernel_hilbert_dim,
@@ -108,6 +110,24 @@ def test_criterion_3_classification_s5():
     _, dt = _timed(sweep)
     assert dt < 120.0
     _report("diagonal classification == family membership (S5)", dt)
+
+
+@pytest.mark.skipif(not FULL_TIER, reason="full tier only (RICHTORIC_FULL=1)")
+def test_criterion_3_classification_s7_stream():
+    # the whole S_7 sweep, one row at a time: nothing holds all the rows
+    def sweep():
+        pairs, free = 0, set()
+        for r in classify_rows(7, TermOrder.DIAGONAL):
+            pairs += 1
+            if r.monomial_free:
+                free.add((r.v, r.w))
+        return pairs, free
+
+    (pairs, free), dt = _timed(sweep)
+    assert pairs == 3_550_919
+    assert len(free) == 39_600
+    assert free == set(tn_pairs(7))
+    _report("streamed diagonal classification == family membership (S7)", dt)
 
 
 def test_criterion_4_reference_table():

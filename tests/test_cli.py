@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
-from richtoric import cli
+from richtoric import cli, initial
 from richtoric.cli import main
+from richtoric.initial import TermOrder, classification_csv, classify_all
+from richtoric.perms import perm_str
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -112,9 +114,9 @@ def test_classify_unwritable_path_refused_before_the_sweep(
     tmp_path, capsys, monkeypatch, route
 ):
     def no_sweep(*args, **kwargs):
-        raise AssertionError("classify_all ran before the output path was checked")
+        raise AssertionError("the sweep started before the output path was checked")
 
-    monkeypatch.setattr(cli, "classify_all", no_sweep)
+    monkeypatch.setattr(initial, "witness_table", no_sweep)
     missing = tmp_path / "missing"
     if route == "output":
         path, argv = str(missing / "t.csv"), ["--output", str(missing / "t.csv")]
@@ -133,9 +135,9 @@ def test_classify_directory_path_refused_before_the_sweep(
     tmp_path, capsys, monkeypatch, route
 ):
     def no_sweep(*args, **kwargs):
-        raise AssertionError("classify_all ran before the output path was checked")
+        raise AssertionError("the sweep started before the output path was checked")
 
-    monkeypatch.setattr(cli, "classify_all", no_sweep)
+    monkeypatch.setattr(initial, "witness_table", no_sweep)
     if route == "output":
         path, argv = str(tmp_path), ["--output", str(tmp_path)]
     else:
@@ -149,13 +151,82 @@ def test_classify_directory_path_refused_before_the_sweep(
 
 
 def test_classify_force_refuses_n_above_max_n(tmp_path, capsys, monkeypatch):
-    # refused before the sweep: --force lifts the sweep bound, not MAX_N
+    # refused before the sweep: S_9 is beyond the sweep bound
     monkeypatch.setenv("RICHTORIC_OUTDIR", str(tmp_path))
-    code, out, err = run_cli(capsys, "classify", "--n", "9", "--force")
+    code, out, err = run_cli(capsys, "classify", "--n", "9")
     assert code == 2
     assert out == ""
-    assert err == "error: n=9 is outside the supported range 2..8\n"
+    assert err == "error: n=9 is outside the supported range 2..7\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n", ["8", "9"])
+def test_classify_refuses_n_above_the_sweep_bound_before_the_sweep(
+    tmp_path, capsys, monkeypatch, n
+):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep started for a refused n")
+
+    monkeypatch.setattr(initial, "witness_table", no_sweep)
+    monkeypatch.setenv("RICHTORIC_OUTDIR", str(tmp_path))
+    for argv in ([], ["--output", str(tmp_path / "t.csv")]):
+        code, out, err = run_cli(capsys, "classify", "--n", n, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: n={n} is outside the supported range 2..7\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_classify_refused_n_leaves_an_existing_output_untouched(tmp_path, capsys):
+    out_file = tmp_path / "t.csv"
+    out_file.write_bytes(b"earlier results\n")
+    code, _, err = run_cli(capsys, "classify", "--n", "9", "--output", str(out_file))
+    assert code == 2
+    assert err == "error: n=9 is outside the supported range 2..7\n"
+    assert out_file.read_bytes() == b"earlier results\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_classify_write_failure_mid_stream_exits_2(capsys):
+    code, out, err = run_cli(capsys, "classify", "--n", "4", "--output", "/dev/full")
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot write /dev/full: No space left on device\n"
+
+
+def _json_body(records, order):
+    rows = [
+        {
+            "v": perm_str(r.v),
+            "w": perm_str(r.w),
+            "order": order.value,
+            "monomial_free": r.monomial_free,
+            "num_witnesses": r.num_witnesses,
+        }
+        for r in records
+    ]
+    return json.dumps(rows, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("order", list(TermOrder))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_classify_stream_matches_the_whole_body(tmp_path, capsys, n, order, fmt):
+    # the streamed rows are byte-identical to the body built from classify_all
+    records = classify_all(n, order)
+    if fmt == "csv":
+        body = classification_csv(records, order)
+    else:
+        body = _json_body(records, order)
+    argv = ["classify", "--n", str(n), "--order", order.value, "--format", fmt]
+    code, out, err = run_cli(capsys, *argv, "--output", "-")
+    assert (code, out, err) == (0, body, "")
+    out_file = tmp_path / "t.out"
+    code, out, err = run_cli(capsys, *argv, "--output", str(out_file))
+    assert (code, err) == (0, "")
+    assert out_file.read_text() == body
+    free = sum(r.monomial_free for r in records)
+    assert out == f"wrote {out_file}: {len(records)} pairs, {free} monomial-free\n"
 
 
 def test_classify_table1_comparison(tmp_path, capsys):
@@ -185,11 +256,13 @@ def test_classify_family_comparison(tmp_path, capsys):
 
 
 def test_classify_guard_exit(tmp_path, capsys):
-    code, _, err = run_cli(
-        capsys, "classify", "--n", "7", "--output", str(tmp_path / "t.csv")
+    code, out, err = run_cli(
+        capsys, "classify", "--n", "8", "--output", str(tmp_path / "t.csv")
     )
     assert code == 2
-    assert "force" in err
+    assert out == ""
+    assert err == "error: n=8 is outside the supported range 2..7\n"
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_classify_rejects_n_below_two(tmp_path, capsys):
@@ -256,6 +329,19 @@ def test_ssyt_counts_agree_on_family_pair(capsys):
         if line.startswith("d="):
             nums = [int(tok.split("=")[1]) for tok in line.split()[1:]]
             assert nums[0] == nums[1] == nums[2]
+
+
+def test_ssyt_over_budget_degree_refused_before_any_output(capsys, monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("a lower degree ran before the budget was checked")
+
+    monkeypatch.setattr(cli, "enumerate_ssyt", no_enumeration)
+    code, out, err = run_cli(
+        capsys, "ssyt", "--v", "12345678", "--w", "87654321", "--d", "3"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: |T|^d = 254^3 exceeds budget 1000000\n"
 
 
 def test_ssyt_empty_pair(capsys):

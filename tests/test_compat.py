@@ -1,7 +1,6 @@
 import pytest
 
 from richtoric.perms import (
-    BudgetError,
     all_perms,
     bruhat_leq,
     identity,
@@ -98,22 +97,14 @@ def test_family_members_are_comparable():
 
 
 def test_sweep_guard():
-    with pytest.raises(BudgetError):
-        tn_pairs(7)
-
-
-def test_forced_and_unforced_families_share_one_cache():
-    assert tn_pairs(5, force=True) is tn_pairs(5)
-    assert tn_pairs(4) is tn_pairs(4, force=True)
-    # the guard sits outside the cache: a forced call leaves it standing
-    with pytest.raises(BudgetError, match="pass force=True to override"):
-        tn_pairs(7)
+    # S_7 is inside the sweep bound; its family is built, not refused
+    assert len(tn_pairs(7)) == 39_600
 
 
 def test_forced_sweep_refuses_n_above_max_n():
-    # checked before the force flag, so no S_9 sweep starts
+    # the range check is the only bound, so no S_9 sweep starts
     with pytest.raises(ValueError, match=r"^n=9 is outside the supported range 1\.\.8$"):
-        tn_pairs(9, force=True)
+        tn_pairs(9)
 
 
 # ---------------------------------------------------------------------------

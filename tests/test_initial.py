@@ -21,11 +21,13 @@ from richtoric.perms import (
 )
 from richtoric.compat import in_Tn, tn_pairs
 from richtoric.tableaux import count_standard, enumerate_ssyt, row_sort, sort_columns
+from richtoric import initial
 from richtoric.initial import (
     TermOrder,
     _witnesses,
     classification_csv,
     classify_all,
+    classify_rows,
     degree2_kernel_generators,
     initial_term,
     is_monomial_free,
@@ -375,9 +377,17 @@ def test_classify_all_records():
     assert free == set(tn_pairs(3))
 
 
-def test_classify_guard():
-    with pytest.raises(BudgetError):
-        classify_all(7, DIAG)
+def test_classify_guard(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("witness_table ran for a refused n")
+
+    monkeypatch.setattr(initial, "witness_table", no_sweep)
+    message = r"^n=8 is outside the supported range 2\.\.7$"
+    with pytest.raises(ValueError, match=message):
+        classify_all(8, DIAG)
+    # the generator checks n at the call, not at its first row
+    with pytest.raises(ValueError, match=message):
+        classify_rows(8, DIAG)
 
 
 def test_classify_rejects_n_below_two():
@@ -386,8 +396,25 @@ def test_classify_rejects_n_below_two():
 
 
 def test_forced_classify_refuses_n_above_max_n():
-    with pytest.raises(ValueError, match=r"^n=9 is outside the supported range 2\.\.8$"):
-        classify_all(9, DIAG, force=True)
+    with pytest.raises(ValueError, match=r"^n=9 is outside the supported range 2\.\.7$"):
+        classify_all(9, DIAG)
+
+
+@pytest.mark.parametrize("order", [DIAG, ANTI])
+def test_classify_rows_sweeps_at_the_first_row(monkeypatch, order):
+    calls = []
+    real = initial.witness_table
+
+    def counted(n, order):
+        calls.append(n)
+        return real(n, order)
+
+    monkeypatch.setattr(initial, "witness_table", counted)
+    rows = classify_rows(4, order)
+    assert calls == []
+    first = next(rows)
+    assert calls == [4]
+    assert [first, *rows] == classify_all(4, order)
 
 
 def test_classification_csv_format():
