@@ -49,6 +49,7 @@ from .compat import in_Tn, is_compatible
 from .initial import (
     CSV_HEADER,
     TermOrder,
+    _PermLabels,
     classify_rows,
     csv_line,
     kernel_hilbert_dim,
@@ -147,18 +148,17 @@ def _write_rows(fh, rows, order: TermOrder, args):
     """Write the rows as the sweep yields them, one write per v; return the
     pair count, the monomial-free pairs and the ``--compare tn`` mismatches."""
     as_json = args.format == "json"
+    labels = _PermLabels()
     pairs, free, mismatches = 0, [], []
     fh.write("[\n" if as_json else CSV_HEADER)
     sep = ""
     for _, group in itertools.groupby(rows, key=lambda r: r.v):
         group = list(group)
         if as_json:
-            # the elements of json.dumps(rows, indent=2), brackets stripped
-            text = json.dumps([_json_row(r, order) for r in group], indent=2)
-            fh.write(sep + text[2:-2])
+            fh.write(sep + ",\n".join(_json_row(r, order, labels) for r in group))
             sep = ",\n"
         else:
-            fh.write("".join(csv_line(r, order) for r in group))
+            fh.write("".join(csv_line(r, order, labels) for r in group))
         pairs += len(group)
         free += [(r.v, r.w) for r in group if r.monomial_free]
         if args.compare == "tn":
@@ -167,14 +167,15 @@ def _write_rows(fh, rows, order: TermOrder, args):
     return pairs, free, mismatches
 
 
-def _json_row(r, order: TermOrder) -> dict:
-    return {
-        "v": perm_str(r.v),
-        "w": perm_str(r.w),
-        "order": order.value,
-        "monomial_free": r.monomial_free,
-        "num_witnesses": r.num_witnesses,
-    }
+def _json_row(r, order: TermOrder, labels) -> str:
+    """One element of ``json.dumps(rows, indent=2)``, written out by hand:
+    with ``indent`` set, json falls back to its pure-Python encoder."""
+    return (
+        f'  {{\n    "v": "{labels[r.v]}",\n    "w": "{labels[r.w]}",\n'
+        f'    "order": "{order.value}",\n'
+        f'    "monomial_free": {"true" if r.monomial_free else "false"},\n'
+        f'    "num_witnesses": {r.num_witnesses}\n  }}'
+    )
 
 
 def cmd_classify(args) -> int:

@@ -27,7 +27,8 @@ The restriction runs on bit masks over ``all_subsets(n)`` (bit i is the
 i-th subset in that order; see :mod:`richtoric.perms`).  A side of a
 generator is the mask of its columns, T is ``interval_mask(v, w)``, and a
 side survives iff it is a submask of T.  A generator is a witness iff
-exactly one side survives:
+exactly one side survives; ``restrict`` scans the generators this way,
+because it reports each witness:
 
 >>> [(bin(lhs), bin(rhs)) for lhs, rhs in kernel_masks(3, TermOrder.DIAGONAL)]
 [('0b100001', '0b10010')]
@@ -35,12 +36,15 @@ exactly one side survives:
 >>> list(_witnesses(kernel_masks(3, TermOrder.DIAGONAL), T))
 [True]
 
-A sweep counts witnesses the other way round, from the subsets that
+A verdict counts witnesses the other way round, from the subsets that
 vanish.  A subset outside T = above[v] & below[w] is outside above[v] or
-below[w], so ``witness_table`` folds, once per permutation p, the bitsets
-of generators whose lhs / rhs use a subset outside above[p] (the v-half
-La, Ra) and outside below[p] (the w-half Lb, Rb).  A witness has exactly
-one vanished side, so a pair's count is the popcount of an XOR:
+below[w], so a pair reads two folds: the bitsets of generators whose lhs /
+rhs use a subset outside above[v] (the v-half La, Ra) and outside below[w]
+(the w-half Lb, Rb).  A witness has exactly one vanished side, so a pair's
+count is the popcount of an XOR.  The folds are cached per mask and
+shared by both verdict paths: a sweep's ``witness_table`` folds every
+permutation of S_n, and ``is_monomial_free`` folds only the two masks its
+pair touches, which later pairs reuse:
 
 >>> table, perms = witness_table(3, TermOrder.DIAGONAL), all_perms(3)
 >>> (La, Ra), (Lb, Rb) = table[perms.index((1, 3, 2))][2:4], table[perms.index((3, 1, 2))][4:]
@@ -48,6 +52,8 @@ one vanished side, so a pair's count is the popcount of an XOR:
 ((0, 0), (1, 0))
 >>> ((La | Lb) ^ (Ra | Rb)).bit_count()
 1
+>>> is_monomial_free((1, 3, 2), (3, 1, 2), TermOrder.DIAGONAL)
+False
 """
 
 from __future__ import annotations
@@ -56,12 +62,14 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import factorial
 from typing import Iterator, NamedTuple
 
 from .perms import (
     Perm,
     SWEEP_MAX_N,
     Subset,
+    _comparable_masks,
     all_perms,
     all_subsets,
     check_same_n,
@@ -252,6 +260,33 @@ def _witnesses(masks, T: int):
 
 
 @lru_cache(maxsize=None)
+def _users(n: int, order: TermOrder) -> tuple[tuple[int, int], ...]:
+    """Per subset bit: the bitsets (bit g for the g-th generator of
+    ``kernel_masks``) of the generators whose lhs / rhs use that subset."""
+    users = [[0, 0] for _ in all_subsets(n)]
+    for g, sides in enumerate(kernel_masks(n, order)):
+        for side, mask in enumerate(sides):
+            while mask:
+                low = mask & -mask
+                users[low.bit_length() - 1][side] |= 1 << g
+                mask ^= low
+    return tuple(map(tuple, users))
+
+
+# every above / below mask of S_7 in both orders; a bound, because single
+# pairs at n = 8 would otherwise fill the cache for the life of the process
+@lru_cache(maxsize=4 * factorial(SWEEP_MAX_N))
+def _fold(inside: int, n: int, order: TermOrder) -> tuple[int, int]:
+    """The generator bitsets (L, R) of the lhs / rhs that use a subset
+    outside ``inside``."""
+    lhs = rhs = 0
+    for i, (lhs_users, rhs_users) in enumerate(_users(n, order)):
+        if not inside >> i & 1:
+            lhs, rhs = lhs | lhs_users, rhs | rhs_users
+    return lhs, rhs
+
+
+@lru_cache(maxsize=None)
 def witness_table(n: int, order: TermOrder) -> tuple[tuple[int, ...], ...]:
     """Per permutation p, in ``all_perms`` order: (prefix, below, La, Ra, Lb, Rb).
 
@@ -259,23 +294,11 @@ def witness_table(n: int, order: TermOrder) -> tuple[tuple[int, ...], ...]:
     for the g-th generator of ``kernel_masks``) of the generators whose lhs /
     rhs uses a subset outside above[p]; Lb / Rb the same outside below[p].
     """
-    users = [[0, 0] for _ in all_subsets(n)]  # per subset bit: its lhs / rhs users
-    for g, sides in enumerate(kernel_masks(n, order)):
-        for side, mask in enumerate(sides):
-            while mask:
-                low = mask & -mask
-                users[low.bit_length() - 1][side] |= 1 << g
-                mask ^= low
-
-    def fold(inside: int) -> tuple[int, int]:
-        lhs = rhs = 0
-        for i, (lhs_users, rhs_users) in enumerate(users):
-            if not inside >> i & 1:
-                lhs, rhs = lhs | lhs_users, rhs | rhs_users
-        return lhs, rhs
-
     masks = map(perm_masks, all_perms(n))
-    return tuple((m.prefix, m.below, *fold(m.above), *fold(m.below)) for m in masks)
+    return tuple(
+        (m.prefix, m.below, *_fold(m.above, n, order), *_fold(m.below, n, order))
+        for m in masks
+    )
 
 
 def restrict(gens, v: Perm, w: Perm, order: TermOrder) -> RestrictionReport:
@@ -309,10 +332,15 @@ def restriction_report(v: Perm, w: Perm, order: TermOrder) -> RestrictionReport:
 def is_monomial_free(v: Perm, w: Perm, order: TermOrder) -> bool:
     """True iff no kernel generator restricts to a monomial on (v, w).
 
-    Stopping the scan at the first witness beats building ``witness_table``.
+    Reads the cached folds of above[v] and below[w], the same folds that
+    ``witness_table`` rows hold: the pair is monomial-free iff
+    (La | Lb) ^ (Ra | Rb) is empty.
     """
-    T = interval_mask(v, w)
-    return not any(_witnesses(kernel_masks(len(v), order), T))
+    mv, mw = _comparable_masks(v, w)
+    n = len(v)
+    la, ra = _fold(mv.above, n, order)
+    lb, rb = _fold(mw.below, n, order)
+    return not (la | lb) ^ (ra | rb)
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +383,26 @@ def classify_all(n: int, order: TermOrder) -> list[ClassifyRecord]:
 CSV_HEADER = "v,w,order,monomial_free,num_witnesses\n"
 
 
-def csv_line(r: ClassifyRecord, order: TermOrder) -> str:
-    """One classification CSV row, newline included."""
+class _PermLabels(dict):
+    """``perm_str`` of each permutation, made once, at its first lookup."""
+
+    def __missing__(self, p: Perm) -> str:
+        self[p] = label = perm_str(p)
+        return label
+
+
+def csv_line(r: ClassifyRecord, order: TermOrder, labels: _PermLabels) -> str:
+    """One classification CSV row, newline included; the permutations'
+    labels are looked up in ``labels``, which a sweep's rows share."""
     return (
-        f"{perm_str(r.v)},{perm_str(r.w)},{order.value},"
+        f"{labels[r.v]},{labels[r.w]},{order.value},"
         f"{int(r.monomial_free)},{r.num_witnesses}\n"
     )
 
 
 def classification_csv(records, order: TermOrder) -> str:
-    return CSV_HEADER + "".join(csv_line(r, order) for r in records)
+    labels = _PermLabels()
+    return CSV_HEADER + "".join(csv_line(r, order, labels) for r in records)
 
 
 def witness_detail(report: RestrictionReport) -> dict:

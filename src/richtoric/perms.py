@@ -383,16 +383,23 @@ def bruhat_leq_mask(v: Perm, w: Perm) -> bool:
     return not perm_masks(v).prefix & ~perm_masks(w).below
 
 
+def _comparable_masks(v: Perm, w: Perm) -> tuple[PermMasks, PermMasks]:
+    """The masks of v and w, after refusing a size mismatch and then a pair
+    with v not below w in Bruhat order (the Richardson variety is empty)."""
+    check_same_n(v, w)
+    mv, mw = perm_masks(v), perm_masks(w)
+    if mv.prefix & ~mw.below:
+        raise ValueError("empty Richardson variety: v is not below w in Bruhat order")
+    return mv, mw
+
+
 def interval_mask(v: Perm, w: Perm) -> int:
     """The mask of T_w^v = {J : v <= J <= w}.
 
     Raises ValueError when v is not below w in Bruhat order (the
     corresponding Richardson variety is empty).
     """
-    check_same_n(v, w)
-    mv, mw = perm_masks(v), perm_masks(w)
-    if mv.prefix & ~mw.below:
-        raise ValueError("empty Richardson variety: v is not below w in Bruhat order")
+    mv, mw = _comparable_masks(v, w)
     return mv.above & mw.below
 
 

@@ -17,6 +17,7 @@ from richtoric.perms import (
     interval_mask,
     longest,
     perm_leq_subset,
+    perm_masks,
     subset_leq_perm,
 )
 from richtoric.compat import in_Tn, tn_pairs
@@ -24,6 +25,7 @@ from richtoric.tableaux import count_standard, enumerate_ssyt, row_sort, sort_co
 from richtoric import initial
 from richtoric.initial import (
     TermOrder,
+    _fold,
     _witnesses,
     classification_csv,
     classify_all,
@@ -223,7 +225,7 @@ def test_restriction_requires_comparable_pair():
 
 @pytest.mark.parametrize("order", [DIAG, ANTI])
 def test_fast_path_agrees_with_full_report(order):
-    # is_monomial_free short-circuits; it must match the full classification
+    # is_monomial_free reads two cached folds; it must match the full report
     for v in all_perms(4):
         for w in all_perms(4):
             if bruhat_leq(v, w):
@@ -304,6 +306,63 @@ def test_folded_witness_count_agrees_with_generator_scan(n, order):
             assert count == sum(_witnesses(masks, interval_mask(v, w)))
 
 
+def _ref_is_monomial_free(v, w, order):
+    """The per-generator scan that ``is_monomial_free`` ran before the fold."""
+    return not any(_witnesses(kernel_masks(len(v), order), interval_mask(v, w)))
+
+
+def test_cached_fold_agrees_with_generator_scan():
+    # S_6 and S_7 cases interleave, each in both orders on one cache, so a
+    # key missing the order reads the other kernel's fold (no mask of S_6 is
+    # one of S_7: a key missing n is caught by the next test)
+    per_n = []
+    for n in (6, 7):
+        # random comparable pairs are rarely monomial-free, so add family
+        # pairs (free in the diagonal order) and their w0-conjugates
+        free = random.Random(n).sample(tn_pairs(n), 15)
+        pairs = [(v, w) for v, w, leq in _seeded_pairs(n, 30, seed=60 + n) if leq]
+        per_n.append(pairs + free + [(_conjugate(v), _conjugate(w)) for v, w in free])
+    cases = [
+        (v, w, order)
+        for pairs in zip(*per_n)
+        for v, w in pairs
+        for order in (DIAG, ANTI)
+    ]
+    want = [_ref_is_monomial_free(*case) for case in cases]
+    assert len(cases) == 240 and 60 <= sum(want) <= 180
+    for case, free in zip(cases, want):
+        _fold.cache_clear()
+        assert is_monomial_free(*case) == free
+    for _ in range(2):  # filling the cache, then every fold warm
+        for case, free in zip(cases, want):
+            assert is_monomial_free(*case) == free
+
+
+@pytest.mark.parametrize("order", [DIAG, ANTI])
+def test_fold_is_keyed_by_n_and_order(order):
+    # the same mask read at two sizes and in both orders, against the
+    # definition: bit g is set iff generator g's side uses a subset outside
+    inside = [perm_masks(p).above for p in all_perms(5)[::7]]
+    for mask in inside:
+        for n in (5, 6, 5):
+            for o in (order, ANTI if order is DIAG else DIAG):
+                lhs = rhs = 0
+                for g, (lhs_cols, rhs_cols) in enumerate(kernel_masks(n, o)):
+                    lhs |= bool(lhs_cols & ~mask) << g
+                    rhs |= bool(rhs_cols & ~mask) << g
+                assert _fold(mask, n, o) == (lhs, rhs)
+
+
+def test_verdict_refusals():
+    message = "^empty Richardson variety: v is not below w in Bruhat order$"
+    for verdict in (is_monomial_free, _ref_is_monomial_free):
+        with pytest.raises(ValueError, match=message):
+            verdict((3, 1, 2), (1, 3, 2), DIAG)
+        # the sizes are checked first, before any Bruhat test
+        with pytest.raises(ValueError, match="^mismatched sizes: 2 vs 3$"):
+            verdict((2, 1), (1, 2, 3), ANTI)
+
+
 @pytest.mark.parametrize(
     "order, digest",
     [
@@ -341,7 +400,7 @@ def _conjugate(p):
     return tuple(n + 1 - x for x in reversed(p))
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_antidiagonal_classification_is_conjugate_family(n):
     # reflecting the grid columns swaps the two term orders, so the
     # antidiagonal verdict at (v, w) is the diagonal verdict at the pair
@@ -352,6 +411,21 @@ def test_antidiagonal_classification_is_conjugate_family(n):
                 assert is_monomial_free(v, w, ANTI) == in_Tn(
                     _conjugate(v), _conjugate(w)
                 )
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_antidiagonal_classification_is_reversed_family(n):
+    # observed, not proved: the antidiagonal verdict at (v, w) is also the
+    # diagonal verdict at (w0 w, w0 v); left multiplication by w0 reverses
+    # the Bruhat order (no mismatch on any comparable pair of S_6 either)
+    def w0(p):
+        return tuple(n + 1 - x for x in p)
+
+    records = classify_all(n, ANTI)
+    for r in records:
+        assert bruhat_leq(w0(r.w), w0(r.v))
+        assert r.monomial_free == in_Tn(w0(r.w), w0(r.v))
+    assert sum(r.monomial_free for r in records) == len(tn_pairs(n))
 
 
 def test_monomial_freeness_is_inherited():
