@@ -75,7 +75,6 @@ from .initial import (
     phi_image,
     plucker_weight,
     restrict,
-    restriction_report,
     weight_matrix,
     weight_vector_lines,
 )

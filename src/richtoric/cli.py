@@ -54,7 +54,7 @@ from .initial import (
     csv_line,
     kernel_hilbert_dim,
     monomial_str,
-    restriction_report,
+    restrict,
     witness_detail,
 )
 from .polytope import lattice_points, polytope, restricted_map_matrix, segre_matrix
@@ -105,7 +105,7 @@ def cmd_check(args) -> int:
         return EXIT_ERROR
     v, w = pair
     order = TermOrder(args.order)
-    report = restriction_report(v, w, order)
+    report = restrict(v, w, order)
     dim = inversions(w) - inversions(v)
     surviving = enumerate_T(v, w)
     if args.format == "json":

@@ -24,27 +24,18 @@ the surviving binomials and witnesses, so it is monomial-free exactly when
 no witness occurs.
 
 The restriction runs on bit masks over ``all_subsets(n)`` (bit i is the
-i-th subset in that order; see :mod:`richtoric.perms`).  A side of a
-generator is the mask of its columns, T is ``interval_mask(v, w)``, and a
-side survives iff it is a submask of T.  A generator is a witness iff
-exactly one side survives; ``restrict`` scans the generators this way,
-because it reports each witness:
-
->>> [(bin(lhs), bin(rhs)) for lhs, rhs in kernel_masks(3, TermOrder.DIAGONAL)]
-[('0b100001', '0b10010')]
->>> T = interval_mask((1, 3, 2), (3, 1, 2))
->>> list(_witnesses(kernel_masks(3, TermOrder.DIAGONAL), T))
-[True]
-
-A verdict counts witnesses the other way round, from the subsets that
-vanish.  A subset outside T = above[v] & below[w] is outside above[v] or
-below[w], so a pair reads two folds: the bitsets of generators whose lhs /
-rhs use a subset outside above[v] (the v-half La, Ra) and outside below[w]
-(the w-half Lb, Rb).  A witness has exactly one vanished side, so a pair's
-count is the popcount of an XOR.  The folds are cached per mask and
-shared by both verdict paths: a sweep's ``witness_table`` folds every
-permutation of S_n, and ``is_monomial_free`` folds only the two masks its
-pair touches, which later pairs reuse:
+i-th subset in that order; see :mod:`richtoric.perms`).  T is
+``interval_mask(v, w)`` = above[v] & below[w], and a side of a generator
+survives iff all its columns lie in T.  A subset outside T is outside
+above[v] or below[w], so a pair reads two folds: the bitsets of generators
+whose lhs / rhs use a subset outside above[v] (the v-half La, Ra) and
+outside below[w] (the w-half Lb, Rb).  With L = La | Lb and R = Ra | Rb, a
+generator is a witness iff its bit is in L ^ R, survives iff it is in
+neither, and vanishes iff it is in both; a verdict needs only the popcount
+of L ^ R.  The folds are cached per mask and shared by every path: a
+sweep's ``witness_table`` folds every permutation of S_n, while
+``is_monomial_free`` and ``restrict`` fold only the two masks their pair
+touches, which later pairs reuse:
 
 >>> table, perms = witness_table(3, TermOrder.DIAGONAL), all_perms(3)
 >>> (La, Ra), (Lb, Rb) = table[perms.index((1, 3, 2))][2:4], table[perms.index((3, 1, 2))][4:]
@@ -54,6 +45,11 @@ pair touches, which later pairs reuse:
 1
 >>> is_monomial_free((1, 3, 2), (3, 1, 2), TermOrder.DIAGONAL)
 False
+>>> report = restrict((1, 3, 2), (3, 1, 2), TermOrder.DIAGONAL)
+>>> [(monomial_str(x.surviving), monomial_str(x.vanished), x.missing) for x in report.witnesses]
+[('P13*P2', 'P23*P1', ((2, 3),))]
+>>> report.survivors, report.vanished_count
+((), 0)
 """
 
 from __future__ import annotations
@@ -72,9 +68,7 @@ from .perms import (
     _comparable_masks,
     all_perms,
     all_subsets,
-    check_same_n,
     degree_columns,
-    interval_mask,
     perm_masks,
     perm_str,
     subset_bits,
@@ -235,42 +229,26 @@ class RestrictionReport:
         return not self.witnesses
 
 
-def _tableau_mask(cols, bit: dict[Subset, int]) -> int:
-    mask = 0
-    for c in cols:
-        mask |= bit[c]
-    return mask
-
-
-def _masks(gens, n: int) -> tuple[tuple[int, int], ...]:
-    bit = subset_bits(n)
-    return tuple((_tableau_mask(g.lhs, bit), _tableau_mask(g.rhs, bit)) for g in gens)
-
-
-@lru_cache(maxsize=None)
-def kernel_masks(n: int, order: TermOrder) -> tuple[tuple[int, int], ...]:
-    """The (lhs, rhs) column masks of each cached degree-two generator."""
-    return _masks(degree2_kernel_generators(n, order), n)
-
-
-def _witnesses(masks, T: int):
-    """For each (lhs, rhs) mask pair: is exactly one side a submask of T?"""
-    outside = ~T
-    return ((not lhs & outside) != (not rhs & outside) for lhs, rhs in masks)
-
-
 @lru_cache(maxsize=None)
 def _users(n: int, order: TermOrder) -> tuple[tuple[int, int], ...]:
     """Per subset bit: the bitsets (bit g for the g-th generator of
-    ``kernel_masks``) of the generators whose lhs / rhs use that subset."""
-    users = [[0, 0] for _ in all_subsets(n)]
-    for g, sides in enumerate(kernel_masks(n, order)):
-        for side, mask in enumerate(sides):
-            while mask:
-                low = mask & -mask
-                users[low.bit_length() - 1][side] |= 1 << g
-                mask ^= low
-    return tuple(map(tuple, users))
+    ``degree2_kernel_generators``) of the generators whose lhs / rhs use
+    that subset.  Each bitset is set in a byte buffer, then read as one int."""
+    gens = degree2_kernel_generators(n, order)
+    index = {J: i for i, J in enumerate(all_subsets(n))}
+    size = (len(gens) + 7) // 8
+    lhs_users = [bytearray(size) for _ in index]
+    rhs_users = [bytearray(size) for _ in index]
+    for g, (lhs, rhs) in enumerate(gens):
+        byte, flag = g >> 3, 1 << (g & 7)
+        for c in lhs:
+            lhs_users[index[c]][byte] |= flag
+        for c in rhs:
+            rhs_users[index[c]][byte] |= flag
+    return tuple(
+        (int.from_bytes(lhs, "little"), int.from_bytes(rhs, "little"))
+        for lhs, rhs in zip(lhs_users, rhs_users)
+    )
 
 
 # every above / below mask of S_7 in both orders; a bound, because single
@@ -291,8 +269,9 @@ def witness_table(n: int, order: TermOrder) -> tuple[tuple[int, ...], ...]:
     """Per permutation p, in ``all_perms`` order: (prefix, below, La, Ra, Lb, Rb).
 
     prefix and below are p's ``perm_masks``.  La / Ra are the bitsets (bit g
-    for the g-th generator of ``kernel_masks``) of the generators whose lhs /
-    rhs uses a subset outside above[p]; Lb / Rb the same outside below[p].
+    for the g-th generator of ``degree2_kernel_generators``) of the generators
+    whose lhs / rhs uses a subset outside above[p]; Lb / Rb the same outside
+    below[p].
     """
     masks = map(perm_masks, all_perms(n))
     return tuple(
@@ -301,32 +280,37 @@ def witness_table(n: int, order: TermOrder) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def restrict(gens, v: Perm, w: Perm, order: TermOrder) -> RestrictionReport:
-    """Classify every generator after dropping coordinates outside T."""
-    T = interval_mask(v, w)
-    bit = subset_bits(len(v))
-    masks = _masks(gens, len(v))
-    outside = ~T
-    keep: list[KernelBinomial] = []
-    witnesses: list[MonomialWitness] = []
-    vanished = 0
-    for g, (lhs, _), witness in zip(gens, masks, _witnesses(masks, T)):
-        lhs_in = not lhs & outside
-        if witness:
-            alive, dead = (g.lhs, g.rhs) if lhs_in else (g.rhs, g.lhs)
-            missing = tuple(c for c in dead if not bit[c] & T)
-            witnesses.append(MonomialWitness(g, alive, dead, missing))
-        elif lhs_in:
-            keep.append(g)
-        else:
-            vanished += 1
-    return RestrictionReport(v, w, order, tuple(keep), tuple(witnesses), vanished)
+def restrict(v: Perm, w: Perm, order: TermOrder) -> RestrictionReport:
+    """Restriction of the cached degree-two kernel to the pair (v, w).
+
+    Reads the same two folds as :func:`is_monomial_free`.  With L = La | Lb
+    and R = Ra | Rb, a generator is a witness iff its bit is in L ^ R (the
+    side whose bit is set vanished), survives iff its bit is in neither, and
+    vanishes iff its bit is in L & R.
+    """
+    mv, mw = _comparable_masks(v, w)
+    n = len(v)
+    la, ra = _fold(mv.above, n, order)
+    lb, rb = _fold(mw.below, n, order)
+    lhs_out, rhs_out = la | lb, ra | rb
+    gens = degree2_kernel_generators(n, order)
+    T, bit = mv.above & mw.below, subset_bits(n)
+    witnesses = []
+    for g in _set_bits(lhs_out ^ rhs_out):
+        gen = gens[g]
+        alive, dead = (gen.rhs, gen.lhs) if lhs_out >> g & 1 else (gen.lhs, gen.rhs)
+        missing = tuple(c for c in dead if not bit[c] & T)
+        witnesses.append(MonomialWitness(gen, alive, dead, missing))
+    every = (1 << len(gens)) - 1
+    survivors = tuple(gens[g] for g in _set_bits(every & ~(lhs_out | rhs_out)))
+    return RestrictionReport(
+        v, w, order, survivors, tuple(witnesses), (lhs_out & rhs_out).bit_count()
+    )
 
 
-def restriction_report(v: Perm, w: Perm, order: TermOrder) -> RestrictionReport:
-    """Restriction of the cached degree-two kernel to the pair (v, w)."""
-    check_same_n(v, w)
-    return restrict(degree2_kernel_generators(len(v), order), v, w, order)
+def _set_bits(bits: int) -> list[int]:
+    """The positions of the set bits of ``bits``, lowest first."""
+    return [i for i, flag in enumerate(reversed(format(bits, "b"))) if flag == "1"]
 
 
 def is_monomial_free(v: Perm, w: Perm, order: TermOrder) -> bool:

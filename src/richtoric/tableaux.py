@@ -39,10 +39,10 @@ from functools import lru_cache
 from .perms import (
     Perm,
     Subset,
+    _comparable_masks,
     ascending_completion,
     bruhat_leq,  # unused here; perfbench/test_perfbench.py reads tableaux.bruhat_leq
     bruhat_leq_mask,
-    check_same_n,
     degree_columns,
     descending_completion,
     gale_leq,
@@ -221,14 +221,14 @@ def max_defining_chain(cols, n: int) -> tuple[Perm, ...]:
 
 def is_standard(cols, v: Perm, w: Perm) -> bool:
     """Standard-monomial test: min chain tops out below w, max chain starts
-    above v."""
-    check_same_n(v, w)
-    if not bruhat_leq_mask(v, w):
-        raise ValueError("empty Richardson variety: v is not below w")
+    above v.  The pair is refused as everywhere else (sizes, then Bruhat
+    order), and both ends are tested against the masks that check returns."""
+    mv, mw = _comparable_masks(v, w)
     n = len(v)
-    return bruhat_leq_mask(min_defining_chain(cols, n)[-1], w) and bruhat_leq_mask(
-        v, max_defining_chain(cols, n)[0]
-    )
+    top = perm_masks(min_defining_chain(cols, n)[-1])
+    if top.prefix & ~mw.below:
+        return False
+    return not mv.prefix & ~perm_masks(max_defining_chain(cols, n)[0]).below
 
 
 # ---------------------------------------------------------------------------

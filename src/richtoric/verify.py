@@ -59,7 +59,7 @@ from .initial import (
     is_monomial_free,
     kernel_hilbert_dim,
     monomial_str,
-    restriction_report,
+    restrict,
 )
 from .polytope import lattice_points, polytope, restricted_map_matrix, segre_matrix
 from .table1 import compare_with_table1, table1_rows
@@ -90,7 +90,7 @@ def survivor_sets():
 def diagonal_witness():
     v, w = (1, 3, 2), (3, 1, 2)
     gens = degree2_kernel_generators(3, TermOrder.DIAGONAL)
-    report = restriction_report(v, w, TermOrder.DIAGONAL)
+    report = restrict(v, w, TermOrder.DIAGONAL)
     ok = (
         len(gens) == 1
         and not report.monomial_free

@@ -37,7 +37,7 @@ from richtoric.initial import (
     is_monomial_free,
     kernel_hilbert_dim,
     monomial_str,
-    restriction_report,
+    restrict,
 )
 from richtoric.table1 import compare_with_table1, table1_rows
 from richtoric import verify
@@ -71,8 +71,8 @@ def test_criterion_1_survivor_sets():
 def test_criterion_2_diagonal_witness():
     v, w = (1, 3, 2), (3, 1, 2)
     gens = degree2_kernel_generators(3, TermOrder.DIAGONAL)
-    restriction_report(v, w, TermOrder.DIAGONAL)  # warm
-    report, dt = _timed(restriction_report, v, w, TermOrder.DIAGONAL)
+    restrict(v, w, TermOrder.DIAGONAL)  # warm
+    report, dt = _timed(restrict, v, w, TermOrder.DIAGONAL)
     assert len(gens) == 1
     assert not report.monomial_free
     assert len(report.witnesses) == 1

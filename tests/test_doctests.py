@@ -11,5 +11,6 @@ polytope = importlib.import_module("richtoric.polytope")
 
 @pytest.mark.parametrize("module", [perms, tableaux, compat, initial, polytope])
 def test_doctests(module):
-    failures, _ = doctest.testmod(module)
+    failures, attempted = doctest.testmod(module)
     assert failures == 0
+    assert attempted > 0

@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import itertools
 import json
+import operator
 import random
 import re
 
@@ -18,6 +20,7 @@ from richtoric.perms import (
     longest,
     perm_leq_subset,
     perm_masks,
+    subset_bits,
     subset_leq_perm,
 )
 from richtoric.compat import in_Tn, tn_pairs
@@ -26,7 +29,7 @@ from richtoric import initial
 from richtoric.initial import (
     TermOrder,
     _fold,
-    _witnesses,
+    _users,
     classification_csv,
     classify_all,
     classify_rows,
@@ -34,11 +37,10 @@ from richtoric.initial import (
     initial_term,
     is_monomial_free,
     kernel_hilbert_dim,
-    kernel_masks,
     monomial_str,
     phi_image,
     plucker_weight,
-    restriction_report,
+    restrict,
     weight_matrix,
     weight_vector_lines,
     witness_detail,
@@ -192,7 +194,7 @@ def test_generators_span_their_classes(order):
 
 
 def test_restriction_witness_132_312():
-    report = restriction_report((1, 3, 2), (3, 1, 2), DIAG)
+    report = restrict((1, 3, 2), (3, 1, 2), DIAG)
     assert not report.monomial_free
     assert len(report.witnesses) == 1
     wit = report.witnesses[0]
@@ -204,7 +206,7 @@ def test_restriction_witness_132_312():
 
 def test_restriction_full_flag_keeps_all_generators():
     n = 4
-    report = restriction_report(identity(n), longest(n), DIAG)
+    report = restrict(identity(n), longest(n), DIAG)
     assert report.monomial_free
     assert len(report.survivors) == len(degree2_kernel_generators(n, DIAG))
     assert report.vanished_count == 0
@@ -213,14 +215,14 @@ def test_restriction_full_flag_keeps_all_generators():
 @pytest.mark.parametrize("order", [DIAG, ANTI])
 def test_restriction_of_point_pairs_is_monomial_free(order):
     for w in all_perms(4):
-        report = restriction_report(w, w, order)
+        report = restrict(w, w, order)
         assert report.monomial_free
         assert not report.survivors
 
 
 def test_restriction_requires_comparable_pair():
     with pytest.raises(ValueError):
-        restriction_report((3, 1, 2), (1, 3, 2), DIAG)
+        restrict((3, 1, 2), (1, 3, 2), DIAG)
 
 
 @pytest.mark.parametrize("order", [DIAG, ANTI])
@@ -231,7 +233,7 @@ def test_fast_path_agrees_with_full_report(order):
             if bruhat_leq(v, w):
                 assert (
                     is_monomial_free(v, w, order)
-                    == restriction_report(v, w, order).monomial_free
+                    == restrict(v, w, order).monomial_free
                 )
 
 
@@ -269,7 +271,7 @@ def test_mask_restriction_agrees_with_tuple_scan(n, order):
                     is_monomial_free(v, w, order)
                 continue
             keep, witnesses, vanished = _tuple_restrict(gens, v, w)
-            report = restriction_report(v, w, order)
+            report = restrict(v, w, order)
             assert report.survivors == keep
             assert tuple(tuple(x) for x in report.witnesses) == witnesses
             assert report.vanished_count == vanished
@@ -278,6 +280,28 @@ def test_mask_restriction_agrees_with_tuple_scan(n, order):
             assert record.num_witnesses == len(witnesses)
             assert record.monomial_free == (not witnesses)
     assert not counts
+
+
+@pytest.mark.parametrize("order", [DIAG, ANTI])
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_restrict_agrees_with_tuple_scan_seeded(n, order):
+    # past the exhaustive n <= 5 gate above, up to the n = 8 that ``check``
+    # runs: one pass with every fold and generator bitset cold, one warm
+    gens = degree2_kernel_generators(n, order)
+    pairs = [(v, w) for v, w, leq in _seeded_pairs(n, 4, seed=80 + n) if leq]
+    pairs.append((identity(n), longest(n)))
+    want = [_tuple_restrict(gens, v, w) for v, w in pairs]
+    assert any(witnesses for _, witnesses, _ in want)
+    assert any(keep for keep, _, _ in want)
+    for cold in (True, False):
+        for (v, w), (keep, witnesses, vanished) in zip(pairs, want):
+            if cold:
+                _fold.cache_clear()
+                _users.cache_clear()
+            report = restrict(v, w, order)
+            assert report.survivors == keep
+            assert tuple(tuple(x) for x in report.witnesses) == witnesses
+            assert report.vanished_count == vanished
 
 
 def _seeded_pairs(n, comparable, seed):
@@ -295,7 +319,7 @@ def _seeded_pairs(n, comparable, seed):
 def test_folded_witness_count_agrees_with_generator_scan(n, order):
     # past the exhaustive n <= 5 gate above: the table's Bruhat filter and
     # folded count against the tuple Bruhat test and the per-generator scan
-    table, masks = witness_table(n, order), kernel_masks(n, order)
+    table, masks = witness_table(n, order), _generator_masks(n, order)
     row = dict(zip(all_perms(n), table))
     for v, w, leq in _seeded_pairs(n, 200, seed=n):
         prefix, _, la, ra, _, _ = row[v]
@@ -303,12 +327,27 @@ def test_folded_witness_count_agrees_with_generator_scan(n, order):
         assert (not prefix & ~below) == leq
         if leq:
             count = ((la | lb) ^ (ra | rb)).bit_count()
-            assert count == sum(_witnesses(masks, interval_mask(v, w)))
+            assert count == sum(_scan_witnesses(masks, interval_mask(v, w)))
+
+
+@functools.lru_cache(maxsize=None)
+def _generator_masks(n, order):
+    """The (lhs, rhs) column masks of each degree-two generator."""
+    bit = subset_bits(n)
+    return tuple(
+        tuple(functools.reduce(operator.or_, (bit[c] for c in side)) for side in g)
+        for g in degree2_kernel_generators(n, order)
+    )
+
+
+def _scan_witnesses(masks, T):
+    """Per (lhs, rhs) mask pair: is exactly one side a submask of T?"""
+    return [(not lhs & ~T) != (not rhs & ~T) for lhs, rhs in masks]
 
 
 def _ref_is_monomial_free(v, w, order):
     """The per-generator scan that ``is_monomial_free`` ran before the fold."""
-    return not any(_witnesses(kernel_masks(len(v), order), interval_mask(v, w)))
+    return not any(_scan_witnesses(_generator_masks(len(v), order), interval_mask(v, w)))
 
 
 def test_cached_fold_agrees_with_generator_scan():
@@ -347,7 +386,7 @@ def test_fold_is_keyed_by_n_and_order(order):
         for n in (5, 6, 5):
             for o in (order, ANTI if order is DIAG else DIAG):
                 lhs = rhs = 0
-                for g, (lhs_cols, rhs_cols) in enumerate(kernel_masks(n, o)):
+                for g, (lhs_cols, rhs_cols) in enumerate(_generator_masks(n, o)):
                     lhs |= bool(lhs_cols & ~mask) << g
                     rhs |= bool(rhs_cols & ~mask) << g
                 assert _fold(mask, n, o) == (lhs, rhs)
@@ -376,7 +415,7 @@ def test_s6_classification_digest(order, digest):
 
 
 def test_witness_detail_json_roundtrip():
-    report = restriction_report((1, 3, 2), (3, 1, 2), DIAG)
+    report = restrict((1, 3, 2), (3, 1, 2), DIAG)
     payload = json.loads(json.dumps(witness_detail(report)))
     assert payload["monomial_free"] is False
     assert payload["witnesses"][0]["surviving_term"] == "P13*P2"

@@ -149,6 +149,15 @@ def test_is_standard_refuses_entries_outside_n():
         is_standard([(1, 4)], (1, 2, 3), (3, 2, 1))
 
 
+def test_is_standard_refusals():
+    message = "^empty Richardson variety: v is not below w in Bruhat order$"
+    with pytest.raises(ValueError, match=message):
+        is_standard([(1,)], (3, 1, 2), (1, 3, 2))
+    # the sizes are checked first, before any Bruhat test
+    with pytest.raises(ValueError, match="^mismatched sizes: 2 vs 3$"):
+        is_standard([(1,)], (2, 1), (1, 2, 3))
+
+
 def test_chain_examples():
     assert min_defining_chain([(1, 2), (3,)], 3) == ((1, 2, 3), (3, 1, 2))
     assert min_defining_chain([(1, 3), (2,)], 3) == ((1, 3, 2), (2, 3, 1))
