@@ -45,7 +45,7 @@ from .tableaux import (
     min_defining_chain,
     tableau_str,
 )
-from .compat import in_Tn, is_compatible
+from .compat import in_Tn, is_compatible, tn_pairs
 from .initial import (
     CSV_HEADER,
     TermOrder,
@@ -149,6 +149,7 @@ def _write_rows(fh, rows, order: TermOrder, args):
     pair count, the monomial-free pairs and the ``--compare tn`` mismatches."""
     as_json = args.format == "json"
     labels = _PermLabels()
+    family = frozenset(tn_pairs(args.n)) if args.compare == "tn" else frozenset()
     pairs, free, mismatches = 0, [], []
     fh.write("[\n" if as_json else CSV_HEADER)
     sep = ""
@@ -162,7 +163,7 @@ def _write_rows(fh, rows, order: TermOrder, args):
         pairs += len(group)
         free += [(r.v, r.w) for r in group if r.monomial_free]
         if args.compare == "tn":
-            mismatches += [r for r in group if r.monomial_free != in_Tn(r.v, r.w)]
+            mismatches += [r for r in group if r.monomial_free != ((r.v, r.w) in family)]
     fh.write("\n]\n" if as_json else "")
     return pairs, free, mismatches
 

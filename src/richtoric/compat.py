@@ -51,7 +51,11 @@ def is_compatible(v: Perm, w: Perm) -> bool:
     False
     """
     check_same_n(v, w)
-    n = len(v)
+    return _compatible(v, w, len(v))
+
+
+def _compatible(v: Perm, w: Perm, n: int) -> bool:
+    """:func:`is_compatible` on a pair already known to be of size n."""
     if n == 1:
         return True
     t = v.index(n) + 1
@@ -72,13 +76,24 @@ def is_compatible(v: Perm, w: Perm) -> bool:
 def in_Tn(v: Perm, w: Perm) -> bool:
     """Membership in the recursive family T_n.
 
+    The memo holds only pairs of one size, so it is read before the size
+    check: a hit needs no check.
+
     >>> in_Tn((1, 3, 4, 2), (2, 4, 3, 1))
     True
     >>> in_Tn((1, 3, 2), (3, 1, 2))
     False
     """
+    if len(v) <= _MEMO_MAX_N:
+        cached = _tn_memo.get((v, w))
+        if cached is not None:
+            return cached
     check_same_n(v, w)
-    n = len(v)
+    return _in_Tn(v, w, len(v))
+
+
+def _in_Tn(v: Perm, w: Perm, n: int) -> bool:
+    """:func:`in_Tn` on a pair already known to be of size n."""
     if n == 1:
         return v == (1,) and w == (1,)
     key = (v, w)
@@ -86,7 +101,7 @@ def in_Tn(v: Perm, w: Perm) -> bool:
         cached = _tn_memo.get(key)
         if cached is not None:
             return cached
-    result = is_compatible(v, w) and in_Tn(induced(v), induced(w))
+    result = _compatible(v, w, n) and _in_Tn(induced(v), induced(w), n - 1)
     if n <= _MEMO_MAX_N:
         _tn_memo[key] = result
     return result

@@ -50,6 +50,16 @@ False
 [('P13*P2', 'P23*P1', ((2, 3),))]
 >>> report.survivors, report.vanished_count
 ((), 0)
+
+A sweep walks up-sets instead of testing all (n!)^2 ordered pairs: v <= w
+iff every bit of prefix[v] is in below[w], so the w above v are the AND,
+over the bits of prefix[v], of the ``perm_up`` bitsets (for each subset
+bit, the permutations whose below mask holds it).  ``upper_indices`` reads
+the set bits of that AND off its binary string, in canonical order, and
+each comparable pair costs one row lookup and one popcount:
+
+>>> [perm_str(perms[j]) for j in upper_indices(table[perms.index((1, 3, 2))][0], 3)]
+['132', '231', '312', '321']
 """
 
 from __future__ import annotations
@@ -71,8 +81,10 @@ from .perms import (
     degree_columns,
     perm_masks,
     perm_str,
+    set_bits,
     subset_bits,
     subset_str,
+    upper_indices,
 )
 from .tableaux import Tableau, tableau_str
 
@@ -83,6 +95,10 @@ MONOMIAL_BUDGET = 2_000_000
 class TermOrder(Enum):
     DIAGONAL = "diagonal"
     ANTIDIAGONAL = "antidiagonal"
+
+    # Enum's own hash is a Python-level hash of the name, paid on every cache
+    # key that holds an order; members are singletons compared by identity
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
@@ -296,21 +312,16 @@ def restrict(v: Perm, w: Perm, order: TermOrder) -> RestrictionReport:
     gens = degree2_kernel_generators(n, order)
     T, bit = mv.above & mw.below, subset_bits(n)
     witnesses = []
-    for g in _set_bits(lhs_out ^ rhs_out):
+    for g in set_bits(lhs_out ^ rhs_out):
         gen = gens[g]
         alive, dead = (gen.rhs, gen.lhs) if lhs_out >> g & 1 else (gen.lhs, gen.rhs)
         missing = tuple(c for c in dead if not bit[c] & T)
         witnesses.append(MonomialWitness(gen, alive, dead, missing))
     every = (1 << len(gens)) - 1
-    survivors = tuple(gens[g] for g in _set_bits(every & ~(lhs_out | rhs_out)))
+    survivors = tuple(gens[g] for g in set_bits(every & ~(lhs_out | rhs_out)))
     return RestrictionReport(
         v, w, order, survivors, tuple(witnesses), (lhs_out & rhs_out).bit_count()
     )
-
-
-def _set_bits(bits: int) -> list[int]:
-    """The positions of the set bits of ``bits``, lowest first."""
-    return [i for i, flag in enumerate(reversed(format(bits, "b"))) if flag == "1"]
 
 
 def is_monomial_free(v: Perm, w: Perm, order: TermOrder) -> bool:
@@ -352,11 +363,13 @@ def classify_rows(n: int, order: TermOrder) -> Iterator[ClassifyRecord]:
 def _sweep(n: int, order: TermOrder) -> Iterator[ClassifyRecord]:
     perms = all_perms(n)
     table = witness_table(n, order)
+    record = tuple.__new__  # what ClassifyRecord._make does, without the call
+    tops = [(w, lb, rb) for w, (_, _, _, _, lb, rb) in zip(perms, table)]
     for v, (prefix, _, la, ra, _, _) in zip(perms, table):
-        for w, (_, below, _, _, lb, rb) in zip(perms, table):
-            if not prefix & ~below:  # v <= w
-                count = ((la | lb) ^ (ra | rb)).bit_count()
-                yield ClassifyRecord(v, w, not count, count)
+        for j in upper_indices(prefix, n):
+            w, lb, rb = tops[j]
+            count = ((la | lb) ^ (ra | rb)).bit_count()
+            yield record(ClassifyRecord, (v, w, not count, count))
 
 
 def classify_all(n: int, order: TermOrder) -> list[ClassifyRecord]:

@@ -40,7 +40,10 @@ and the Bruhat order is the tableau criterion on prefix sets,
     v <= w   iff   prefix[v] & ~below[w] == 0.
 
 The subset order itself is one table per n, :func:`gale_up`: the mask of
-the subsets J with I <= J, for every subset I.
+the subsets J with I <= J, for every subset I.  The Bruhat up-sets come from
+one more table per n, :func:`perm_up`: for every subset bit, the bitset of
+the permutations whose ``below`` mask holds it, so the w >= v are the AND of
+those bitsets over the bits of prefix[v] (:func:`upper_indices`).
 
 >>> [subset_str(J) for J in all_subsets(3)]
 ['1', '2', '3', '12', '13', '23']
@@ -60,6 +63,7 @@ import itertools
 import operator
 from bisect import insort
 from functools import lru_cache, reduce
+from math import factorial
 from typing import Iterable, NamedTuple, Sequence
 
 #: Largest n accepted for single instances (permutations, subsets).
@@ -155,7 +159,8 @@ def induced(w: Perm) -> Perm:
     n = len(w)
     if n < 2:
         raise ValueError("induced permutation requires n >= 2")
-    return tuple(x for x in w if x != n)
+    k = w.index(n)
+    return tuple(w[:k] + w[k + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +346,64 @@ def gale_up(n: int) -> dict[Subset, int]:
         I: reduce(operator.or_, (_cones(I[:t], n)[1] for t in range(1, len(I) + 1)))
         for I in all_subsets(n)
     }
+
+
+@lru_cache(maxsize=None)
+def perm_up(n: int) -> tuple[int, ...]:
+    """Per subset bit i: the bitset over ``all_perms(n)`` indices (bit p for
+    the p-th permutation) of the w whose ``below`` mask holds bit i.  Each
+    bitset is set in a byte buffer, then read as one int.
+
+    >>> [format(b, "06b") for b in perm_up(3)]
+    ['111111', '111100', '110000', '111111', '111010', '101000']
+    """
+    perms = all_perms(n)
+    size = (len(perms) + 7) // 8
+    up = [bytearray(size) for _ in all_subsets(n)]
+    for p, w in enumerate(perms):
+        byte, flag = p >> 3, 1 << (p & 7)
+        below = perm_masks(w).below
+        while below:
+            low = below & -below
+            up[low.bit_length() - 1][byte] |= flag
+            below ^= low
+    return tuple(int.from_bytes(b, "little") for b in up)
+
+
+def upper_indices(prefix: int, n: int) -> list[int]:
+    """The ``all_perms(n)`` indices of the w with ``prefix & ~below[w] == 0``,
+    ascending: for prefix = ``perm_masks(v).prefix``, the w >= v in Bruhat
+    order, in canonical order.
+
+    The comparable set is the AND of the :func:`perm_up` bitsets over the bits
+    of ``prefix``.
+
+    >>> [all_perms(3)[p] for p in upper_indices(perm_masks((1, 3, 2)).prefix, 3)]
+    [(1, 3, 2), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+    """
+    up = perm_up(n)
+    comp = (1 << factorial(n)) - 1
+    while prefix:
+        low = prefix & -prefix
+        comp &= up[low.bit_length() - 1]
+        prefix ^= low
+    return set_bits(comp)
+
+
+def set_bits(bits: int) -> list[int]:
+    """The positions of the set bits of ``bits``, lowest first, read off its
+    binary string.
+
+    >>> set_bits(0b101100), set_bits(0)
+    ([2, 3, 5], [])
+    """
+    digits = format(bits, "b")[::-1]
+    out = []
+    p = digits.find("1")
+    while p >= 0:
+        out.append(p)
+        p = digits.find("1", p + 1)
+    return out
 
 
 class PermMasks(NamedTuple):

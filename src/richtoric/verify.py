@@ -111,7 +111,8 @@ def classification_family_agreement(max_n: int = 4):
     counts = []
     for n in range(3, max_n + 1):
         records = classify_all(n, TermOrder.DIAGONAL)
-        mismatches = sum(r.monomial_free != in_Tn(r.v, r.w) for r in records)
+        family = frozenset(tn_pairs(n))
+        mismatches = sum(r.monomial_free != ((r.v, r.w) in family) for r in records)
         counts.append((n, len(records), mismatches))
     ok = all(m == 0 for _, _, m in counts)
     detail = "; ".join(f"n={n}: {t} pairs, {m} mismatches" for n, t, m in counts)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from richtoric.perms import (
@@ -43,6 +45,50 @@ def test_family_examples():
     # compatible at the top level but failing one level down
     assert is_compatible((2, 1, 4, 3), (1, 2, 4, 3))
     assert not in_Tn((2, 1, 4, 3), (1, 2, 4, 3))
+
+
+def _ref_compatible(v, w):
+    """is_compatible as it was before the size check moved out of it, on a
+    pair of one size."""
+    n = len(v)
+    if n == 1:
+        return True
+    t, tp = v.index(n) + 1, w.index(n) + 1
+    if t == tp:
+        return True
+    if tp > t:
+        return False
+    s, sp = v.index(n - 1) + 1, w.index(n - 1) + 1
+    if sp > t or tp > s:
+        return False
+    return all(w[k] > w[k + 1] and v[k] < v[k + 1] for k in range(tp - 1, t - 1))
+
+
+def _ref_in_Tn(v, w):
+    """in_Tn before the single size check: compatibility at every level,
+    the induced pairs by filtering, no memo."""
+    n = len(v)
+    if n == 1:
+        return v == (1,) and w == (1,)
+    return _ref_compatible(v, w) and _ref_in_Tn(
+        tuple(x for x in v if x != n), tuple(x for x in w if x != n)
+    )
+
+
+def test_family_membership_agrees_with_the_checked_recursion():
+    perms = all_perms(5)
+    for v in perms:
+        for w in perms:
+            assert in_Tn(v, w) == _ref_in_Tn(v, w)
+    rng, perms = random.Random(6), all_perms(6)
+    pairs = [(rng.choice(perms), rng.choice(perms)) for _ in range(3000)]
+    pairs += rng.sample(tn_pairs(6), 300)
+    for _ in range(2):  # the memo cold at n = 5 and below, then warm
+        assert [in_Tn(v, w) for v, w in pairs] == [_ref_in_Tn(v, w) for v, w in pairs]
+    # a memo hit never skips the size check: only checked pairs are stored
+    for v, w in [((1, 2), (1, 2, 3)), ((1, 3, 2), (2, 1)), (identity(6), identity(5))]:
+        with pytest.raises(ValueError, match=f"^mismatched sizes: {len(v)} vs {len(w)}$"):
+            in_Tn(v, w)
 
 
 def test_family_census():

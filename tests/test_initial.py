@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import operator
+import pickle
 import random
 import re
 
@@ -27,6 +28,7 @@ from richtoric.compat import in_Tn, tn_pairs
 from richtoric.tableaux import count_standard, enumerate_ssyt, row_sort, sort_columns
 from richtoric import initial
 from richtoric.initial import (
+    ClassifyRecord,
     TermOrder,
     _fold,
     _users,
@@ -53,6 +55,17 @@ ANTI = TermOrder.ANTIDIAGONAL
 
 # ---------------------------------------------------------------------------
 # weights and initial terms
+
+
+def test_term_order_hashes_by_identity():
+    # members are singletons: a spelling, a pickle round trip and a cache
+    # key all reach the same object
+    assert TermOrder("diagonal") is TermOrder.DIAGONAL
+    assert pickle.loads(pickle.dumps(TermOrder.ANTIDIAGONAL)) is TermOrder.ANTIDIAGONAL
+    gens = degree2_kernel_generators(3, TermOrder.DIAGONAL)
+    hits = degree2_kernel_generators.cache_info().hits
+    assert degree2_kernel_generators(3, TermOrder("diagonal")) is gens
+    assert degree2_kernel_generators.cache_info().hits == hits + 1
 
 
 def test_weight_matrix_n5():
@@ -477,6 +490,27 @@ def test_monomial_freeness_is_inherited():
                 vi, wi = induced(v), induced(w)
                 assert bruhat_leq(vi, wi)
                 assert is_monomial_free(vi, wi, DIAG)
+
+
+def _ref_sweep(n, order):
+    """The sweep before the up-set walk: every ordered pair of S_n through
+    the Bruhat filter prefix[v] & ~below[w] == 0."""
+    perms, table, out = all_perms(n), witness_table(n, order), []
+    for v, (prefix, _, la, ra, _, _) in zip(perms, table):
+        for w, (_, below, _, _, lb, rb) in zip(perms, table):
+            if not prefix & ~below:
+                count = ((la | lb) ^ (ra | rb)).bit_count()
+                out.append(ClassifyRecord(v, w, not count, count))
+    return out
+
+
+@pytest.mark.parametrize("order", [DIAG, ANTI])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_up_set_walk_agrees_with_the_pair_filter(n, order):
+    records = classify_all(n, order)
+    assert records == _ref_sweep(n, order)
+    assert {tuple(map(type, r)) for r in records} == {(tuple, tuple, bool, int)}
+    assert {type(r) for r in records} == {ClassifyRecord}
 
 
 def test_classify_all_records():

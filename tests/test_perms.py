@@ -24,12 +24,15 @@ from richtoric.perms import (
     partition_perm,
     perm_leq_subset,
     perm_leq_subset_bruhat,
+    perm_masks,
     perm_str,
+    perm_up,
     reverse,
     subset_leq_perm,
     subset_leq_perm_bruhat,
     subset_str,
     subsets_of,
+    upper_indices,
 )
 
 
@@ -181,6 +184,10 @@ def test_induced_fibers(n):
         fibers[induced(w)] += 1
     assert set(fibers) == set(all_perms(n - 1))
     assert all(count == n for count in fibers.values())
+    # the slice around n against the filter it replaced, tuple for tuple
+    for w in all_perms(n):
+        assert type(induced(w)) is tuple
+        assert induced(w) == tuple(x for x in w if x != n)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +245,18 @@ def test_masks_agree_with_tuple_comparisons(n):
             assert subsets_of(interval_mask(v, w), n) == T
             assert enumerate_T(v, w) == T
             assert enumerate_S(v, w) == [J for J in subs if J not in T]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_up_set_walk_agrees_with_bruhat_order(n):
+    perms = all_perms(n)
+    for i, up in enumerate(perm_up(n)):
+        assert up == sum(1 << p for p, w in enumerate(perms) if perm_masks(w).below >> i & 1)
+    for v in perms:
+        upper = [perms[p] for p in upper_indices(perm_masks(v).prefix, n)]
+        assert upper == [w for w in perms if bruhat_leq_mask(v, w)]
+        if n <= 4:
+            assert upper == [w for w in perms if bruhat_leq(v, w)]
 
 
 # ---------------------------------------------------------------------------
