@@ -24,7 +24,6 @@ from .perms import (
     inversions,
     longest,
     parse_perm,
-    parse_subset,
     partition_perm,
     perm_leq_subset,
     perm_leq_subset_bruhat,
@@ -44,7 +43,6 @@ from .tableaux import (
     max_truncation,
     min_defining_chain,
     min_extension,
-    parse_tableau,
     row_sort,
     rows_of,
     tableau_str,
@@ -76,7 +74,6 @@ from .initial import (
     plucker_weight,
     restrict,
     weight_matrix,
-    weight_vector_lines,
 )
 from .polytope import (
     IntMatrix,

@@ -5,8 +5,8 @@ Subcommands:
 
     check     decide compatibility, family membership, and monomial-freeness
               for one pair (v, w); exit 0 if toric, 1 if not, 2 on error
-    classify  sweep all Bruhat-comparable pairs of S_n and write a CSV,
-              optionally diffing against the bundled reference list
+    classify  sweep all Bruhat-comparable pairs of S_n and write a CSV or
+              JSON file, optionally diffing against the bundled reference list
     ssyt      tableau, standard-monomial and kernel counts for one pair
     polytope  the degeneration matrices and polytope of one pair
     verify    run the reproduction/property suites (quick or full tier)
@@ -41,21 +41,20 @@ from .tableaux import (
     chain_str,
     count_standard,
     enumerate_ssyt,
+    is_standard,
     max_defining_chain,
     min_defining_chain,
     tableau_str,
 )
 from .compat import in_Tn, is_compatible, tn_pairs
 from .initial import (
-    CSV_HEADER,
+    ClassifyRecord,
+    RestrictionReport,
     TermOrder,
-    _PermLabels,
     classify_rows,
-    csv_line,
     kernel_hilbert_dim,
     monomial_str,
     restrict,
-    witness_detail,
 )
 from .polytope import lattice_points, polytope, restricted_map_matrix, segre_matrix
 from .table1 import compare_with_table1, table1_rows
@@ -99,6 +98,33 @@ def _valid_pair(args, degree: int | None = None) -> tuple[Perm, Perm] | None:
 # check
 
 
+def witness_detail(report: RestrictionReport) -> dict:
+    """The restriction part of the ``check --format json`` payload."""
+    return {
+        "v": perm_str(report.v),
+        "w": perm_str(report.w),
+        "order": report.order.value,
+        "monomial_free": report.monomial_free,
+        "survivors": [
+            {"lhs": monomial_str(g.lhs), "rhs": monomial_str(g.rhs)}
+            for g in report.survivors
+        ],
+        "witnesses": [
+            {
+                "generator": {
+                    "lhs": monomial_str(wit.generator.lhs),
+                    "rhs": monomial_str(wit.generator.rhs),
+                },
+                "surviving_term": monomial_str(wit.surviving),
+                "vanished_term": monomial_str(wit.vanished),
+                "vanishing_subsets": [subset_str(c) for c in wit.missing],
+            }
+            for wit in report.witnesses
+        ],
+        "vanished_count": report.vanished_count,
+    }
+
+
 def cmd_check(args) -> int:
     pair = _valid_pair(args)
     if pair is None:
@@ -131,10 +157,11 @@ def cmd_check(args) -> int:
         if report.witnesses:
             print(f"monomial witnesses ({len(report.witnesses)}):")
             for wit in report.witnesses:
+                lhs, rhs = wit.generator
                 missing = ",".join(subset_str(c) for c in wit.missing)
                 print(
-                    f"  {monomial_str(wit.surviving)}"
-                    f"  (from {wit.generator}; vanishing: {missing})"
+                    f"  {monomial_str(wit.surviving)}  (from {monomial_str(lhs)}"
+                    f" ~ {monomial_str(rhs)}; vanishing: {missing})"
                 )
         print(f"verdict: {'toric' if report.monomial_free else 'non-toric'}")
     return EXIT_OK if report.monomial_free else EXIT_NEGATIVE
@@ -142,6 +169,32 @@ def cmd_check(args) -> int:
 
 # ---------------------------------------------------------------------------
 # classify
+
+
+CSV_HEADER = "v,w,order,monomial_free,num_witnesses\n"
+
+
+class _PermLabels(dict):
+    """``perm_str`` of each permutation, made once, at its first lookup."""
+
+    def __missing__(self, p: Perm) -> str:
+        self[p] = label = perm_str(p)
+        return label
+
+
+def csv_line(r: ClassifyRecord, order: TermOrder, labels: _PermLabels) -> str:
+    """One classification CSV row, newline included; the permutations'
+    labels are looked up in ``labels``, which a sweep's rows share."""
+    return (
+        f"{labels[r.v]},{labels[r.w]},{order.value},"
+        f"{int(r.monomial_free)},{r.num_witnesses}\n"
+    )
+
+
+def classification_csv(records, order: TermOrder) -> str:
+    """The whole CSV body of ``classify --format csv`` for ``records``."""
+    labels = _PermLabels()
+    return CSV_HEADER + "".join(csv_line(r, order, labels) for r in records)
 
 
 def _write_rows(fh, rows, order: TermOrder, args):
@@ -192,8 +245,8 @@ def cmd_classify(args) -> int:
     elif args.output:
         out_path = args.output
     else:
-        outdir = os.environ.get("RICHTORIC_OUTDIR", ".")
-        out_path = os.path.join(outdir, f"classify_n{args.n}_{order.value}.csv")
+        name = f"classify_n{args.n}_{order.value}.{args.format}"
+        out_path = os.path.join(os.environ.get("RICHTORIC_OUTDIR", "."), name)
 
     # opened before the sweep starts, so an unwritable path is refused at once
     if out_path is None:
@@ -252,16 +305,11 @@ def cmd_ssyt(args) -> int:
             kernel = kernel_hilbert_dim(v, w, d, order)
             print(f"d={d}: ssyt={len(tableaux)} standard={standard} kernel={kernel}")
         if args.list:
-            # the loop's last list is degree args.d; the tag is is_standard's
-            # test on the ends of the printed chains
+            # the loop's last list is degree args.d
             n = len(v)
             for t in tableaux:
+                tag = "standard" if is_standard(t, v, w) else "non-standard"
                 lo, hi = min_defining_chain(t, n), max_defining_chain(t, n)
-                tag = (
-                    "standard"
-                    if bruhat_leq_mask(lo[-1], w) and bruhat_leq_mask(v, hi[0])
-                    else "non-standard"
-                )
                 print(f"  {tableau_str(t)}  {tag}  min={chain_str(lo)} max={chain_str(hi)}")
     except BudgetError as exc:
         return _fail(str(exc))

@@ -9,9 +9,12 @@ x_{i,j} (rows 1..n-1, columns 1..n):
     diagonal:       P_J -> x_{1,j_1} x_{2,j_2} ... x_{t,j_t},
     antidiagonal:   P_J -> x_{1,j_t} x_{2,j_{t-1}} ... x_{t,j_1},
 
-for J = {j_1 < ... < j_t}.  The diagonal map is the initial-term map of the
-weight matrix M[i][j] = (i-1)(n-j+1); the antidiagonal map is used directly,
-without constructing its weight matrix.
+for J = {j_1 < ... < j_t}.  One weight matrix, M[i][j] = (i-1)(n-j+1),
+defines both maps.  Among the terms that put the elements of J in rows
+1..t, one per row, the diagonal term is the unique one of least weight and
+the antidiagonal term the unique one of greatest weight: row weights i-1
+and column weights n-j+1 are distinct, so this is the rearrangement
+inequality.
 
 The degree-two kernel is computed by grouping all degree-two monomials in
 the P variables by image and pairing every member of a class with the
@@ -58,8 +61,8 @@ bit, the permutations whose below mask holds it).  ``upper_indices`` reads
 the set bits of that AND off its binary string, in canonical order, and
 each comparable pair costs one row lookup and one popcount:
 
->>> [perm_str(perms[j]) for j in upper_indices(table[perms.index((1, 3, 2))][0], 3)]
-['132', '231', '312', '321']
+>>> [perms[j] for j in upper_indices(table[perms.index((1, 3, 2))][0], 3)]
+[(1, 3, 2), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
 """
 
 from __future__ import annotations
@@ -80,7 +83,6 @@ from .perms import (
     all_subsets,
     degree_columns,
     perm_masks,
-    perm_str,
     set_bits,
     subset_bits,
     subset_str,
@@ -139,11 +141,6 @@ def plucker_weight(J: Subset, n: int) -> int:
     return sum(r * (n - j + 1) for r, j in enumerate(J))
 
 
-def weight_vector_lines(n: int) -> list[str]:
-    """Weight export, one line 'J,weight' per coordinate, canonical order."""
-    return [f"{subset_str(J)},{plucker_weight(J, n)}" for J in all_subsets(n)]
-
-
 def phi_image(cols, order: TermOrder) -> tuple[Cell, ...]:
     """Image of a product of coordinates as a sorted multiset of grid cells."""
     cells: list[Cell] = []
@@ -162,9 +159,6 @@ class KernelBinomial(NamedTuple):
 
     lhs: Tableau
     rhs: Tableau
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{monomial_str(self.lhs)} ~ {monomial_str(self.rhs)}"
 
 
 def monomial_str(cols) -> str:
@@ -375,58 +369,6 @@ def _sweep(n: int, order: TermOrder) -> Iterator[ClassifyRecord]:
 def classify_all(n: int, order: TermOrder) -> list[ClassifyRecord]:
     """The rows of :func:`classify_rows` as one list."""
     return list(classify_rows(n, order))
-
-
-CSV_HEADER = "v,w,order,monomial_free,num_witnesses\n"
-
-
-class _PermLabels(dict):
-    """``perm_str`` of each permutation, made once, at its first lookup."""
-
-    def __missing__(self, p: Perm) -> str:
-        self[p] = label = perm_str(p)
-        return label
-
-
-def csv_line(r: ClassifyRecord, order: TermOrder, labels: _PermLabels) -> str:
-    """One classification CSV row, newline included; the permutations'
-    labels are looked up in ``labels``, which a sweep's rows share."""
-    return (
-        f"{labels[r.v]},{labels[r.w]},{order.value},"
-        f"{int(r.monomial_free)},{r.num_witnesses}\n"
-    )
-
-
-def classification_csv(records, order: TermOrder) -> str:
-    labels = _PermLabels()
-    return CSV_HEADER + "".join(csv_line(r, order, labels) for r in records)
-
-
-def witness_detail(report: RestrictionReport) -> dict:
-    """JSON-ready detail of a restriction report."""
-    return {
-        "v": perm_str(report.v),
-        "w": perm_str(report.w),
-        "order": report.order.value,
-        "monomial_free": report.monomial_free,
-        "survivors": [
-            {"lhs": monomial_str(g.lhs), "rhs": monomial_str(g.rhs)}
-            for g in report.survivors
-        ],
-        "witnesses": [
-            {
-                "generator": {
-                    "lhs": monomial_str(wit.generator.lhs),
-                    "rhs": monomial_str(wit.generator.rhs),
-                },
-                "surviving_term": monomial_str(wit.surviving),
-                "vanished_term": monomial_str(wit.vanished),
-                "vanishing_subsets": [subset_str(c) for c in wit.missing],
-            }
-            for wit in report.witnesses
-        ],
-        "vanished_count": report.vanished_count,
-    }
 
 
 # ---------------------------------------------------------------------------

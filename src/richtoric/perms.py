@@ -98,16 +98,6 @@ def check_perm(w: Iterable[int]) -> Perm:
     return w
 
 
-def check_subset(I: Iterable[int], n: int | None = None) -> Subset:
-    """Return ``I`` as a sorted tuple of distinct positive integers within [n]."""
-    I = tuple(sorted(I))
-    if not I or I[0] < 1 or any(a == b for a, b in zip(I, I[1:])):
-        raise ValueError(f"not a nonempty set of positive integers: {I!r}")
-    if n is not None and I[-1] > n:
-        raise ValueError(f"subset {I!r} does not fit inside [{n}]")
-    return I
-
-
 def check_same_n(v: Sequence[int], w: Sequence[int]) -> None:
     if len(v) != len(w):
         raise ValueError(f"mismatched sizes: {len(v)} vs {len(w)}")
@@ -527,7 +517,10 @@ def parse_perm(s: str) -> Perm:
     s = s.strip()
     if not s:
         raise ValueError("empty permutation string")
-    vals = [int(t) for t in s.split(",")] if "," in s else [int(c) for c in s]
+    try:
+        vals = [int(t) for t in s.split(",")] if "," in s else [int(c) for c in s]
+    except ValueError:
+        raise ValueError(f"not a permutation string: {s!r}") from None
     return check_perm(vals)
 
 
@@ -536,14 +529,6 @@ def subset_str(I: Subset) -> str:
     if I and I[-1] > 9:
         return ",".join(str(x) for x in I)
     return "".join(str(x) for x in I)
-
-
-def parse_subset(s: str, n: int | None = None) -> Subset:
-    s = s.strip()
-    if not s:
-        raise ValueError("empty subset string")
-    vals = [int(t) for t in s.split(",")] if "," in s else [int(c) for c in s]
-    return check_subset(vals, n)
 
 
 if __name__ == "__main__":

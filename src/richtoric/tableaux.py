@@ -49,7 +49,6 @@ from .perms import (
     gale_up,
     identity,
     longest,
-    parse_subset,
     perm_masks,
     perm_str,
     subset_bits,
@@ -118,16 +117,6 @@ def row_sort(cols) -> Tableau:
 
 def tableau_str(cols) -> str:
     return "[" + ",".join(subset_str(tuple(c)) for c in cols) + "]"
-
-
-def parse_tableau(s: str, n: int | None = None) -> Tableau:
-    s = s.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"tableau must be bracketed: {s!r}")
-    body = s[1:-1]
-    if not body:
-        return ()
-    return tuple(parse_subset(tok, n) for tok in body.split(","))
 
 
 def chain_str(perms) -> str:

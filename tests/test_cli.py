@@ -1,15 +1,17 @@
 import hashlib
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from richtoric import cli, initial
-from richtoric.cli import main
-from richtoric.initial import TermOrder, classification_csv, classify_all
-from richtoric.perms import perm_str
+from richtoric.cli import classification_csv, main
+from richtoric.initial import TermOrder, classify_all
+from richtoric.perms import all_perms, bruhat_leq, perm_str
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -62,6 +64,12 @@ def test_check_rejects_bad_input(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("text", ["12a", "1,2,,3"])
+def test_check_refuses_a_non_numeric_permutation(capsys, text):
+    code, out, err = run_cli(capsys, "check", "--v", text, "--w", "123")
+    assert (code, out, err) == (2, "", f"error: not a permutation string: {text!r}\n")
+
+
 def test_check_json(capsys):
     code, out, _ = run_cli(
         capsys, "check", "--v", "132", "--w", "312", "--format", "json"
@@ -93,6 +101,16 @@ def test_classify_outdir_env(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "classify", "--n", "3")
     assert code == 0
     assert (tmp_path / "classify_n3_diagonal.csv").exists()
+
+
+def test_classify_default_json_output_is_named_json(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("RICHTORIC_OUTDIR", str(tmp_path))
+    code, out, err = run_cli(capsys, "classify", "--n", "3", "--format", "json")
+    path = tmp_path / "classify_n3_diagonal.json"
+    assert (code, err) == (0, "")
+    assert out == f"wrote {path}: 19 pairs, 14 monomial-free\n"
+    assert len(json.loads(path.read_text())) == 19
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("route", ["output", "outdir"])
@@ -322,6 +340,20 @@ def test_ssyt_list_tags_non_standard(capsys):
     assert "[12,3]  standard" in out
 
 
+def test_ssyt_list_tags_agree_with_the_standard_count(capsys):
+    # every comparable pair of S_4 at d = 2: the tags and count_standard
+    # are two routes to the same number
+    for v, w in itertools.product(all_perms(4), repeat=2):
+        if not bruhat_leq(v, w):
+            continue
+        argv = ["ssyt", "--v", perm_str(v), "--w", perm_str(w), "--d", "2", "--list"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        d2 = next(line for line in out.splitlines() if line.startswith("d=2:"))
+        standard = int(d2.split()[2].removeprefix("standard="))
+        assert out.count("  standard  ") == standard, argv
+
+
 def test_ssyt_counts_agree_on_family_pair(capsys):
     code, out, _ = run_cli(capsys, "ssyt", "--v", "1342", "--w", "2431", "--d", "2")
     assert code == 0
@@ -458,6 +490,12 @@ def test_verify_quick(capsys):
     assert code == 0
     assert "[PASS] table1" in out
     assert "suites passed" in out
+    # the benchmark's recorded answer, under the benchmark's timing mask
+    with open(CLI_CATALOGUE) as fh:
+        entry = json.load(fh)["slots"]["verify"][0]
+    masked = re.sub(r"\d+\.\d+s\b", "<t>s", out)
+    assert code == entry["exit"]
+    assert hashlib.sha256(masked.encode()).hexdigest() == entry["sha256"]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from richtoric.initial import (
     TermOrder,
     _fold,
     _users,
-    classification_csv,
     classify_all,
     classify_rows,
     degree2_kernel_generators,
@@ -44,10 +43,9 @@ from richtoric.initial import (
     plucker_weight,
     restrict,
     weight_matrix,
-    weight_vector_lines,
-    witness_detail,
     witness_table,
 )
+from richtoric.cli import classification_csv, witness_detail
 
 DIAG = TermOrder.DIAGONAL
 ANTI = TermOrder.ANTIDIAGONAL
@@ -101,9 +99,21 @@ def test_plucker_weights():
         assert plucker_weight(J, 5) == expected
 
 
-def test_weight_vector_export():
-    lines = weight_vector_lines(3)
-    assert lines == ["1,0", "2,0", "3,0", "12,2", "13,1", "23,1"]
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_weight_matrix_defines_both_maps(n):
+    # over every way to put J's elements in rows 1..|J|, one per row, the
+    # diagonal term is the unique lightest and the antidiagonal the unique
+    # heaviest
+    m = weight_matrix(n)
+    for J in all_subsets(n):
+        weight = {
+            cells: sum(m[i - 1][j - 1] for i, j in cells)
+            for cells in (tuple(enumerate(p, 1)) for p in itertools.permutations(J))
+        }
+        low, high = min(weight.values()), max(weight.values())
+        assert [c for c, x in weight.items() if x == low] == [initial_term(J, DIAG)]
+        assert [c for c, x in weight.items() if x == high] == [initial_term(J, ANTI)]
+        assert low == plucker_weight(J, n)
 
 
 def test_phi_images():

@@ -9,7 +9,6 @@ from richtoric.perms import (
     bruhat_leq,
     bruhat_leq_mask,
     check_perm,
-    check_subset,
     complement,
     enumerate_S,
     enumerate_T,
@@ -20,7 +19,6 @@ from richtoric.perms import (
     inversions,
     longest,
     parse_perm,
-    parse_subset,
     partition_perm,
     perm_leq_subset,
     perm_leq_subset_bruhat,
@@ -44,16 +42,6 @@ def test_check_perm_rejects_non_bijections():
     for bad in [(), (0, 1), (1, 1), (2, 3), (1, 2, 4)]:
         with pytest.raises(ValueError):
             check_perm(bad)
-
-
-def test_check_subset_bounds():
-    assert check_subset([3, 1]) == (1, 3)
-    with pytest.raises(ValueError):
-        check_subset([])
-    with pytest.raises(ValueError):
-        check_subset([0, 1])
-    with pytest.raises(ValueError):
-        check_subset([2, 5], n=4)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +274,6 @@ def test_serialisation_examples():
     assert perm_str((2, 3, 1, 4)) == "2314"
     assert parse_perm("2314") == (2, 3, 1, 4)
     assert subset_str((2, 3, 4)) == "234"
-    assert parse_subset("234") == (2, 3, 4)
     big = tuple(range(1, 11))
     assert parse_perm(perm_str(big)) == big
     assert "," in perm_str(big)
@@ -296,9 +283,3 @@ def test_serialisation_examples():
 def test_perm_roundtrip(p):
     w = tuple(p)
     assert parse_perm(perm_str(w)) == w
-
-
-@given(st.sets(st.integers(min_value=1, max_value=8), min_size=1))
-def test_subset_roundtrip(s):
-    I = tuple(sorted(s))
-    assert parse_subset(subset_str(I)) == I

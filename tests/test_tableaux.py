@@ -36,7 +36,6 @@ from richtoric.tableaux import (
     max_truncation,
     min_defining_chain,
     min_extension,
-    parse_tableau,
     row_sort,
     rows_of,
     sort_columns,
@@ -105,8 +104,6 @@ def test_row_sort_properties_random(raw_cols):
 def test_tableau_serialisation():
     t = ((1, 2, 5), (2, 4, 6), (3, 5))
     assert tableau_str(t) == "[125,246,35]"
-    assert parse_tableau("[125,246,35]") == t
-    assert parse_tableau("[]") == ()
 
 
 # ---------------------------------------------------------------------------
