@@ -68,7 +68,7 @@ each comparable pair costs one row lookup and one popcount:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import defaultdict
 from enum import Enum
 from functools import lru_cache
 from math import factorial
@@ -101,9 +101,6 @@ class TermOrder(Enum):
     # Enum's own hash is a Python-level hash of the name, paid on every cache
     # key that holds an order; members are singletons compared by identity
     __hash__ = object.__hash__
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 Cell = tuple[int, int]  # (grid row, grid column), both 1-based
@@ -182,26 +179,42 @@ def degree2_kernel_generators(n: int, order: TermOrder) -> tuple[KernelBinomial,
     Every class member is paired with the canonical representative, so the
     result is a superset of any minimal generating set; completeness of the
     restriction test depends on that.
+
+    A pair (A, B), the wider column first as in ``sort_columns``, is keyed
+    by its image ``code[A] + code[B]``, packed by :func:`_cell_codes` with
+    2-bit fields (a column hits a cell at most once, so no field carries),
+    and recorded as one integer, rank[A] * size + rank[B], where rank
+    orders the subsets by ``subset_str``.  The classes with two or more
+    members run in order of their sorted cells, and the members of each in
+    order of those integers.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     subs = all_subsets(n)
-    # per-subset data, computed once: a pair's image is the sorted union of
-    # its columns' cells, and its key sorts the members of a class
-    cells = {J: initial_term(J, order) for J in subs}
-    label = {J: subset_str(J) for J in subs}
-    classes: dict[tuple[Cell, ...], list[Tableau]] = {}
+    size = len(subs)
+    codes = _cell_codes(subs, n, 2, order)
+    by_label = sorted(subs, key=subset_str)
+    rank = {J: r for r, J in enumerate(by_label)}
+    low = [rank[J] for J in subs]
+    high = [r * size for r in low]
+    classes: defaultdict[int, list[int]] = defaultdict(list)
     for a, A in enumerate(subs):
-        for B in subs[a:]:
+        code, k, ha, la = codes[a], len(A), high[a], low[a]
+        for b in range(a, size):
             # sort_columns((A, B)): subs runs by size, then lexicographically
-            m = (B, A) if len(B) > len(A) else (A, B)
-            classes.setdefault(tuple(sorted(cells[A] + cells[B])), []).append(m)
+            key = high[b] + la if len(subs[b]) > k else ha + low[b]
+            classes[code + codes[b]].append(key)
+    cells = {J: initial_term(J, order) for J in subs}
+
+    def image(keys: list[int]) -> list[Cell]:
+        a, b = divmod(keys[0], size)
+        return sorted(cells[by_label[a]] + cells[by_label[b]])
+
     gens: list[KernelBinomial] = []
-    for image in sorted(classes):
-        members = classes[image]
-        if len(members) < 2:
-            continue
-        members.sort(key=lambda m: (label[m[0]], label[m[1]]))
+    make = tuple.__new__  # what KernelBinomial._make does, without the call
+    for keys in sorted((ks for ks in classes.values() if len(ks) > 1), key=image):
+        keys.sort()
+        members = [(by_label[k // size], by_label[k % size]) for k in keys]
         if order is TermOrder.DIAGONAL:
             canon = _row_sorted_pair(members[0])
             if canon not in members:
@@ -210,7 +223,7 @@ def degree2_kernel_generators(n: int, order: TermOrder) -> tuple[KernelBinomial,
                 )
         else:
             canon = members[0]
-        gens.extend(KernelBinomial(m, canon) for m in members if m != canon)
+        gens.extend(make(KernelBinomial, (m, canon)) for m in members if m != canon)
     return tuple(gens)
 
 
@@ -225,8 +238,7 @@ class MonomialWitness(NamedTuple):
     missing: tuple[Subset, ...]  # columns of the vanished term outside T
 
 
-@dataclass(frozen=True)
-class RestrictionReport:
+class RestrictionReport(NamedTuple):
     v: Perm
     w: Perm
     order: TermOrder

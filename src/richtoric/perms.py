@@ -517,11 +517,11 @@ def parse_perm(s: str) -> Perm:
     s = s.strip()
     if not s:
         raise ValueError("empty permutation string")
-    try:
-        vals = [int(t) for t in s.split(",")] if "," in s else [int(c) for c in s]
-    except ValueError:
-        raise ValueError(f"not a permutation string: {s!r}") from None
-    return check_perm(vals)
+    tokens = s.split(",") if "," in s else s
+    # ASCII digit runs only: int() also takes other scripts' digits, signs and spaces
+    if not all(t.isascii() and t.isdigit() for t in tokens):
+        raise ValueError(f"not a permutation string: {s!r}")
+    return check_perm([int(t) for t in tokens])
 
 
 def subset_str(I: Subset) -> str:

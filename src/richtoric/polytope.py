@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .perms import BudgetError, Perm, Subset, enumerate_T, subset_str
 from .initial import TermOrder, initial_term
@@ -58,8 +58,7 @@ def cell_label(i: int, j: int) -> str:
     return f"x[{i},{j}]"
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(NamedTuple):
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
     entries: tuple[tuple[int, ...], ...]
@@ -200,8 +199,7 @@ def segre_matrix(v: Perm, w: Perm) -> IntMatrix:
     )
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
+class LatticePolytope(NamedTuple):
     ambient_labels: tuple[str, ...]
     points: tuple[tuple[int, ...], ...]  # distinct, first-occurrence order
     point_labels: tuple[tuple[str, ...], ...]  # column labels merged per point

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from functools import cache
+from typing import NamedTuple
 
 from .perms import (
     all_perms,
@@ -65,8 +66,7 @@ from .polytope import lattice_points, polytope, restricted_map_matrix, segre_mat
 from .table1 import compare_with_table1, table1_rows
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     ok: bool
     detail: str
@@ -312,7 +312,7 @@ def block_suite(max_n: int = 6):
 # brute-force oracles
 
 
-def _oracle_chains(cols, n):
+def _oracle_chains(cols, n, leq):
     """Every defining chain of a tableau, by filtered product."""
     per_column = []
     for J in cols:
@@ -330,21 +330,21 @@ def _oracle_chains(cols, n):
             chain + [u]
             for chain in chains
             for u in options
-            if bruhat_leq(chain[-1], u)
+            if leq(chain[-1], u)
         ]
     return chains
 
 
-def _unique_minimum(values):
+def _unique_minimum(values, leq):
     for cand in values:
-        if all(bruhat_leq(cand, other) for other in values):
+        if all(leq(cand, other) for other in values):
             return cand
     return None
 
 
-def _unique_maximum(values):
+def _unique_maximum(values, leq):
     for cand in values:
-        if all(bruhat_leq(other, cand) for other in values):
+        if all(leq(other, cand) for other in values):
             return cand
     return None
 
@@ -354,10 +354,13 @@ def chains_oracle(max_n: int = 4, max_d: int = 3):
 
     The tableaux are drawn by filtering every d-tuple of subsets of [n] with
     :func:`is_ssyt`, not from the fast enumeration; how many there are is
-    then checked against ``enumerate_ssyt(id, w0, d)``.
+    then checked against ``enumerate_ssyt(id, w0, d)``.  Every Bruhat test
+    goes through one cache local to the call, so the tuple ``bruhat_leq``
+    runs at most once per ordered pair.
     """
     bad = []
     checked = 0
+    leq = cache(bruhat_leq)
     for n in range(2, max_n + 1):
         ident, w0 = identity(n), longest(n)
         for d in range(1, max_d + 1):
@@ -367,15 +370,16 @@ def chains_oracle(max_n: int = 4, max_d: int = 3):
                 bad.append((n, d, f"{len(drawn)} SSYT drawn, enumerate_ssyt gives {fast}"))
             for cols in drawn:
                 checked += 1
-                chains = _oracle_chains(cols, n)
+                chains = _oracle_chains(cols, n, leq)
                 lo = min_defining_chain(cols, n)
                 hi = max_defining_chain(cols, n)
                 for k in range(d):
                     values = {chain[k] for chain in chains}
-                    if _unique_minimum(values) != lo[k] or _unique_maximum(values) != hi[k]:
+                    lo_k, hi_k = _unique_minimum(values, leq), _unique_maximum(values, leq)
+                    if lo_k != lo[k] or hi_k != hi[k]:
                         bad.append((n, tableau_str(cols), k))
                         break
-                if not all(bruhat_leq(a, b) for a, b in zip(lo, hi)):
+                if not all(leq(a, b) for a, b in zip(lo, hi)):
                     bad.append((n, tableau_str(cols), "min>max"))
     return not bad, f"{checked} tableaux checked; failures: {bad[:5]}"
 

@@ -7,7 +7,17 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from richtoric.initial import TermOrder  # noqa: E402
 from richtoric.perms import all_perms, bruhat_leq  # noqa: E402
+
+
+def pytest_make_parametrize_id(config, val, argname):
+    """Name a parametrized order by its value ("diagonal"), not by the
+    enum's default str ("TermOrder.DIAGONAL"), so test ids stay short and
+    stable."""
+    if isinstance(val, TermOrder):
+        return val.value
+    return None
 
 
 @lru_cache(maxsize=None)

@@ -64,7 +64,7 @@ def test_check_rejects_bad_input(capsys):
     assert code == 2 and "error" in err
 
 
-@pytest.mark.parametrize("text", ["12a", "1,2,,3"])
+@pytest.mark.parametrize("text", ["12a", "1,2,,3", "١٢٣", "+1,3,2", "1, 2,3"])
 def test_check_refuses_a_non_numeric_permutation(capsys, text):
     code, out, err = run_cli(capsys, "check", "--v", text, "--w", "123")
     assert (code, out, err) == (2, "", f"error: not a permutation string: {text!r}\n")
@@ -513,3 +513,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "monomial-free: yes" in proc.stdout
+
+
+def test_cli_import_loads_no_dataclasses():
+    # every record is a NamedTuple; dataclasses (and inspect with it) would
+    # add to the start-up of every fresh process
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import sys; before = set(sys.modules); import richtoric.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (sys.modules.keys() - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -23,12 +23,20 @@ from richtoric.perms import (
     perm_masks,
     subset_bits,
     subset_leq_perm,
+    subset_str,
 )
 from richtoric.compat import in_Tn, tn_pairs
-from richtoric.tableaux import count_standard, enumerate_ssyt, row_sort, sort_columns
+from richtoric.tableaux import (
+    count_standard,
+    enumerate_ssyt,
+    row_sort,
+    sort_columns,
+    tableau_str,
+)
 from richtoric import initial
 from richtoric.initial import (
     ClassifyRecord,
+    KernelBinomial,
     TermOrder,
     _fold,
     _users,
@@ -178,6 +186,45 @@ def _reference_generators(n, order):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_generators_match_pairwise_reference(n, order):
     assert [tuple(g) for g in degree2_kernel_generators(n, order)] == _reference_generators(n, order)
+
+
+def _ref_degree2_kernel_generators(n, order):
+    """The kernel build keyed by sorted cell tuples and label tuples, as it
+    stood before the packed image codes."""
+    subs = all_subsets(n)
+    cells = {J: initial_term(J, order) for J in subs}
+    label = {J: subset_str(J) for J in subs}
+    classes = {}
+    for a, A in enumerate(subs):
+        for B in subs[a:]:
+            m = (B, A) if len(B) > len(A) else (A, B)
+            classes.setdefault(tuple(sorted(cells[A] + cells[B])), []).append(m)
+    gens = []
+    for image in sorted(classes):
+        members = classes[image]
+        if len(members) < 2:
+            continue
+        members.sort(key=lambda m: (label[m[0]], label[m[1]]))
+        if order is DIAG:
+            canon = initial._row_sorted_pair(members[0])
+            if canon not in members:
+                raise RuntimeError(
+                    f"row-sorted form {tableau_str(canon)} escaped its image class"
+                )
+        else:
+            canon = members[0]
+        gens.extend(KernelBinomial(m, canon) for m in members if m != canon)
+    return tuple(gens)
+
+
+@pytest.mark.parametrize("order", [DIAG, ANTI])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_packed_kernel_build_matches_the_tuple_keyed_build(n, order):
+    # generator order decides the witness and survivor order in `check`, so
+    # the whole tuple must match, not just the set
+    gens = degree2_kernel_generators(n, order)
+    assert gens == _ref_degree2_kernel_generators(n, order)
+    assert all(type(g) is KernelBinomial for g in gens)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

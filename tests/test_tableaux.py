@@ -491,3 +491,14 @@ def test_chains_oracle_draws_its_own_tableaux(monkeypatch):
     ok, detail = verify.chains_oracle(3, 2)
     assert not ok
     assert "SSYT drawn, enumerate_ssyt gives" in detail
+
+
+def test_chains_oracle_catches_a_wrong_min_chain(monkeypatch):
+    # the oracle's cached Bruhat tests must still tell a max chain from
+    # the componentwise minimum
+    from richtoric import verify
+
+    monkeypatch.setattr(verify, "min_defining_chain", verify.max_defining_chain)
+    ok, detail = verify.chains_oracle(3, 2)
+    assert not ok
+    assert "failures: []" not in detail
