@@ -58,7 +58,6 @@ from .initial import (
 )
 from .polytope import lattice_points, polytope, restricted_map_matrix, segre_matrix
 from .table1 import compare_with_table1, table1_rows
-from .verify import run_suites
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -387,6 +386,8 @@ def cmd_polytope(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suites  # only this command needs the suites
+
     results = run_suites(args.level)
     failed = [r for r in results if not r.ok]
     for r in results:

@@ -28,6 +28,13 @@ level sorted by serialised columns thus gives a sorted next level, so the
 canonical order needs no sort.  :func:`count_standard` reads the masks of
 v and w once and tests each chain end with one AND.
 
+A chain step makes no subset comparison either.  :func:`_lift` keeps, for
+every threshold t, the slack between u's prefix count and the chosen
+prefix count of entries <= t, all thresholds packed in one int.  The next
+entry is the least free value above the highest threshold with no slack,
+found with a few integer operations; when there is none, no extension
+exists, so the step needs no separate existence test.
+
 Tableaux serialise as bracketed column lists, e.g. "[125,246,35]"; chains as
 bracketed permutation lists.
 """
@@ -37,12 +44,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .perms import (
+    MAX_N,
     Perm,
     Subset,
     _comparable_masks,
     ascending_completion,
     bruhat_leq,  # unused here; perfbench/test_perfbench.py reads tableaux.bruhat_leq
-    bruhat_leq_mask,
     degree_columns,
     descending_completion,
     gale_leq,
@@ -127,18 +134,63 @@ def chain_str(perms) -> str:
 # defining chains
 
 
-def _lift(u: Perm, J: Subset) -> Perm:
-    """The Bruhat-minimum z >= u with leading set J, given that one exists.
+#: Width of one slack field in :func:`_lift`: a 4-bit count (at most MAX_N)
+#: under a guard bit, so subtracting one from every field never borrows.
+_FIELD = 5
+_ONES = sum(1 << _FIELD * t for t in range(MAX_N + 1))
+_GUARDS = _ONES << _FIELD - 1
+#: _STEP[x] is one in every field t >= x, the count of one value x <= t.
+_STEP = tuple(_ONES >> _FIELD * x << _FIELD * x for x in range(MAX_N + 1))
 
-    z >= u iff each prefix set of z dominates u's of the same size.  Each
-    position takes the smallest unused entry (from J in the first |J|) that
-    keeps the prefix dominating; every such prefix extends to a whole z >= u,
-    so the minimum makes the same choices."""
-    n, k, z = len(u), len(J), []
-    for i in range(1, n + 1):
-        floor = sorted(u[:i])
-        pool = J if i <= k else range(1, n + 1)
-        z.append(min(y for y in pool if y not in z and gale_leq(floor, sorted(z + [y]))))
+
+def _lift(u: Perm, J: Subset) -> Perm | None:
+    """The Bruhat-minimum z >= u whose first |J| entries form J, or None
+    when there is none.
+
+    z >= u iff each prefix set of z dominates u's of the same size, that is,
+    for every threshold t it has no more entries <= t.  Position i takes the
+    least unused value y (from J while i <= |J|) that keeps the prefix
+    dominating; every such prefix extends to a whole z >= u, so the minimum
+    makes the same choices.
+
+    The test is a count.  With z_1..z_{i-1} chosen, the slack
+    s(t) = #{u_1..u_i <= t} - #{z_1..z_{i-1} <= t} is never negative, as
+    the previous prefix dominated.  Adding y lowers s(t) by one for every
+    t >= y, so y keeps the prefix dominating iff s(t) >= 1 for all t >= y:
+    y must lie above the highest tight threshold m = max{t : s(t) = 0}
+    (s(0) = 0, so m exists).  The candidates are the unused pool values
+    above m, and the greedy takes the least.
+
+    An empty candidate set means no extension exists.  Say J dominates
+    u's first |J| entries (every z >= u with leading set J needs that) and
+    i <= |J|.  Then the largest unused value y of J is a candidate: the
+    |J| - i + 1 unused values of J are all <= t for t >= y, so
+    #{z_1..z_{i-1} <= t} = #{J <= t} - (|J| - i + 1), while
+    #{u_1..u_i <= t} >= #{u_1..u_{|J|} <= t} - (|J| - i) >= #{J <= t} - (|J| - i),
+    and s(t) >= 1.  After |J| the same holds with [n] for J.  So the greedy
+    runs dry only when no z >= u has leading set J.
+
+    The slack of every t sits in one int, one _FIELD-bit field per t.
+    Setting the guard bits and subtracting one from every field clears the
+    guard of exactly the zero fields, the highest of which is m; values are
+    bits of a mask, so one step is a few integer operations.
+    """
+    free = (2 << len(u)) - 2
+    pool = sum(1 << x for x in J)
+    k, s, z = len(J), 0, []
+    for i, x in enumerate(u):
+        if i == k:
+            pool = free
+        s += _STEP[x]
+        tight = ~((s | _GUARDS) - _ONES) & _GUARDS
+        m = tight.bit_length() // _FIELD - 1
+        above = free & pool & (-2 << m)
+        if not above:
+            return None
+        y = (above & -above).bit_length() - 1
+        free ^= 1 << y
+        s -= _STEP[y]
+        z.append(y)
     return tuple(z)
 
 
@@ -147,17 +199,18 @@ def min_extension(u: Perm, J: Subset) -> Perm:
     """The Bruhat-minimum permutation z >= u whose leading entries form J.
 
     The permutations with leading set J form a parabolic coset.  Those above
-    u have a unique minimum (Deodhar's lemma), built by :func:`_lift`; they
-    exist iff u is below the top of the coset, the descending completion of J.
+    u have a unique minimum (Deodhar's lemma), built by :func:`_lift`; when
+    there are none, this raises NoExtensionError.
 
     >>> min_extension((1, 3, 2), (2,))
     (2, 3, 1)
     >>> min_extension((1, 2, 3), (3,))
     (3, 1, 2)
     """
-    if not bruhat_leq_mask(u, descending_completion(J, len(u))):
+    z = _lift(u, J)
+    if z is None:
         raise NoExtensionError(f"no permutation above {u} with prefix {J}")
-    return _lift(u, J)
+    return z
 
 
 @lru_cache(maxsize=None)
@@ -172,9 +225,9 @@ def max_truncation(u: Perm, I: Subset) -> Perm:
     ((2, 1, 3), (2, 1, 3))
     """
     n = len(u)
-    if not bruhat_leq_mask(ascending_completion(I, n), u):
-        raise NoExtensionError(f"no permutation below {u} with prefix {I}")
     z = _lift(tuple(n + 1 - x for x in u), tuple(n + 1 - x for x in I))
+    if z is None:
+        raise NoExtensionError(f"no permutation below {u} with prefix {I}")
     return tuple(n + 1 - x for x in z)
 
 

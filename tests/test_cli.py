@@ -526,3 +526,13 @@ def test_cli_import_loads_no_dataclasses():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_cli_import_leaves_verify_unloaded():
+    # only the verify command needs the suites; every other fresh process
+    # skips loading (and, without cached bytecode, compiling) them
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys; import richtoric.cli; print('richtoric.verify' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

@@ -308,6 +308,70 @@ def test_lift_agrees_with_the_candidate_scan(n):
                     assert lift(u, J) == want, (lift.__name__, u, J)
 
 
+def _ref_lift(u, J, above):
+    """The chain step before the slack count: the coset-end preflight, then
+    the tuple greedy with a sort and a gale_leq per candidate.  Below u it
+    runs on the value mirror.  None when no permutation qualifies."""
+    n = len(u)
+    if not above:
+        z = _ref_lift(tuple(n + 1 - x for x in u), tuple(sorted(n + 1 - x for x in J)), True)
+        return z and tuple(n + 1 - x for x in z)
+    if not bruhat_leq_mask(u, descending_completion(J, n)):
+        return None
+    k, z = len(J), []
+    for i in range(1, n + 1):
+        floor = sorted(u[:i])
+        pool = J if i <= k else range(1, n + 1)
+        z.append(min(y for y in pool if y not in z and gale_leq(floor, sorted(z + [y]))))
+    return tuple(z)
+
+
+def _assert_lifts_agree(cases):
+    """Both directions of every (u, J) against _ref_lift, refusals and their
+    messages included; returns the number of refusals met."""
+    refused = 0
+    for u, J in cases:
+        for lift, above, side in ((min_extension, True, "above"), (max_truncation, False, "below")):
+            want = _ref_lift(u, J, above)
+            try:
+                got = lift.__wrapped__(u, J)
+            except NoExtensionError as e:
+                got = str(e)
+            if want is None:
+                refused += 1
+                want = f"no permutation {side} {u} with prefix {J}"
+            assert got == want, (lift.__name__, u, J)
+    return refused
+
+
+def test_lift_agrees_with_the_tuple_greedy_at_n6():
+    cases = [(u, J) for u in all_perms(6) for J in all_subsets(6)]
+    assert _assert_lifts_agree(cases) > 0
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_lift_agrees_with_the_tuple_greedy_seeded(n):
+    rng = random.Random(700 + n)
+    subsets = all_subsets(n)
+    cases = [(tuple(rng.sample(range(1, n + 1), n)), rng.choice(subsets)) for _ in range(2000)]
+    assert _assert_lifts_agree(cases) > 0
+
+
+def test_chain_steps_never_run_the_tuple_test(monkeypatch):
+    # cold chain steps make no gale_leq call, so none can fall back to the
+    # tuple path unseen
+    from richtoric import perms, tableaux
+
+    def refuse(I, J):
+        raise AssertionError("gale_leq called")
+
+    monkeypatch.setattr(perms, "gale_leq", refuse)
+    monkeypatch.setattr(tableaux, "gale_leq", refuse)
+    min_extension.cache_clear()
+    max_truncation.cache_clear()
+    assert count_standard(identity(5), longest(5), 3) == 3332
+
+
 def _tuple_chains(cols, n):
     lo = [ascending_completion(cols[0], n)]
     for J in cols[1:]:
