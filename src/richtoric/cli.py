@@ -29,7 +29,7 @@ from .perms import (
     BudgetError,
     Perm,
     bruhat_leq_mask,
-    degree_columns,
+    degree_mask,
     enumerate_T,
     inversions,
     parse_perm,
@@ -56,7 +56,7 @@ from .initial import (
     monomial_str,
     restrict,
 )
-from .polytope import lattice_points, polytope, restricted_map_matrix, segre_matrix
+from .polytope import IntMatrix, lattice_points, polytope, restricted_map_matrix, segre_matrix
 from .table1 import compare_with_table1, table1_rows
 
 EXIT_OK = 0
@@ -296,7 +296,7 @@ def cmd_ssyt(args) -> int:
     try:
         # refused before anything prints: |T|^d grows with d, and no budget
         # the loop meets is below SSYT_BUDGET
-        degree_columns(v, w, args.d, SSYT_BUDGET)
+        degree_mask(v, w, args.d, SSYT_BUDGET)
         print(f"pair: v={perm_str(v)} w={perm_str(w)} (n={len(v)}), order={order.value}")
         for d in range(1, args.d + 1):
             tableaux = enumerate_ssyt(v, w, d)
@@ -329,10 +329,12 @@ def cmd_polytope(args) -> int:
         poly = polytope(v, w, order)
     except BudgetError as exc:
         return _fail(str(exc))
-    # the matrices are display only; polytope() refused an oversized S above
+    # the matrices are display only; polytope() refused an oversized S above.
+    # AS holds each product's point, read back from the merged labels.
     a = restricted_map_matrix(v, w, order)
     s = segre_matrix(v, w)
-    prod = a.mul(s)
+    point_of = {lbl: p for p, group in zip(poly.points, poly.point_labels) for lbl in group}
+    prod = IntMatrix(a.row_labels, s.col_labels, tuple(zip(*map(point_of.get, s.col_labels))))
     points = None
     points_error = None
     try:

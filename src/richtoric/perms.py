@@ -267,15 +267,22 @@ def enumerate_T(v: Perm, w: Perm) -> list[Subset]:
     return subsets_of(interval_mask(v, w), len(v))
 
 
-def degree_columns(v: Perm, w: Perm, d: int, budget: int) -> list[Subset]:
-    """T_w^v as the columns of degree-d monomials, refused for d < 1 and,
-    before any monomial is built, when |T|^d exceeds ``budget``."""
+def degree_mask(v: Perm, w: Perm, d: int, budget: int) -> int:
+    """The mask of T_w^v as the columns of degree-d monomials, refused for
+    d < 1, then as :func:`interval_mask` refuses the pair, and, before any
+    monomial is built, when |T|^d exceeds ``budget``."""
     if d < 1:
         raise ValueError("degree must be positive")
-    cols = enumerate_T(v, w)
-    if len(cols) ** d > budget:
-        raise BudgetError(f"|T|^d = {len(cols)}^{d} exceeds budget {budget}")
-    return cols
+    mask = interval_mask(v, w)
+    size = mask.bit_count()
+    if size ** d > budget:
+        raise BudgetError(f"|T|^d = {size}^{d} exceeds budget {budget}")
+    return mask
+
+
+def degree_columns(v: Perm, w: Perm, d: int, budget: int) -> list[Subset]:
+    """The columns of :func:`degree_mask`, in canonical order."""
+    return subsets_of(degree_mask(v, w, d, budget), len(v))
 
 
 def enumerate_S(v: Perm, w: Perm) -> list[Subset]:
@@ -393,6 +400,33 @@ def set_bits(bits: int) -> list[int]:
     while p >= 0:
         out.append(p)
         p = digits.find("1", p + 1)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _byte_positions(k: int) -> tuple[tuple[int, ...], ...]:
+    """Per byte value, the positions of its set bits as byte k of a mask,
+    ascending: each value adds its top bit to the value without it."""
+    table: list[tuple[int, ...]] = [()]
+    for byte in range(1, 256):
+        top = byte.bit_length() - 1
+        table.append(table[byte ^ 1 << top] + (8 * k + top,))
+    return tuple(table)
+
+
+def subset_indices(mask: int, n: int) -> list[int]:
+    """The ``all_subsets(n)`` indices of the subsets in ``mask``, ascending,
+    read a byte at a time from a table of each byte's bit positions.  The
+    tables cover at most 32 bytes for n <= MAX_N; :func:`set_bits` reads
+    the long bitsets over permutations.
+
+    >>> subset_indices(0b101100, 3), subset_indices(0, 3)
+    ([2, 3, 5], [])
+    """
+    out: list[int] = []
+    for k, byte in enumerate(mask.to_bytes((len(all_subsets(n)) + 7) // 8, "little")):
+        if byte:
+            out += _byte_positions(k)[byte]
     return out
 
 

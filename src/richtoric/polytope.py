@@ -16,8 +16,9 @@ Each column of AS is the sum of one column of A per factor, so
 AS: the points are the Minkowski sumset of the factors' column sets.  The
 affine hull of a Minkowski sum is the sum of the factors' affine hulls, so
 the affine dimension is the rank of the in-factor differences A_J - A_J0,
-at most |T| vectors however many points the sumset has.  S and AS are
-built only for display, by :func:`segre_matrix` and :meth:`IntMatrix.mul`.
+at most |T| vectors however many points the sumset has.  S is built only
+for display, by :func:`segre_matrix`; the CLI reads AS back from the points
+by their labels, and :meth:`IntMatrix.mul` is the independent check.
 
 All arithmetic is on integers.  One fraction-free elimination routine,
 :func:`_reduce`, reduces an integer vector against integer echelon rows and
@@ -396,32 +397,32 @@ def _hull_test(pts, k: int):
     Every k-subset {a, b, ...} of the points gives a candidate facet normal,
     the cofactors of its k - 1 differences b - a, ...; the candidates that
     support every point are the facets, found once, not per tested point.
-    A facet through more than k points is found once per k-subset of them,
-    so each halfspace is divided by the gcd of its normal (the offset is an
-    integer combination of the normal) and kept once, in a dict.
+    Many k-subsets share a hyperplane direction, so each normal is divided
+    by its gcd and signed so that its first nonzero entry is positive, and
+    the subsets of one direction are grouped with the levels
+    <normal, anchor> they meet.  The points' levels are then read once per
+    direction, and a level met is a facet exactly when it is the least or
+    the greatest of them.  Each halfspace is kept once, in a dict.
     """
     if k == 0:
         return lambda x: x == pts[0]
-    halfspaces = {}
+    levels: dict[tuple[int, ...], set[int]] = {}
     for a, *rest in itertools.combinations(pts, k):
         normal = _cofactors([tuple(bi - ai for ai, bi in zip(a, b)) for b in rest], k)
         if any(normal):
-            supported = _supporting(pts, normal, a)
-            if supported:
-                normal, offset = supported
-                g = math.gcd(*normal)
-                halfspaces[tuple(x // g for x in normal), offset // g] = None
+            g = math.gcd(*normal)
+            if next(x for x in normal if x) < 0:
+                g = -g
+            normal = tuple(x // g for x in normal)
+            levels.setdefault(normal, set()).add(sum(map(operator.mul, normal, a)))
+    halfspaces = {}
+    for normal, found in levels.items():
+        sides = [sum(map(operator.mul, normal, p)) for p in pts]
+        low, high = min(sides), max(sides)
+        if low in found:
+            halfspaces[normal, low] = None
+        if high in found:
+            halfspaces[tuple(-x for x in normal), -high] = None
     return lambda x: all(
         sum(map(operator.mul, normal, x)) >= offset for normal, offset in halfspaces
     )
-
-
-def _supporting(pts, normal, anchor):
-    """Orient normal so every point satisfies <normal, p> >= <normal, anchor>."""
-    offset = sum(map(operator.mul, normal, anchor))
-    sides = [sum(map(operator.mul, normal, p)) for p in pts]
-    if min(sides) >= offset:
-        return normal, offset
-    if max(sides) <= offset:
-        return tuple(-n for n in normal), -offset
-    return None

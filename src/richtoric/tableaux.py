@@ -20,13 +20,22 @@ bottom of its maximum chain stays above v.
 The walks over tableaux use the subset masks of :mod:`richtoric.perms`.
 One up-set table per n, :func:`~richtoric.perms.gale_up`, holds for each
 subset I the mask of the subsets J with I <= J, so a column's successors
-among the columns of T are those whose bit meets its up-set, one AND per
-pair and no :func:`gale_leq` call.  :func:`enumerate_ssyt` extends level by
-level: level 1 is T in serialised order, and every tableau of a level is
-followed, in order, by its last column's successors in that order.  A
-level sorted by serialised columns thus gives a sorted next level, so the
-canonical order needs no sort.  :func:`count_standard` reads the masks of
-v and w once and tests each chain end with one AND.
+among the columns of T are the bits of ``gale_up(n)[I] & T``, one AND per
+column and no :func:`gale_leq` call.  :func:`enumerate_ssyt` extends level
+by level: level 1 is T in serialised order, and every tableau of a level is
+followed, in order, by its last column's successors in that order (the
+masks renumbered to serialised positions once per n).  A level sorted by
+serialised columns thus gives a sorted next level, so the canonical order
+needs no sort.
+
+:func:`count_standard` walks small integers: columns are subset indices,
+and chain permutations are ids in one chain table per n.  The table stores
+each permutation reached once, with its prefix mask and the complement of
+its below mask in lists indexed by the id, and every chain step taken so
+far, up (:func:`min_extension`) and down (:func:`max_truncation`), in two
+dicts keyed by ``perm_id << 8 | subset_index``.  A miss lifts the step with
+:func:`_lift`; every later call reads it back, so a warm walk hashes only
+ints.  Both chain ends are then one AND each against masks of v and w.
 
 A chain step makes no subset comparison either.  :func:`_lift` keeps, for
 every threshold t, the slack between u's prefix count and the chosen
@@ -48,9 +57,10 @@ from .perms import (
     Perm,
     Subset,
     _comparable_masks,
+    all_subsets,
     ascending_completion,
     bruhat_leq,  # unused here; perfbench/test_perfbench.py reads tableaux.bruhat_leq
-    degree_columns,
+    degree_mask,
     descending_completion,
     gale_leq,
     gale_up,
@@ -58,8 +68,9 @@ from .perms import (
     longest,
     perm_masks,
     perm_str,
-    subset_bits,
+    subset_indices,
     subset_str,
+    subsets_of,
 )
 
 #: Cap on |T|^d before enumerating degree-d tableaux.
@@ -224,11 +235,18 @@ def max_truncation(u: Perm, I: Subset) -> Perm:
     >>> max_truncation((3, 2, 1), (1, 2)), r(min_extension(r((3, 2, 1)), r((2, 1))))
     ((2, 1, 3), (2, 1, 3))
     """
-    n = len(u)
-    z = _lift(tuple(n + 1 - x for x in u), tuple(n + 1 - x for x in I))
+    z = _lift_down(u, I)
     if z is None:
         raise NoExtensionError(f"no permutation below {u} with prefix {I}")
-    return tuple(n + 1 - x for x in z)
+    return z
+
+
+def _lift_down(u: Perm, I: Subset) -> Perm | None:
+    """The Bruhat-maximum z <= u whose first |I| entries form I, or None:
+    :func:`_lift` on the value mirror x -> n+1-x."""
+    m = len(u) + 1
+    z = _lift(tuple(m - x for x in u), tuple(m - x for x in I))
+    return z and tuple(m - x for x in z)
 
 
 def _chain_columns(cols, n: int) -> Tableau:
@@ -274,13 +292,85 @@ def is_standard(cols, v: Perm, w: Perm) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the chain table
+
+
+class _ChainTable:
+    """The permutations of [n] that chain steps have reached, each stored once
+    under a small integer id, with its prefix mask and the complement of its
+    below mask (within ``full``, the mask of every subset) in lists indexed
+    by that id, and the steps between them: ``up`` for :func:`min_extension`
+    and ``down`` for :func:`max_truncation` (see :class:`_Steps`).  ``gale``
+    is :func:`~richtoric.perms.gale_up` by subset index.
+    """
+
+    __slots__ = ("subsets", "full", "gale", "ids", "perms", "prefix", "not_below", "up", "down")
+
+    def __init__(self, n: int):
+        self.subsets = all_subsets(n)
+        self.full = (1 << len(self.subsets)) - 1
+        self.gale = tuple(gale_up(n).values())
+        self.ids: dict[Perm, int] = {}
+        self.perms: list[Perm] = []
+        self.prefix: list[int] = []
+        self.not_below: list[int] = []
+        self.up = _Steps(self, False)
+        self.down = _Steps(self, True)
+
+    def intern(self, z: Perm) -> int:
+        """The id of z, stored with its masks on first sight."""
+        i = self.ids.get(z)
+        if i is None:
+            i = self.ids[z] = len(self.perms)
+            masks = perm_masks(z)
+            self.perms.append(z)
+            self.prefix.append(masks.prefix)
+            self.not_below.append(self.full ^ masks.below)
+        return i
+
+
+class _Steps(dict):
+    """Chain steps keyed by ``perm_id << 8 | subset_index`` (the bit position
+    of the subset in ``all_subsets(n)``, below 256 for n <= MAX_N), valued
+    by the id of the step's end.  A miss lifts the step, with :func:`_lift`
+    up or :func:`_lift_down` down, and stores it."""
+
+    __slots__ = ("table", "down")
+
+    def __init__(self, table: _ChainTable, down: bool):
+        self.table, self.down = table, down
+
+    def __missing__(self, key: int) -> int:
+        table = self.table
+        u, J = table.perms[key >> 8], table.subsets[key & 255]
+        z = _lift_down(u, J) if self.down else _lift(u, J)
+        if z is None:
+            side = "below" if self.down else "above"
+            raise NoExtensionError(f"no permutation {side} {u} with prefix {J}")
+        i = self[key] = table.intern(z)
+        return i
+
+
+@lru_cache(maxsize=None)
+def _chain_table(n: int) -> _ChainTable:
+    """The chain table of S_n, shared by every :func:`count_standard` call."""
+    return _ChainTable(n)
+
+
+# ---------------------------------------------------------------------------
 # enumeration and counting
 
 
-def _gale_successors(cols, n: int) -> dict[Subset, list[Subset]]:
-    """Each column's Gale successors among ``cols``, in the order of ``cols``."""
-    bit, up = subset_bits(n), gale_up(n)
-    return {I: [J for J in cols if bit[J] & up[I]] for I in cols}
+@lru_cache(maxsize=None)
+def _serial_layout(n: int) -> tuple[tuple[Subset, ...], tuple[int, ...], tuple[int, ...]]:
+    """The subsets of [n] in serialised order, the serialised position of
+    each subset index, and each subset's Gale up-set renumbered to those
+    positions, in serialised order."""
+    order = tuple(sorted(all_subsets(n), key=subset_str))
+    pos = {J: p for p, J in enumerate(order)}
+    position = tuple(pos[J] for J in all_subsets(n))
+    up = gale_up(n)
+    return order, position, tuple(sum(1 << pos[J] for J in subsets_of(up[I], n)) for I in order)
 
 
 def enumerate_ssyt(v: Perm, w: Perm, d: int) -> list[Tableau]:
@@ -290,13 +380,32 @@ def enumerate_ssyt(v: Perm, w: Perm, d: int) -> list[Tableau]:
     the level-by-level extension gives without a sort (see the module
     docstring).
     """
-    cols = sorted(degree_columns(v, w, d, SSYT_BUDGET), key=subset_str)
-    level = [(J,) for J in cols]
+    n = len(v)
+    order, position, up = _serial_layout(n)
+    T = sum(1 << position[i] for i in subset_indices(degree_mask(v, w, d, SSYT_BUDGET), n))
+    cols = subset_indices(T, n)
+    level = [(order[p],) for p in cols]
     if d > 1:
-        succ = _gale_successors(cols, len(v))
+        succ = {order[p]: [order[q] for q in subset_indices(up[p] & T, n)] for p in cols}
         for _ in range(d - 1):
             level = [t + (J,) for t in level for J in succ[t[-1]]]
     return level
+
+
+class _Bottoms(dict):
+    """Max-chain bottom ids of suffixes, keyed by integer codes: a suffix
+    (c_1, ..., c_k) of subset indices is c_1 | c_2 << 8 | ... | 1 << 8k, so
+    ``code >> 8`` drops the first column and code 1 is the empty suffix."""
+
+    __slots__ = ("down",)
+
+    def __init__(self, table: _ChainTable, n: int):
+        super().__init__({1: table.intern(longest(n))})
+        self.down = table.down
+
+    def __missing__(self, code: int) -> int:
+        b = self[code] = self.down[self[code >> 8] << 8 | code & 255]
+        return b
 
 
 def count_standard(v: Perm, w: Perm, d: int) -> int:
@@ -308,52 +417,63 @@ def count_standard(v: Perm, w: Perm, d: int) -> int:
     completion, <= w as J <= w, and its descending completion, >= v as
     v <= J.  Above degree one, a depth-first walk over T's Gale successors
     meets every candidate.  The walk carries the top of each prefix's
-    minimum chain, one :func:`min_extension` per node; the empty prefix
-    tops at the identity.  Since min_extension(u, J) >= u, tops only rise
-    along a chain, so a prefix whose top is not <= w has no standard
+    minimum chain, one :func:`min_extension` step per node; the empty
+    prefix tops at the identity.  Since min_extension(u, J) >= u, tops only
+    rise along a chain, so a prefix whose top is not <= w has no standard
     completion and the walk prunes it.  At a leaf, the bottom of the
     maximum chain is the :func:`max_truncation` of its suffix's bottom by
-    the first column, with the suffix bottoms kept in a per-call dict; the
+    the first column, with the suffix bottoms kept in a per-call memo; the
     empty suffix bottoms at w0.  Both Bruhat tests are one AND against a
     mask read once per call: a top z is <= w when no prefix set of z lies
     outside ``below[w]``, and a bottom b is >= v when no prefix set of v
     lies outside ``below[b]``.
 
+    The walk runs on small integers.  Columns are subset indices, a
+    column's successors are the bits of ``gale_up(n)[I] & T``, and chain
+    permutations are ids in the chain table of S_n, which holds each one's
+    masks and every step already taken, up and down, under an integer key
+    (see :class:`_ChainTable`).  Each step is lifted once per process; the
+    suffix bottoms are keyed by integer codes (see :class:`_Bottoms`).
+
     >>> count_standard((1, 2, 3), (3, 1, 2), 2), len(enumerate_ssyt((1, 2, 3), (3, 1, 2), 2))
     (14, 15)
     """
-    cols = degree_columns(v, w, d, SSYT_BUDGET)
+    T = degree_mask(v, w, d, SSYT_BUDGET)
     if d == 1:
-        return len(cols)
+        return T.bit_count()
     n = len(v)
-    succ = _gale_successors(cols, n)
-    not_below_w = ~perm_masks(w).below
+    table = _chain_table(n)
+    up, down, prefix, not_below = table.up, table.down, table.prefix, table.not_below
+    not_below_w = table.full ^ perm_masks(w).below
     prefix_v = perm_masks(v).prefix
-    bottoms: dict[Tableau, Perm] = {(): longest(n)}
+    succ = {i: subset_indices(table.gale[i] & T, n) for i in subset_indices(T, n)}
+    bottoms = _Bottoms(table, n)
+    sentinel = 1 << 8 * (d - 1)
 
-    def bottom(suffix: Tableau) -> Perm:
-        b = bottoms.get(suffix)
-        if b is None:
-            b = bottoms[suffix] = max_truncation(bottom(suffix[1:]), suffix[0])
-        return b
-
-    def walk(prefix: Tableau, top: Perm) -> int:
+    def walk(last: int, top: int, first: int, rest: int, depth: int) -> int:
+        # the prefix has ``depth`` columns: ``first``, then the columns coded
+        # in ``rest`` as in _Bottoms, ending in ``last``; ``top`` is its top
         count = 0
-        if len(prefix) + 1 < d:
-            for J in succ[prefix[-1]] if prefix else cols:
-                z = min_extension(top, J)
-                if not perm_masks(z).prefix & not_below_w:
-                    count += walk(prefix + (J,), z)
+        base, shift = top << 8, 8 * (depth - 1)
+        if depth + 1 < d:
+            for j in succ[last]:
+                z = up[base | j]
+                if not prefix[z] & not_below_w:
+                    count += walk(j, z, first, rest | j << shift, depth + 1)
             return count
-        first, rest = prefix[0], prefix[1:]
-        for J in succ[prefix[-1]]:
-            if perm_masks(min_extension(top, J)).prefix & not_below_w:
-                continue
-            b = max_truncation(bottom(rest + (J,)), first)
-            count += not prefix_v & ~perm_masks(b).below
+        rest |= sentinel
+        for j in succ[last]:
+            if not prefix[up[base | j]] & not_below_w:
+                count += not prefix_v & not_below[down[bottoms[rest | j << shift] << 8 | first]]
         return count
 
-    return walk((), identity(n))
+    root = table.intern(identity(n)) << 8
+    count = 0
+    for i in succ:
+        z = up[root | i]
+        if not prefix[z] & not_below_w:
+            count += walk(i, z, i, 0, 1)
+    return count
 
 
 if __name__ == "__main__":

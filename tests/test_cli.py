@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -426,6 +427,24 @@ def test_polytope_csv(capsys):
     assert code == 0
     assert "# A" in out and "# S" in out and "# AS" in out
     assert "x2,1,0,0,0,0,0" in out
+
+
+def test_polytope_as_from_points_agrees_with_the_product(capsys):
+    # AS is read back from the polytope's merged points; the matrix product
+    # it replaced must give the same block on every comparable S_3 pair and
+    # on seeded S_4 pairs
+    from richtoric.polytope import restricted_map_matrix, segre_matrix
+
+    def comparable(n):
+        return [p for p in itertools.product(all_perms(n), repeat=2) if bruhat_leq(*p)]
+
+    for v, w in comparable(3) + random.Random(4).sample(comparable(4), 60):
+        for order in TermOrder:
+            argv = ["polytope", "--v", perm_str(v), "--w", perm_str(w), "--order", order.value]
+            code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+            assert code == 0
+            product = restricted_map_matrix(v, w, order).mul(segre_matrix(v, w))
+            assert out.split("# AS\n")[1] == product.csv(), argv
 
 
 def test_polytope_refuses_oversized_segre_product(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,6 +29,7 @@ from richtoric.perms import (
     reverse,
     subset_leq_perm,
     subset_leq_perm_bruhat,
+    subset_indices,
     subset_str,
     subsets_of,
     upper_indices,
@@ -245,6 +247,18 @@ def test_up_set_walk_agrees_with_bruhat_order(n):
         assert upper == [w for w in perms if bruhat_leq_mask(v, w)]
         if n <= 4:
             assert upper == [w for w in perms if bruhat_leq(v, w)]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_subset_indices_decode_every_bit(n):
+    # the byte-table decoder against a bit-by-bit scan, on every single bit,
+    # the full mask and seeded random masks
+    width = len(all_subsets(n))
+    rng = random.Random(300 + n)
+    masks = [0, (1 << width) - 1, *(1 << i for i in range(width))]
+    masks += [rng.getrandbits(width) for _ in range(500)]
+    for mask in masks:
+        assert subset_indices(mask, n) == [i for i in range(width) if mask >> i & 1]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from richtoric.perms import (
     ascending_completion,
     bruhat_leq,
     bruhat_leq_mask,
+    degree_columns,
     descending_completion,
     enumerate_T,
     gale_leq,
@@ -22,12 +23,15 @@ from richtoric.perms import (
     longest,
     partition_perm,
     perm_leq_subset,
+    perm_masks,
     subset_bits,
     subset_leq_perm,
     subset_str,
 )
 from richtoric.tableaux import (
+    SSYT_BUDGET,
     NoExtensionError,
+    _chain_table,
     count_standard,
     enumerate_ssyt,
     is_ssyt,
@@ -369,6 +373,7 @@ def test_chain_steps_never_run_the_tuple_test(monkeypatch):
     monkeypatch.setattr(tableaux, "gale_leq", refuse)
     min_extension.cache_clear()
     max_truncation.cache_clear()
+    _chain_table.cache_clear()
     assert count_standard(identity(5), longest(5), 3) == 3332
 
 
@@ -487,6 +492,68 @@ def test_count_standard_agrees_with_is_standard_seeded(n, max_d, count, comparab
     for v, w in random.Random(n).sample(comparable_pairs(n), count):
         for d in range(1, max_d + 1):
             assert count_standard(v, w, d) == _ref_count_standard(v, w, d), (v, w, d)
+
+
+def _ref_count_walk(v, w, d):
+    """count_standard before the chain table: the same pruned walk on tuples,
+    with the lru_cache'd min_extension and max_truncation, a |T|^2 successor
+    dict and suffix bottoms keyed by column tuples."""
+    cols = degree_columns(v, w, d, SSYT_BUDGET)
+    if d == 1:
+        return len(cols)
+    n = len(v)
+    bit, up = subset_bits(n), gale_up(n)
+    succ = {I: [J for J in cols if bit[J] & up[I]] for I in cols}
+    not_below_w = ~perm_masks(w).below
+    prefix_v = perm_masks(v).prefix
+    bottoms = {(): longest(n)}
+
+    def bottom(suffix):
+        b = bottoms.get(suffix)
+        if b is None:
+            b = bottoms[suffix] = max_truncation(bottom(suffix[1:]), suffix[0])
+        return b
+
+    def walk(prefix, top):
+        count = 0
+        if len(prefix) + 1 < d:
+            for J in succ[prefix[-1]] if prefix else cols:
+                z = min_extension(top, J)
+                if not perm_masks(z).prefix & not_below_w:
+                    count += walk(prefix + (J,), z)
+            return count
+        first, rest = prefix[0], prefix[1:]
+        for J in succ[prefix[-1]]:
+            if perm_masks(min_extension(top, J)).prefix & not_below_w:
+                continue
+            b = max_truncation(bottom(rest + (J,)), first)
+            count += not prefix_v & ~perm_masks(b).below
+        return count
+
+    return walk((), identity(n))
+
+
+def _seeded_pairs(n, count, seed):
+    """``count`` comparable pairs of S_n, drawn with the tuple Bruhat test."""
+    rng, pairs = random.Random(seed), []
+    while len(pairs) < count:
+        v, w = (tuple(rng.sample(range(1, n + 1), n)) for _ in range(2))
+        if bruhat_leq(v, w):
+            pairs.append((v, w))
+    return pairs
+
+
+@pytest.mark.parametrize("n,max_d,count", [(5, 3, 300), (6, 2, 100), (7, 2, 50), (8, 2, 50)])
+def test_count_standard_agrees_with_the_tuple_walk_cold_and_warm(n, max_d, count):
+    # the integer walk against the tuple walk it replaced, first on a chain
+    # table cleared just before the pass, so every step it takes is lifted
+    # on a miss, then again on the table that pass filled
+    cases = [(v, w, d) for v, w in _seeded_pairs(n, count, 2000 + n) for d in range(1, max_d + 1)]
+    want = [_ref_count_walk(*case) for case in cases]
+    _chain_table.cache_clear()
+    for side in ("cold", "warm"):
+        got = [count_standard(*case) for case in cases]
+        assert got == want, (side, [c for c, g, r in zip(cases, got, want) if g != r][:5])
 
 
 def test_count_standard_refuses_bad_pairs():
