@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 
+# every command but verify runs these two; each command imports the rest of
+# what it runs, so a fresh process compiles only that
 from .perms import (
     MAX_N,
     BudgetError,
@@ -35,18 +36,8 @@ from .perms import (
     parse_perm,
     perm_str,
     subset_str,
-)
-from .tableaux import (
-    SSYT_BUDGET,
-    chain_str,
-    count_standard,
-    enumerate_ssyt,
-    is_standard,
-    max_defining_chain,
-    min_defining_chain,
     tableau_str,
 )
-from .compat import in_Tn, is_compatible, tn_pairs
 from .initial import (
     ClassifyRecord,
     RestrictionReport,
@@ -56,8 +47,6 @@ from .initial import (
     monomial_str,
     restrict,
 )
-from .polytope import IntMatrix, lattice_points, polytope, restricted_map_matrix, segre_matrix
-from .table1 import compare_with_table1, table1_rows
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -125,6 +114,8 @@ def witness_detail(report: RestrictionReport) -> dict:
 
 
 def cmd_check(args) -> int:
+    from .compat import in_Tn, is_compatible
+
     pair = _valid_pair(args)
     if pair is None:
         return EXIT_ERROR
@@ -134,6 +125,8 @@ def cmd_check(args) -> int:
     dim = inversions(w) - inversions(v)
     surviving = enumerate_T(v, w)
     if args.format == "json":
+        import json
+
         payload = witness_detail(report)
         payload.update(
             {
@@ -201,7 +194,11 @@ def _write_rows(fh, rows, order: TermOrder, args):
     pair count, the monomial-free pairs and the ``--compare tn`` mismatches."""
     as_json = args.format == "json"
     labels = _PermLabels()
-    family = frozenset(tn_pairs(args.n)) if args.compare == "tn" else frozenset()
+    family = frozenset()
+    if args.compare == "tn":
+        from .compat import tn_pairs
+
+        family = frozenset(tn_pairs(args.n))
     pairs, free, mismatches = 0, [], []
     fh.write("[\n" if as_json else CSV_HEADER)
     sep = ""
@@ -260,6 +257,8 @@ def cmd_classify(args) -> int:
 
     exit_code = EXIT_OK
     if args.compare == "table1":
+        from .table1 import compare_with_table1, table1_rows
+
         cmp = compare_with_table1(free)
         print(
             f"table1 comparison: covered {len(cmp.covered)}/{len(table1_rows())}, "
@@ -288,6 +287,16 @@ def cmd_classify(args) -> int:
 
 
 def cmd_ssyt(args) -> int:
+    from .tableaux import (
+        SSYT_BUDGET,
+        chain_str,
+        count_standard,
+        enumerate_ssyt,
+        is_standard,
+        max_defining_chain,
+        min_defining_chain,
+    )
+
     pair = _valid_pair(args, degree=args.d)
     if pair is None:
         return EXIT_ERROR
@@ -320,6 +329,8 @@ def cmd_ssyt(args) -> int:
 
 
 def cmd_polytope(args) -> int:
+    from .polytope import IntMatrix, lattice_points, polytope, restricted_map_matrix, segre_matrix
+
     pair = _valid_pair(args)
     if pair is None:
         return EXIT_ERROR
@@ -343,6 +354,8 @@ def cmd_polytope(args) -> int:
         points_error = str(exc)
 
     if args.format == "json":
+        import json
+
         payload = {
             "v": perm_str(v),
             "w": perm_str(w),

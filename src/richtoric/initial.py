@@ -78,6 +78,7 @@ from .perms import (
     Perm,
     SWEEP_MAX_N,
     Subset,
+    Tableau,
     _comparable_masks,
     all_perms,
     all_subsets,
@@ -86,9 +87,9 @@ from .perms import (
     set_bits,
     subset_bits,
     subset_str,
+    tableau_str,
     upper_indices,
 )
-from .tableaux import Tableau, tableau_str
 
 #: Cap on |T|^d before enumerating degree-d monomials.
 MONOMIAL_BUDGET = 2_000_000

@@ -24,7 +24,8 @@ truncate the permutation to the subset's size:
 
 Permutations serialise as digit strings for n <= 9 ("2314") and as
 comma-separated values otherwise; subsets serialise as sorted digit strings
-("234").  These formats are shared by the CLI and all report files.
+("234"), and tableaux as bracketed column lists ("[125,246,35]").  These
+formats are shared by the CLI and all report files.
 
 Sets of subsets are also held as bit masks: bit i stands for the i-th
 nonempty proper subset of [n] in :func:`all_subsets` order (by size, then
@@ -79,6 +80,8 @@ class BudgetError(RuntimeError):
 
 Perm = tuple[int, ...]
 Subset = tuple[int, ...]
+#: A tableau as its tuple of columns (see :mod:`richtoric.tableaux`).
+Tableau = tuple[Subset, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +566,11 @@ def subset_str(I: Subset) -> str:
     if I and I[-1] > 9:
         return ",".join(str(x) for x in I)
     return "".join(str(x) for x in I)
+
+
+def tableau_str(cols) -> str:
+    """Serialise a tableau as its bracketed column list ("[125,246,35]")."""
+    return "[" + ",".join(subset_str(tuple(c)) for c in cols) + "]"
 
 
 if __name__ == "__main__":

@@ -56,6 +56,7 @@ from .perms import (
     MAX_N,
     Perm,
     Subset,
+    Tableau,
     _comparable_masks,
     all_subsets,
     ascending_completion,
@@ -71,12 +72,11 @@ from .perms import (
     subset_indices,
     subset_str,
     subsets_of,
+    tableau_str,
 )
 
 #: Cap on |T|^d before enumerating degree-d tableaux.
 SSYT_BUDGET = 1_000_000
-
-Tableau = tuple[Subset, ...]
 
 
 class NoExtensionError(ValueError):
@@ -131,10 +131,6 @@ def row_sort(cols) -> Tableau:
             raise RuntimeError(f"row sorting broke column strictness on {cols!r}")
         out.append(col)
     return tuple(out)
-
-
-def tableau_str(cols) -> str:
-    return "[" + ",".join(subset_str(tuple(c)) for c in cols) + "]"
 
 
 def chain_str(perms) -> str:
@@ -218,6 +214,7 @@ def min_extension(u: Perm, J: Subset) -> Perm:
     >>> min_extension((1, 2, 3), (3,))
     (3, 1, 2)
     """
+    _check_size(len(u))
     z = _lift(u, J)
     if z is None:
         raise NoExtensionError(f"no permutation above {u} with prefix {J}")
@@ -235,10 +232,18 @@ def max_truncation(u: Perm, I: Subset) -> Perm:
     >>> max_truncation((3, 2, 1), (1, 2)), r(min_extension(r((3, 2, 1)), r((2, 1))))
     ((2, 1, 3), (2, 1, 3))
     """
+    _check_size(len(u))
     z = _lift_down(u, I)
     if z is None:
         raise NoExtensionError(f"no permutation below {u} with prefix {I}")
     return z
+
+
+def _check_size(n: int) -> None:
+    """Refuse n above MAX_N, which sizes :func:`_lift`'s fields and the
+    8-bit subset field of the chain table's keys."""
+    if n > MAX_N:
+        raise ValueError(f"n={n} is outside the supported range 1..{MAX_N}")
 
 
 def _lift_down(u: Perm, I: Subset) -> Perm | None:
@@ -354,6 +359,7 @@ class _Steps(dict):
 @lru_cache(maxsize=None)
 def _chain_table(n: int) -> _ChainTable:
     """The chain table of S_n, shared by every :func:`count_standard` call."""
+    _check_size(n)
     return _ChainTable(n)
 
 

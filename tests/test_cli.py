@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from richtoric import cli, initial
+from richtoric import cli, initial, tableaux
 from richtoric.cli import classification_csv, main
 from richtoric.initial import TermOrder, classify_all
 from richtoric.perms import all_perms, bruhat_leq, perm_str
@@ -69,6 +69,12 @@ def test_check_rejects_bad_input(capsys):
 def test_check_refuses_a_non_numeric_permutation(capsys, text):
     code, out, err = run_cli(capsys, "check", "--v", text, "--w", "123")
     assert (code, out, err) == (2, "", f"error: not a permutation string: {text!r}\n")
+
+
+@pytest.mark.parametrize("command", ["check", "ssyt", "polytope"])
+def test_single_pair_commands_refuse_n9(capsys, command):
+    code, out, err = run_cli(capsys, command, "--v", "123456789", "--w", "987654321")
+    assert (code, out, err) == (2, "", "error: n=9 is outside the supported range 2..8\n")
 
 
 def test_check_json(capsys):
@@ -368,7 +374,8 @@ def test_ssyt_over_budget_degree_refused_before_any_output(capsys, monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("a lower degree ran before the budget was checked")
 
-    monkeypatch.setattr(cli, "enumerate_ssyt", no_enumeration)
+    # cmd_ssyt imports enumerate_ssyt from tableaux when it runs
+    monkeypatch.setattr(tableaux, "enumerate_ssyt", no_enumeration)
     code, out, err = run_cli(
         capsys, "ssyt", "--v", "12345678", "--w", "87654321", "--d", "3"
     )
@@ -555,3 +562,40 @@ def test_cli_import_leaves_verify_unloaded():
     code = "import sys; import richtoric.cli; print('richtoric.verify' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+LOADED_BY_CLI = ["richtoric", "richtoric.cli", "richtoric.initial", "richtoric.perms"]
+
+
+@pytest.mark.parametrize(
+    "argv,added",
+    [
+        ([], []),
+        (["check", "--v", "132", "--w", "312"], ["richtoric.compat"]),
+        (["ssyt", "--v", "123", "--w", "312", "--d", "2"], ["richtoric.tableaux"]),
+        (["polytope", "--v", "2341", "--w", "4231"], ["richtoric.polytope"]),
+        (["classify", "--n", "3", "--output", "-"], []),
+        (["classify", "--n", "3", "--compare", "tn", "--output", "-"], ["richtoric.compat"]),
+        (
+            ["classify", "--n", "4", "--order", "antidiagonal", "--compare", "table1", "--output", "-"],
+            ["richtoric.table1"],
+        ),
+    ],
+    ids=["import", "check", "ssyt", "polytope", "classify", "classify-tn", "classify-table1"],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, added):
+    # a fresh process compiles every module it loads (no bytecode is cached
+    # where PYTHONDONTWRITEBYTECODE is set), so a command loads only its own
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import contextlib, io, sys; import richtoric.cli\n"
+        "ours = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'richtoric')\n"
+        "at_import = ours()\n"
+        f"argv = {argv!r}\n"
+        "if argv:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()): richtoric.cli.main(argv)\n"
+        "print(at_import, sorted(set(ours()) - set(at_import)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, f"{LOADED_BY_CLI} {added}\n"), proc.stderr

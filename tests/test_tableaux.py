@@ -572,6 +572,31 @@ def test_count_standard_refuses_over_budget():
         count_standard(identity(8), longest(8), 3)
 
 
+N9 = "n=9 is outside the supported range 1..8"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: min_extension(identity(9), (2,)),
+        lambda: max_truncation(longest(9), (1,)),
+        lambda: is_standard([(1,), (2,)], identity(9), longest(9)),
+        lambda: count_standard(identity(9), longest(9), 2),
+        lambda: count_standard((1, 2, 3, 4, 5, 6, 7, 9, 8), (2, 1, 3, 4, 5, 6, 7, 9, 8), 3),
+    ],
+    ids=["min_extension", "max_truncation", "is_standard", "count_standard_d2", "count_standard_d3"],
+)
+def test_chain_layer_refuses_n_above_max_n(call):
+    # the slack fields and the 8-bit subset field of the chain keys are sized
+    # by MAX_N; at n = 9 (510 subsets) the keys would collide
+    with pytest.raises(ValueError, match=re.escape(N9)):
+        call()
+
+
+def test_count_standard_degree_one_needs_no_chains_at_n9():
+    assert count_standard(identity(9), longest(9), 1) == 510
+
+
 
 # ---------------------------------------------------------------------------
 # the subset-mask tableau layer against its references
