@@ -84,8 +84,10 @@ from .perms import (
     all_subsets,
     degree_columns,
     perm_masks,
+    serial_order,
     set_bits,
     subset_bits,
+    subset_indices,
     subset_str,
     tableau_str,
     upper_indices,
@@ -184,8 +186,8 @@ def degree2_kernel_generators(n: int, order: TermOrder) -> tuple[KernelBinomial,
     A pair (A, B), the wider column first as in ``sort_columns``, is keyed
     by its image ``code[A] + code[B]``, packed by :func:`_cell_codes` with
     2-bit fields (a column hits a cell at most once, so no field carries),
-    and recorded as one integer, rank[A] * size + rank[B], where rank
-    orders the subsets by ``subset_str``.  The classes with two or more
+    and recorded as one integer, rank[A] * size + rank[B], where rank[A]
+    is A's position in ``serial_order(n)``.  The classes with two or more
     members run in order of their sorted cells, and the members of each in
     order of those integers.
     """
@@ -194,9 +196,7 @@ def degree2_kernel_generators(n: int, order: TermOrder) -> tuple[KernelBinomial,
     subs = all_subsets(n)
     size = len(subs)
     codes = _cell_codes(subs, n, 2, order)
-    by_label = sorted(subs, key=subset_str)
-    rank = {J: r for r, J in enumerate(by_label)}
-    low = [rank[J] for J in subs]
+    by_label, low = serial_order(n)
     high = [r * size for r in low]
     classes: defaultdict[int, list[int]] = defaultdict(list)
     for a, A in enumerate(subs):
@@ -280,10 +280,11 @@ def _users(n: int, order: TermOrder) -> tuple[tuple[int, int], ...]:
 def _fold(inside: int, n: int, order: TermOrder) -> tuple[int, int]:
     """The generator bitsets (L, R) of the lhs / rhs that use a subset
     outside ``inside``."""
+    users = _users(n, order)
     lhs = rhs = 0
-    for i, (lhs_users, rhs_users) in enumerate(_users(n, order)):
-        if not inside >> i & 1:
-            lhs, rhs = lhs | lhs_users, rhs | rhs_users
+    for i in subset_indices(~inside & (1 << len(users)) - 1, n):
+        lhs_users, rhs_users = users[i]
+        lhs, rhs = lhs | lhs_users, rhs | rhs_users
     return lhs, rhs
 
 

@@ -40,6 +40,9 @@ and the Bruhat order is the tableau criterion on prefix sets,
 
     v <= w   iff   prefix[v] & ~below[w] == 0.
 
+Tableaux and the degree-two kernel number subsets in serialised order (by
+:func:`subset_str`), not bit order: :func:`serial_order`, once per n.
+
 The subset order itself is one table per n, :func:`gale_up`: the mask of
 the subsets J with I <= J, for every subset I.  The Bruhat up-sets come from
 one more table per n, :func:`perm_up`: for every subset bit, the bitset of
@@ -273,12 +276,14 @@ def enumerate_T(v: Perm, w: Perm) -> list[Subset]:
 def degree_mask(v: Perm, w: Perm, d: int, budget: int) -> int:
     """The mask of T_w^v as the columns of degree-d monomials, refused for
     d < 1, then as :func:`interval_mask` refuses the pair, and, before any
-    monomial is built, when |T|^d exceeds ``budget``."""
+    monomial is built, when |T|^d exceeds ``budget``, |T| counted as at
+    least 2: the one monomial of a single column (n = 2, v = w) still takes
+    d steps to walk."""
     if d < 1:
         raise ValueError("degree must be positive")
     mask = interval_mask(v, w)
     size = mask.bit_count()
-    if size ** d > budget:
+    if max(size, 2) ** d > budget:
         raise BudgetError(f"|T|^d = {size}^{d} exceeds budget {budget}")
     return mask
 
@@ -311,12 +316,21 @@ def subset_bits(n: int) -> dict[Subset, int]:
 def subsets_of(mask: int, n: int) -> list[Subset]:
     """Decode a mask into its subsets, in canonical order."""
     subs = all_subsets(n)
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(subs[low.bit_length() - 1])
-        mask ^= low
-    return out
+    return [subs[i] for i in subset_indices(mask, n)]
+
+
+@lru_cache(maxsize=None)
+def serial_order(n: int) -> tuple[tuple[Subset, ...], tuple[int, ...]]:
+    """The subsets of [n] in serialised order (by :func:`subset_str`), and
+    the serialised position of each subset by its ``all_subsets(n)`` index.
+
+    >>> serial_order(3)
+    (((1,), (1, 2), (1, 3), (2,), (2, 3), (3,)), (0, 3, 5, 1, 2, 4))
+    """
+    subs = all_subsets(n)
+    order = sorted(subs, key=subset_str)
+    position = dict(zip(order, range(len(order))))
+    return tuple(order), tuple(position[J] for J in subs)
 
 
 @lru_cache(maxsize=None)
@@ -362,11 +376,8 @@ def perm_up(n: int) -> tuple[int, ...]:
     up = [bytearray(size) for _ in all_subsets(n)]
     for p, w in enumerate(perms):
         byte, flag = p >> 3, 1 << (p & 7)
-        below = perm_masks(w).below
-        while below:
-            low = below & -below
-            up[low.bit_length() - 1][byte] |= flag
-            below ^= low
+        for i in subset_indices(perm_masks(w).below, n):
+            up[i][byte] |= flag
     return tuple(int.from_bytes(b, "little") for b in up)
 
 
@@ -383,10 +394,8 @@ def upper_indices(prefix: int, n: int) -> list[int]:
     """
     up = perm_up(n)
     comp = (1 << factorial(n)) - 1
-    while prefix:
-        low = prefix & -prefix
-        comp &= up[low.bit_length() - 1]
-        prefix ^= low
+    for i in subset_indices(prefix, n):
+        comp &= up[i]
     return set_bits(comp)
 
 
@@ -421,7 +430,7 @@ def subset_indices(mask: int, n: int) -> list[int]:
     """The ``all_subsets(n)`` indices of the subsets in ``mask``, ascending,
     read a byte at a time from a table of each byte's bit positions.  The
     tables cover at most 32 bytes for n <= MAX_N; :func:`set_bits` reads
-    the long bitsets over permutations.
+    the long bitsets over permutations and generators.
 
     >>> subset_indices(0b101100, 3), subset_indices(0, 3)
     ([2, 3, 5], [])

@@ -17,25 +17,27 @@ parabolic coset, whose extremum is unique by Deodhar's lemma (see
 (v, w) exactly when the top of its minimum chain stays below w and the
 bottom of its maximum chain stays above v.
 
-The walks over tableaux use the subset masks of :mod:`richtoric.perms`.
-One up-set table per n, :func:`~richtoric.perms.gale_up`, holds for each
-subset I the mask of the subsets J with I <= J, so a column's successors
-among the columns of T are the bits of ``gale_up(n)[I] & T``, one AND per
-column and no :func:`gale_leq` call.  :func:`enumerate_ssyt` extends level
-by level: level 1 is T in serialised order, and every tableau of a level is
-followed, in order, by its last column's successors in that order (the
-masks renumbered to serialised positions once per n).  A level sorted by
-serialised columns thus gives a sorted next level, so the canonical order
-needs no sort.
+The walks over tableaux share one table per n (:class:`_ChainTable`), whose
+columns are the subsets of [n] numbered in serialised order
+(:func:`~richtoric.perms.serial_order`).  A column's successors among the
+columns of T are the bits of its Gale up-set
+(:func:`~richtoric.perms.gale_up`, renumbered once per n) within T, one AND
+per column and no :func:`gale_leq` call.  :func:`enumerate_ssyt` extends
+level by level: level 1 is T in serialised order, and every tableau of a
+level is followed, in order, by its last column's successors in that order.
+A level sorted by serialised columns thus gives a sorted next level, so the
+canonical order needs no sort.
 
-:func:`count_standard` walks small integers: columns are subset indices,
-and chain permutations are ids in one chain table per n.  The table stores
-each permutation reached once, with its prefix mask and the complement of
-its below mask in lists indexed by the id, and every chain step taken so
-far, up (:func:`min_extension`) and down (:func:`max_truncation`), in two
-dicts keyed by ``perm_id << 8 | subset_index``.  A miss lifts the step with
-:func:`_lift`; every later call reads it back, so a warm walk hashes only
-ints.  Both chain ends are then one AND each against masks of v and w.
+:func:`count_standard` walks small integers: columns, and chain
+permutations as ids in the same table.  The table stores each permutation
+reached once, with its prefix mask and the complement of its below mask in
+lists indexed by the id, and every chain step taken so far, up
+(:func:`min_extension`) and down (:func:`max_truncation`), in two dicts
+keyed by ``perm_id << 8 | column``.  A miss takes the step with
+:func:`_step`; every later call reads it back, so a warm walk hashes only
+ints.  The walk carries each prefix's columns and minimum-chain top; a
+leaf's maximum-chain bottom is w0 stepped down through its columns, last
+to first.  Both chain ends are then one AND each against masks of v and w.
 
 A chain step makes no subset comparison either.  :func:`_lift` keeps, for
 every threshold t, the slack between u's prefix count and the chosen
@@ -58,7 +60,6 @@ from .perms import (
     Subset,
     Tableau,
     _comparable_masks,
-    all_subsets,
     ascending_completion,
     bruhat_leq,  # unused here; perfbench/test_perfbench.py reads tableaux.bruhat_leq
     degree_mask,
@@ -69,9 +70,8 @@ from .perms import (
     longest,
     perm_masks,
     perm_str,
+    serial_order,
     subset_indices,
-    subset_str,
-    subsets_of,
     tableau_str,
 )
 
@@ -214,11 +214,7 @@ def min_extension(u: Perm, J: Subset) -> Perm:
     >>> min_extension((1, 2, 3), (3,))
     (3, 1, 2)
     """
-    _check_size(len(u))
-    z = _lift(u, J)
-    if z is None:
-        raise NoExtensionError(f"no permutation above {u} with prefix {J}")
-    return z
+    return _step(u, J, False)
 
 
 @lru_cache(maxsize=None)
@@ -232,26 +228,31 @@ def max_truncation(u: Perm, I: Subset) -> Perm:
     >>> max_truncation((3, 2, 1), (1, 2)), r(min_extension(r((3, 2, 1)), r((2, 1))))
     ((2, 1, 3), (2, 1, 3))
     """
+    return _step(u, I, True)
+
+
+def _step(u: Perm, J: Subset, down: bool) -> Perm:
+    """:func:`min_extension`, or with ``down`` :func:`max_truncation` (by
+    :func:`_lift` on the value mirror x -> n+1-x): every chain step, cached
+    or in the chain table, and its refusals, n above MAX_N first."""
     _check_size(len(u))
-    z = _lift_down(u, I)
+    if down:
+        m = len(u) + 1
+        z = _lift(tuple(m - x for x in u), tuple(m - x for x in J))
+        z = z and tuple(m - x for x in z)
+    else:
+        z = _lift(u, J)
     if z is None:
-        raise NoExtensionError(f"no permutation below {u} with prefix {I}")
+        side = "below" if down else "above"
+        raise NoExtensionError(f"no permutation {side} {u} with prefix {J}")
     return z
 
 
 def _check_size(n: int) -> None:
     """Refuse n above MAX_N, which sizes :func:`_lift`'s fields and the
-    8-bit subset field of the chain table's keys."""
+    8-bit column field of the chain table's keys."""
     if n > MAX_N:
         raise ValueError(f"n={n} is outside the supported range 1..{MAX_N}")
-
-
-def _lift_down(u: Perm, I: Subset) -> Perm | None:
-    """The Bruhat-maximum z <= u whose first |I| entries form I, or None:
-    :func:`_lift` on the value mirror x -> n+1-x."""
-    m = len(u) + 1
-    z = _lift(tuple(m - x for x in u), tuple(m - x for x in I))
-    return z and tuple(m - x for x in z)
 
 
 def _chain_columns(cols, n: int) -> Tableau:
@@ -301,26 +302,43 @@ def is_standard(cols, v: Perm, w: Perm) -> bool:
 
 
 class _ChainTable:
-    """The permutations of [n] that chain steps have reached, each stored once
-    under a small integer id, with its prefix mask and the complement of its
-    below mask (within ``full``, the mask of every subset) in lists indexed
-    by that id, and the steps between them: ``up`` for :func:`min_extension`
-    and ``down`` for :func:`max_truncation` (see :class:`_Steps`).  ``gale``
-    is :func:`~richtoric.perms.gale_up` by subset index.
+    """The tableau walks' table of S_n.  Columns are positions in
+    :func:`~richtoric.perms.serial_order`: ``subsets`` lists them,
+    :meth:`serial` renumbers a subset mask to them, and ``gale`` holds each
+    column's :func:`~richtoric.perms.gale_up` mask so renumbered.  The
+    permutations that chain steps have reached are stored once each under a
+    small integer id, with its prefix mask and the complement of its below
+    mask (within ``full``; both in ``all_subsets`` bits) in lists indexed by
+    that id, and the steps between them: ``up`` for :func:`min_extension`
+    and ``down`` for :func:`max_truncation` (see :class:`_Steps`).
     """
 
-    __slots__ = ("subsets", "full", "gale", "ids", "perms", "prefix", "not_below", "up", "down")
+    __slots__ = ("n", "subsets", "position", "gale", "full", "ids", "perms", "prefix", "not_below",
+                 "up", "down")
 
     def __init__(self, n: int):
-        self.subsets = all_subsets(n)
+        self.n = n
+        self.subsets, self.position = serial_order(n)
         self.full = (1 << len(self.subsets)) - 1
-        self.gale = tuple(gale_up(n).values())
+        up = gale_up(n)
+        self.gale = tuple(self.serial(up[J]) for J in self.subsets)
         self.ids: dict[Perm, int] = {}
         self.perms: list[Perm] = []
         self.prefix: list[int] = []
         self.not_below: list[int] = []
         self.up = _Steps(self, False)
         self.down = _Steps(self, True)
+
+    def serial(self, mask: int) -> int:
+        """A subset mask renumbered from ``all_subsets`` bits to columns."""
+        position = self.position
+        return sum(1 << position[i] for i in subset_indices(mask, self.n))
+
+    def successors(self, T: int) -> dict[int, list[int]]:
+        """Each column I of T, a renumbered mask, with the columns J of T
+        with I <= J, ascending."""
+        n, gale = self.n, self.gale
+        return {p: subset_indices(gale[p] & T, n) for p in subset_indices(T, n)}
 
     def intern(self, z: Perm) -> int:
         """The id of z, stored with its masks on first sight."""
@@ -335,10 +353,9 @@ class _ChainTable:
 
 
 class _Steps(dict):
-    """Chain steps keyed by ``perm_id << 8 | subset_index`` (the bit position
-    of the subset in ``all_subsets(n)``, below 256 for n <= MAX_N), valued
-    by the id of the step's end.  A miss lifts the step, with :func:`_lift`
-    up or :func:`_lift_down` down, and stores it."""
+    """Chain steps keyed by ``perm_id << 8 | column`` (the column's serialised
+    position, below 256 for n <= MAX_N), valued by the id of the step's end.
+    A miss takes the step with :func:`_step` and stores it."""
 
     __slots__ = ("table", "down")
 
@@ -347,36 +364,22 @@ class _Steps(dict):
 
     def __missing__(self, key: int) -> int:
         table = self.table
-        u, J = table.perms[key >> 8], table.subsets[key & 255]
-        z = _lift_down(u, J) if self.down else _lift(u, J)
-        if z is None:
-            side = "below" if self.down else "above"
-            raise NoExtensionError(f"no permutation {side} {u} with prefix {J}")
+        z = _step(table.perms[key >> 8], table.subsets[key & 255], self.down)
         i = self[key] = table.intern(z)
         return i
 
 
 @lru_cache(maxsize=None)
 def _chain_table(n: int) -> _ChainTable:
-    """The chain table of S_n, shared by every :func:`count_standard` call."""
-    _check_size(n)
+    """The table of S_n, shared by every :func:`enumerate_ssyt` and
+    :func:`count_standard` call.  Any n is accepted: chain steps refuse n
+    above MAX_N, and :func:`count_standard` refuses it before it builds a
+    key."""
     return _ChainTable(n)
 
 
 # ---------------------------------------------------------------------------
 # enumeration and counting
-
-
-@lru_cache(maxsize=None)
-def _serial_layout(n: int) -> tuple[tuple[Subset, ...], tuple[int, ...], tuple[int, ...]]:
-    """The subsets of [n] in serialised order, the serialised position of
-    each subset index, and each subset's Gale up-set renumbered to those
-    positions, in serialised order."""
-    order = tuple(sorted(all_subsets(n), key=subset_str))
-    pos = {J: p for p, J in enumerate(order)}
-    position = tuple(pos[J] for J in all_subsets(n))
-    up = gale_up(n)
-    return order, position, tuple(sum(1 << pos[J] for J in subsets_of(up[I], n)) for I in order)
 
 
 def enumerate_ssyt(v: Perm, w: Perm, d: int) -> list[Tableau]:
@@ -386,32 +389,16 @@ def enumerate_ssyt(v: Perm, w: Perm, d: int) -> list[Tableau]:
     the level-by-level extension gives without a sort (see the module
     docstring).
     """
+    mask = degree_mask(v, w, d, SSYT_BUDGET)
     n = len(v)
-    order, position, up = _serial_layout(n)
-    T = sum(1 << position[i] for i in subset_indices(degree_mask(v, w, d, SSYT_BUDGET), n))
-    cols = subset_indices(T, n)
-    level = [(order[p],) for p in cols]
+    table = _chain_table(n)
+    T, subsets = table.serial(mask), table.subsets
+    level = [(subsets[p],) for p in subset_indices(T, n)]
     if d > 1:
-        succ = {order[p]: [order[q] for q in subset_indices(up[p] & T, n)] for p in cols}
+        succ = {subsets[p]: [subsets[q] for q in qs] for p, qs in table.successors(T).items()}
         for _ in range(d - 1):
             level = [t + (J,) for t in level for J in succ[t[-1]]]
     return level
-
-
-class _Bottoms(dict):
-    """Max-chain bottom ids of suffixes, keyed by integer codes: a suffix
-    (c_1, ..., c_k) of subset indices is c_1 | c_2 << 8 | ... | 1 << 8k, so
-    ``code >> 8`` drops the first column and code 1 is the empty suffix."""
-
-    __slots__ = ("down",)
-
-    def __init__(self, table: _ChainTable, n: int):
-        super().__init__({1: table.intern(longest(n))})
-        self.down = table.down
-
-    def __missing__(self, code: int) -> int:
-        b = self[code] = self.down[self[code >> 8] << 8 | code & 255]
-        return b
 
 
 def count_standard(v: Perm, w: Perm, d: int) -> int:
@@ -422,65 +409,58 @@ def count_standard(v: Perm, w: Perm, d: int) -> int:
     every column J of T is standard, since its chains are its ascending
     completion, <= w as J <= w, and its descending completion, >= v as
     v <= J.  Above degree one, a depth-first walk over T's Gale successors
-    meets every candidate.  The walk carries the top of each prefix's
-    minimum chain, one :func:`min_extension` step per node; the empty
-    prefix tops at the identity.  Since min_extension(u, J) >= u, tops only
-    rise along a chain, so a prefix whose top is not <= w has no standard
-    completion and the walk prunes it.  At a leaf, the bottom of the
-    maximum chain is the :func:`max_truncation` of its suffix's bottom by
-    the first column, with the suffix bottoms kept in a per-call memo; the
-    empty suffix bottoms at w0.  Both Bruhat tests are one AND against a
+    meets every candidate.  The walk carries each prefix's columns and the
+    top of its minimum chain, one :func:`min_extension` step per node; the
+    empty prefix tops at the identity.  Since min_extension(u, J) >= u,
+    tops only rise along a chain, so a prefix whose top is not <= w has no
+    standard completion and the walk prunes it.  At a leaf, the bottom of
+    the maximum chain is w0 stepped down by :func:`max_truncation` through
+    the columns, last to first.  Both Bruhat tests are one AND against a
     mask read once per call: a top z is <= w when no prefix set of z lies
     outside ``below[w]``, and a bottom b is >= v when no prefix set of v
     lies outside ``below[b]``.
 
-    The walk runs on small integers.  Columns are subset indices, a
-    column's successors are the bits of ``gale_up(n)[I] & T``, and chain
-    permutations are ids in the chain table of S_n, which holds each one's
-    masks and every step already taken, up and down, under an integer key
-    (see :class:`_ChainTable`).  Each step is lifted once per process; the
-    suffix bottoms are keyed by integer codes (see :class:`_Bottoms`).
+    The walk runs on small integers.  Columns are serialised positions, a
+    column's successors are the bits of its Gale up-set within T, and chain
+    permutations are ids in the table of S_n, which holds each one's masks
+    and every step already taken, up and down, under an integer key (see
+    :class:`_ChainTable`).  Each step is lifted once per process.
 
     >>> count_standard((1, 2, 3), (3, 1, 2), 2), len(enumerate_ssyt((1, 2, 3), (3, 1, 2), 2))
     (14, 15)
     """
-    T = degree_mask(v, w, d, SSYT_BUDGET)
+    mask = degree_mask(v, w, d, SSYT_BUDGET)
     if d == 1:
-        return T.bit_count()
+        return mask.bit_count()
     n = len(v)
+    _check_size(n)
     table = _chain_table(n)
     up, down, prefix, not_below = table.up, table.down, table.prefix, table.not_below
     not_below_w = table.full ^ perm_masks(w).below
     prefix_v = perm_masks(v).prefix
-    succ = {i: subset_indices(table.gale[i] & T, n) for i in subset_indices(T, n)}
-    bottoms = _Bottoms(table, n)
-    sentinel = 1 << 8 * (d - 1)
+    succ = table.successors(table.serial(mask))
+    w0 = table.intern(longest(n)) << 8
 
-    def walk(last: int, top: int, first: int, rest: int, depth: int) -> int:
-        # the prefix has ``depth`` columns: ``first``, then the columns coded
-        # in ``rest`` as in _Bottoms, ending in ``last``; ``top`` is its top
-        count = 0
-        base, shift = top << 8, 8 * (depth - 1)
-        if depth + 1 < d:
-            for j in succ[last]:
+    def walk(cols: tuple[int, ...], top: int) -> int:
+        # ``cols``: a prefix of fewer than d columns, last column first,
+        # whose minimum chain tops out at ``top``, which is <= w
+        count, base = 0, top << 8
+        nexts = succ[cols[0]] if cols else succ
+        if len(cols) + 1 < d:
+            for j in nexts:
                 z = up[base | j]
                 if not prefix[z] & not_below_w:
-                    count += walk(j, z, first, rest | j << shift, depth + 1)
+                    count += walk((j,) + cols, z)
             return count
-        rest |= sentinel
-        for j in succ[last]:
+        for j in nexts:
             if not prefix[up[base | j]] & not_below_w:
-                count += not prefix_v & not_below[down[bottoms[rest | j << shift] << 8 | first]]
+                b = down[w0 | j]
+                for c in cols:
+                    b = down[b << 8 | c]
+                count += not prefix_v & not_below[b]
         return count
 
-    root = table.intern(identity(n)) << 8
-    count = 0
-    for i in succ:
-        z = up[root | i]
-        if not prefix[z] & not_below_w:
-            count += walk(i, z, i, 0, 1)
-    return count
-
+    return walk((), table.intern(identity(n)))
 
 if __name__ == "__main__":
     import doctest

@@ -384,6 +384,20 @@ def test_ssyt_over_budget_degree_refused_before_any_output(capsys, monkeypatch):
     assert err == "error: |T|^d = 254^3 exceeds budget 1000000\n"
 
 
+@pytest.mark.parametrize("pair", ["12", "21"])
+def test_ssyt_single_column_refuses_large_degree(capsys, pair):
+    # |T| = 1 (n = 2, v = w) counts as 2 against the budget, so a degree whose
+    # walk would run out of stack is refused before any output
+    code, out, err = run_cli(capsys, "ssyt", "--v", pair, "--w", pair, "--d", "400")
+    assert (code, out) == (2, "")
+    assert err == "error: |T|^d = 1^400 exceeds budget 1000000\n"
+    code, out, _ = run_cli(capsys, "ssyt", "--v", pair, "--w", pair, "--d", "19")
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("d=")] == [
+        f"d={d}: ssyt=1 standard=1 kernel=1" for d in range(1, 20)
+    ]
+
+
 def test_ssyt_empty_pair(capsys):
     code, out, _ = run_cli(capsys, "ssyt", "--v", "321", "--w", "123")
     assert code == 2

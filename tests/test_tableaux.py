@@ -6,6 +6,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, strategies as st
 
+from richtoric.initial import MONOMIAL_BUDGET, TermOrder, kernel_hilbert_dim
 from richtoric.perms import (
     BudgetError,
     all_perms,
@@ -564,6 +565,43 @@ def test_count_standard_refuses_bad_pairs():
     ]:
         with pytest.raises(ValueError, match=why):
             count_standard(v, w, d)
+
+
+@pytest.mark.parametrize("n,d,count", [(2, 4, None), (3, 4, None), (4, 4, 40), (3, 5, None)])
+def test_walks_agree_with_their_references_above_degree_three(n, d, count, comparable_pairs):
+    # above d = 3 a leaf steps down through three or more prefix columns
+    pairs = comparable_pairs(n)
+    if count is not None:
+        pairs = random.Random(4000 + n).sample(pairs, count)
+    for v, w in pairs:
+        want = _ref_count_walk(v, w, d)
+        assert count_standard(v, w, d) == want == _ref_count_standard(v, w, d), (v, w, d)
+        assert enumerate_ssyt(v, w, d) == _ref_enumerate_ssyt(v, w, d), (v, w, d)
+
+
+def test_enumerate_ssyt_at_n9_needs_no_chain_step():
+    # the table numbers columns at any n; only chain steps refuse n = 9
+    assert len(enumerate_ssyt(identity(9), longest(9), 2)) == 91_355
+    table = _chain_table(9)
+    assert not table.up and not table.down and not table.perms
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (2, 1)])
+def test_single_column_counts_as_two_against_the_budget(pair):
+    # |T| = 1 only at n = 2 with v = w; a walk there still steps once per
+    # column, so d >= 20 is refused as 2^d would be
+    for d in (1, 19):
+        assert enumerate_ssyt(pair, pair, d) == [((pair[0],),) * d]
+        assert count_standard(pair, pair, d) == 1
+    message = re.escape(f"|T|^d = 1^400 exceeds budget {SSYT_BUDGET}")
+    for call in (enumerate_ssyt, count_standard):
+        with pytest.raises(BudgetError, match=message):
+            call(pair, pair, 400)
+        with pytest.raises(BudgetError, match=re.escape("1^20 exceeds")):
+            call(pair, pair, 20)
+    with pytest.raises(BudgetError, match=re.escape(f"1^400 exceeds budget {MONOMIAL_BUDGET}")):
+        kernel_hilbert_dim(pair, pair, 400, TermOrder.DIAGONAL)
+    assert kernel_hilbert_dim(pair, pair, 20, TermOrder.DIAGONAL) == 1
 
 
 def test_count_standard_refuses_over_budget():
