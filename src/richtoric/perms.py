@@ -278,13 +278,14 @@ def degree_mask(v: Perm, w: Perm, d: int, budget: int) -> int:
     d < 1, then as :func:`interval_mask` refuses the pair, and, before any
     monomial is built, when |T|^d exceeds ``budget``, |T| counted as at
     least 2: the one monomial of a single column (n = 2, v = w) still takes
-    d steps to walk."""
+    d steps to walk, and the refusal says so."""
     if d < 1:
         raise ValueError("degree must be positive")
     mask = interval_mask(v, w)
     size = mask.bit_count()
     if max(size, 2) ** d > budget:
-        raise BudgetError(f"|T|^d = {size}^{d} exceeds budget {budget}")
+        counted = " (|T| counted as 2)" if size < 2 else ""
+        raise BudgetError(f"|T|^d = {size}^{d}{counted} exceeds budget {budget}")
     return mask
 
 

@@ -26,10 +26,11 @@ divides each step by its gcd (integer-preserving Gaussian elimination);
 :func:`echelon_insert` keeps what it leaves nonzero.  Affine dimension is
 the number of echelon rows spanning the translated points.  Lattice-point
 enumeration, supported up to affine dimension three, walks the bounding
-box: a box point lies in the affine hull iff its translate reduces to
-zero, and the hull projects one-to-one onto the k pivot columns of the
-echelon, where one facet routine, the same in every dimension, tests
-convexity on plain integer coordinates.
+box of the hull's projection onto the k pivot columns of the echelon: the
+projection is one-to-one on the affine hull, one facet routine, the same
+in every dimension, tests convexity there on plain integer coordinates,
+and the same echelon rows, reduced against each other, lift each point
+inside back to the ambient lattice.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from typing import NamedTuple
 from .perms import BudgetError, Perm, Subset, enumerate_T, subset_str
 from .initial import TermOrder, initial_term
 
-#: Cap on the bounding-box volume scanned for lattice points.
+#: Cap on the volume of the ambient bounding box of a polytope whose lattice
+#: points are enumerated.
 LATTICE_BUDGET = 1_000_000
 
 #: Cap on the number of products (columns of S and AS); the largest n <= 5
@@ -51,12 +53,29 @@ SEGRE_BUDGET = 20_000
 
 _ROW_LETTERS = ("x", "y", "z")
 
+#: Byte order of ``memoryview.cast``, which reads native fields.
+_ORDER = "little" if memoryview(b"\1\0").cast("H")[0] == 1 else "big"
+
+#: ``memoryview.cast`` codes of signed fields by byte width.
+_FIELD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
 
 def cell_label(i: int, j: int) -> str:
     """Display label of grid cell (i, j): rows 1..3 are x, y, z."""
     if 1 <= i <= len(_ROW_LETTERS):
         return f"{_ROW_LETTERS[i - 1]}{j}"
     return f"x[{i},{j}]"
+
+
+class _Padded(dict):
+    """Cells of one column width, keyed by entry, each padded on first use."""
+
+    def __init__(self, strs: dict[int, str], width: int):
+        self.strs, self.width = strs, width
+
+    def __missing__(self, entry: int) -> str:
+        cell = self[entry] = self.strs[entry].rjust(self.width)
+        return cell
 
 
 class IntMatrix(NamedTuple):
@@ -74,24 +93,68 @@ class IntMatrix(NamedTuple):
         return list(zip(*self.entries))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
-        """The product matrix, for any integer entries.
+        """The product matrix, for any integer entries (Kronecker substitution).
 
-        Row r is the sum of ``x * other.entries[i]`` over the nonzero
-        entries ``x = self.entries[r][i]``, so the cost is proportional to
-        the nonzero entries of ``self`` times the row length of ``other``.
+        Each row of ``other`` is packed into one int, entry j in field j of
+        ``width`` bytes, so that row r of the product is the one int
+        ``sum(x * packed[i])`` over the nonzero entries ``x =
+        self.entries[r][i]``.  The largest absolute row sum of ``self``
+        times the largest absolute entry of ``other`` bounds every product
+        entry, and a field holds that bound as a signed number, so no field
+        carries into the next.  Adding ``bias``, 2^(8 width - 1) in every
+        field, makes every field nonnegative, and xor-ing it back leaves
+        each field's two's complement: fields of 1, 2, 4 and 8 bytes decode
+        with ``memoryview.cast``, wider ones one by one.  Entries in
+        range(256) pack from ``bytes(row)``, and the bytes of the rows'
+        bitwise or bound them; other entries are packed biased, and the
+        bias is taken off the packed int.
         """
         if self.col_labels != other.row_labels:
             raise ValueError("matrix shapes/labels do not align")
-        zero = (0,) * len(other.col_labels)
+        ncols = len(other.col_labels)
+        try:
+            raw = [bytes(row) for row in other.entries]
+        except ValueError:  # an entry outside range(256)
+            raw = None
+            top = max(map(abs, itertools.chain.from_iterable(other.entries)))
+        else:
+            ored = 0
+            for row in raw:
+                ored |= int.from_bytes(row, "little")
+            top = max(ored.to_bytes(ncols, "little"), default=0)
+        reach = max((sum(map(abs, row)) for row in self.entries), default=0)
+        bound = max(reach, 1) * top
+        width = next(
+            (b for b in (1, 2, 4, 8) if bound < 1 << (8 * b - 1)), (bound.bit_length() + 8) // 8
+        )
+        size = ncols * width
+        half = 1 << (8 * width - 1)
+        bias = int.from_bytes(half.to_bytes(width, _ORDER) * ncols, _ORDER)
+        if raw is None:
+            sizes, orders = itertools.repeat(width), itertools.repeat(_ORDER)
+            packed = []
+            for row in other.entries:
+                biased = b"".join(map(int.to_bytes, map(half.__add__, row), sizes, orders))
+                packed.append(int.from_bytes(biased, _ORDER) - bias)
+        else:
+            low_byte = 0 if _ORDER == "little" else width - 1
+            packed = []
+            for row in raw:
+                spread = bytearray(size)
+                spread[low_byte::width] = row
+                packed.append(int.from_bytes(spread, _ORDER))
+        code = _FIELD_CODES.get(width)
         rows = []
         for row in self.entries:
-            acc = zero
-            for x, term in zip(row, other.entries):
-                if x:
-                    if x != 1:
-                        term = tuple(x * y for y in term)
-                    acc = tuple(map(operator.add, acc, term))
-            rows.append(acc)
+            total = sum(x * term for x, term in zip(row, packed) if x)
+            data = ((total + bias) ^ bias).to_bytes(size, _ORDER)
+            if code:
+                rows.append(tuple(memoryview(data).cast(code)))
+            else:
+                rows.append(tuple(
+                    int.from_bytes(data[i : i + width], _ORDER, signed=True)
+                    for i in range(0, size, width)
+                ))
         return IntMatrix(self.row_labels, other.col_labels, tuple(rows))
 
     def text(self, name: str | None = None) -> str:
@@ -102,14 +165,20 @@ class IntMatrix(NamedTuple):
         is turned into a string once; the columns are scanned for their
         longest entry only when some entry is wider than the narrowest
         label, so a matrix of small entries under long labels costs one
-        join per row.
+        join per row.  Each cell comes from a table of padded cells, one
+        per column width, filled on first use, so no (width, entry) pair is
+        padded twice; under one width, as under the equal-length labels of
+        a Segre product, a row reads that one table.
         """
         strs = {e: str(e) if e else "" for e in set().union(*self.entries)}
         shown = strs.__getitem__
-        widths = [max(len(lbl), 1) for lbl in self.col_labels]
+        widths = [len(lbl) or 1 for lbl in self.col_labels]
         if max(map(len, strs.values()), default=0) > min(widths, default=0):
             columns = zip(*self.entries)
             widths = [max(wd, *map(len, map(shown, col))) for wd, col in zip(widths, columns)]
+        padded = {wd: _Padded(strs, wd) for wd in set(widths)}
+        tables = [padded[wd] for wd in widths]
+        only = padded[widths[0]].__getitem__ if len(padded) == 1 else None
         label_w = max((len(r) for r in self.row_labels), default=0)
         lines = []
         if name is not None:
@@ -117,8 +186,8 @@ class IntMatrix(NamedTuple):
         header = " " * label_w + "  " + "  ".join(map(str.rjust, self.col_labels, widths))
         lines.append(header.rstrip())
         for lbl, row in zip(self.row_labels, self.entries):
-            cells_text = "  ".join(map(str.rjust, map(shown, row), widths))
-            lines.append((lbl.ljust(label_w) + "  " + cells_text).rstrip())
+            cells = map(only, row) if only else map(operator.getitem, tables, row)
+            lines.append((lbl.ljust(label_w) + "  " + "  ".join(cells)).rstrip())
         return "\n".join(lines)
 
     def csv(self) -> str:
@@ -212,8 +281,12 @@ def polytope(v: Perm, w: Perm, order: TermOrder) -> LatticePolytope:
 
     The columns of AS, in product order, are folded from A's columns one
     factor at a time; equal columns merge into one point, in
-    first-occurrence order.  The affine dimension is the rank of the
-    in-factor differences (see the module docstring).
+    first-occurrence order.  Each column is packed into an int, one byte
+    per row: an entry of AS counts factors, fewer than n, so it stays
+    below 256 and no byte carries into the next.  A fold step is then one
+    int addition, the dedupe hashes ints, and only the distinct points are
+    unpacked.  The affine dimension is the rank of the in-factor
+    differences (see the module docstring).
 
     Raises :class:`BudgetError` when S would exceed ``SEGRE_BUDGET`` columns.
     """
@@ -221,20 +294,21 @@ def polytope(v: Perm, w: Perm, order: TermOrder) -> LatticePolytope:
     _segre_size(factors)
     a = restricted_map_matrix(v, w, order)
     col = dict(zip(a.col_labels, a.columns()))
+    packed = {name: int.from_bytes(bytes(c), "little") for name, c in col.items()}
     names = [["P" + subset_str(J) for J in f] for f in factors]
-    origin = (0,) * len(a.row_labels)
-    sums = [origin]
+    sums = [0]
     for f in names:
-        sums = [tuple(map(operator.add, p, col[name])) for p in sums for name in f]
-    labels: dict[tuple[int, ...], list[str]] = {}
+        sums = [p + packed[name] for p in sums for name in f]
+    labels: dict[int, list[str]] = {}
     for p, lbl in zip(sums, map("*".join, itertools.product(*names))):
         labels.setdefault(p, []).append(lbl)
+    dim = len(a.row_labels)
     diffs = [tuple(map(operator.sub, col[name], col[f[0]])) for f in names for name in f[1:]]
     return LatticePolytope(
         a.row_labels,
-        tuple(labels),
+        tuple(tuple(p.to_bytes(dim, "little")) for p in labels),
         tuple(tuple(g) for g in labels.values()),
-        affine_rank([origin] + diffs),
+        affine_rank([(0,) * dim] + diffs),
     )
 
 
@@ -315,53 +389,30 @@ def _affine_basis(pts) -> list[tuple[int, tuple[int, ...]]]:
     return rows
 
 
-def _det(m) -> int:
-    """Determinant of a small square integer matrix (cofactor expansion).
-
-    >>> _det([]), _det([[1, 2], [3, 4]]), _det([[2, 0, 1], [1, 3, 2], [1, 1, 2]])
-    (1, -2, 6)
-    """
-    if len(m) == 2:
-        (a, b), (c, d) = m
-        return a * d - b * c
-    if len(m) < 2:
-        return m[0][0] if m else 1
-    return sum(
-        (-1) ** j * x * _det([row[:j] + row[j + 1 :] for row in m[1:]])
-        for j, x in enumerate(m[0])
-    )
-
-
-def _cofactors(rows, k: int) -> tuple[int, ...]:
-    """Signed maximal minors of k - 1 rows of length k.
-
-    Entry j is (-1)^j times the determinant left when column j is dropped,
-    so the result is orthogonal to every row: the generalised cross product.
-
-    >>> _cofactors([(1, 0, 0), (0, 1, 0)], 3), _cofactors([(2, 3)], 2), _cofactors([], 1)
-    ((0, 0, 1), (3, -2), (1,))
-    """
-    return tuple(
-        (-1) ** j * _det([row[:j] + row[j + 1 :] for row in rows]) for j in range(k)
-    )
-
-
 # ---------------------------------------------------------------------------
 # lattice points
 
 
 def lattice_points(poly: LatticePolytope) -> list[tuple[int, ...]]:
-    """All integer points of the convex hull, for affine dimension <= 3.
+    """All integer points of the convex hull, for affine dimension <= 3, in
+    lexicographic order.
 
-    Scans the bounding box of the defining points and keeps the points that
-    lie in the affine hull and inside the hull's projection onto the pivot
-    columns of the echelon rows from :func:`_affine_basis`.
+    Scans the bounding box of the hull's projection onto the sorted pivot
+    columns of the echelon rows from :func:`_affine_basis` and lifts each
+    projected point inside the projected hull back to the affine hull,
+    keeping the lifts with integer coordinates.
 
     Restricted to their pivot columns those k rows form a triangular matrix
     with a nonzero diagonal, so the projection onto the pivots is one-to-one
     on the affine hull and maps it onto Z^k-coordinates where the hull is
-    full-dimensional.  A box point q lies in the affine hull iff q - base
-    reduces to zero against the same rows.
+    full-dimensional.  Each row reduced by :func:`_reduce` against the rows
+    after it is zero in every other row's pivot column; scaled to a common
+    pivot entry ``scale``, the rows give the lift of a projected point y as
+    base + sum((y_i - base_i) * row_i) / scale.  A row's first nonzero
+    column is its pivot, so the first nonzero coordinate of any direction in
+    the affine hull sits at a pivot, and the lifts come out in the
+    lexicographic order of the ambient coordinates.  ``LATTICE_BUDGET``
+    bounds the volume of the ambient bounding box.
     """
     k = poly.affine_dim
     if k > 3:
@@ -371,7 +422,6 @@ def lattice_points(poly: LatticePolytope) -> list[tuple[int, ...]]:
 
     rows = _affine_basis(pts)
     assert len(rows) == k
-    pivots = [pivot for pivot, _ in rows]
     lows = [min(p[i] for p in pts) for i in range(len(base))]
     highs = [max(p[i] for p in pts) for i in range(len(base))]
     volume = 1
@@ -380,26 +430,53 @@ def lattice_points(poly: LatticePolytope) -> list[tuple[int, ...]]:
     if volume > LATTICE_BUDGET:
         raise BudgetError(f"bounding box volume {volume} exceeds budget {LATTICE_BUDGET}")
 
+    reduced = sorted((pivot, _reduce(rows[i + 1 :], row)) for i, (pivot, row) in enumerate(rows))
+    pivots = [pivot for pivot, _ in reduced]
+    scale = math.lcm(*(row[pivot] for pivot, row in reduced))
+    scaled = [[scale // row[pivot] * x for x in row] for pivot, row in reduced]
     inside = _hull_test([tuple(p[i] for i in pivots) for p in pts], k)
+    origin = [scale * b for b in base]
     out = []
-    for q in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
-        if inside(tuple(q[i] for i in pivots)) and not any(
-            _reduce(rows, [a - b for a, b in zip(q, base)])
-        ):
-            out.append(q)
+    for y in itertools.product(*(range(lows[i], highs[i] + 1) for i in pivots)):
+        if inside(y):
+            lift = origin
+            for step, row in zip(map(operator.sub, y, (base[i] for i in pivots)), scaled):
+                if step:
+                    lift = [x + step * r for x, r in zip(lift, row)]
+            if not any(x % scale for x in lift):
+                out.append(tuple(x // scale for x in lift))
     return out
+
+
+def _normal(diffs, k: int) -> tuple[int, ...]:
+    """A vector of Z^k orthogonal to k - 1 vectors, k <= 3, nonzero iff they
+    are independent: (1,), the quarter turn, the cross product.
+
+    Its entry j is (-1)^j times the determinant left when column j of the
+    vectors is dropped, the generalised cross product.
+
+    >>> _normal([], 1), _normal([(2, 3)], 2), _normal([(1, 0, 0), (0, 1, 0)], 3)
+    ((1,), (3, -2), (0, 0, 1))
+    """
+    if k == 1:
+        return (1,)
+    if k == 2:
+        ((a, b),) = diffs
+        return (b, -a)
+    (a, b, c), (d, e, f) = diffs
+    return (b * f - c * e, c * d - a * f, a * e - b * d)
 
 
 def _hull_test(pts, k: int):
     """Membership in the convex hull of ``pts``, points of Z^k whose affine
-    span is all of Z^k.
+    span is all of Z^k, for k <= 3.
 
     Every k-subset {a, b, ...} of the points gives a candidate facet normal,
-    the cofactors of its k - 1 differences b - a, ...; the candidates that
-    support every point are the facets, found once, not per tested point.
-    Many k-subsets share a hyperplane direction, so each normal is divided
-    by its gcd and signed so that its first nonzero entry is positive, and
-    the subsets of one direction are grouped with the levels
+    the :func:`_normal` of its k - 1 differences b - a, ...; the candidates
+    that support every point are the facets, found once, not per tested
+    point.  Many k-subsets share a hyperplane direction, so each normal is
+    divided by its gcd and signed so that its first nonzero entry is
+    positive, and the subsets of one direction are grouped with the levels
     <normal, anchor> they meet.  The points' levels are then read once per
     direction, and a level met is a facet exactly when it is the least or
     the greatest of them.  Each halfspace is kept once, in a dict.
@@ -408,7 +485,7 @@ def _hull_test(pts, k: int):
         return lambda x: x == pts[0]
     levels: dict[tuple[int, ...], set[int]] = {}
     for a, *rest in itertools.combinations(pts, k):
-        normal = _cofactors([tuple(bi - ai for ai, bi in zip(a, b)) for b in rest], k)
+        normal = _normal([tuple(map(operator.sub, b, a)) for b in rest], k)
         if any(normal):
             g = math.gcd(*normal)
             if next(x for x in normal if x) < 0:

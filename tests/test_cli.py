@@ -390,7 +390,7 @@ def test_ssyt_single_column_refuses_large_degree(capsys, pair):
     # walk would run out of stack is refused before any output
     code, out, err = run_cli(capsys, "ssyt", "--v", pair, "--w", pair, "--d", "400")
     assert (code, out) == (2, "")
-    assert err == "error: |T|^d = 1^400 exceeds budget 1000000\n"
+    assert err == "error: |T|^d = 1^400 (|T| counted as 2) exceeds budget 1000000\n"
     code, out, _ = run_cli(capsys, "ssyt", "--v", pair, "--w", pair, "--d", "19")
     assert code == 0
     assert [line for line in out.splitlines() if line.startswith("d=")] == [

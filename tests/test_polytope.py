@@ -16,7 +16,7 @@ from richtoric.polytope import (
     SEGRE_BUDGET,
     LatticePolytope,
     _hull_test,
-    _det,
+    _normal,
     affine_rank,
     cell_label,
     echelon_insert,
@@ -478,7 +478,24 @@ def test_facet_routine_agrees_with_per_dimension_hull_test(k):
             assert new(x) == old(x), (pts, x)
 
 
+def _det_by_normals(m):
+    """Determinant of a k x k matrix, k <= 4, by expansion along the first
+    row: the cofactors of a 3 x 3 or smaller matrix are the hull test's
+    normal of its other rows, and a 4 x 4 matrix expands into 3 x 3 minors."""
+    k = len(m)
+    if k == 0:
+        return 1
+    if k <= 3:
+        return sum(map(operator.mul, m[0], _normal(m[1:], k)))
+    return sum(
+        (-1) ** j * x * _det_by_normals([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j, x in enumerate(m[0])
+    )
+
+
 def test_det_matches_leibniz_formula():
+    # the cofactor routine the hull test's normals replaced was checked on
+    # these determinants; the normals now carry every case
     rng = random.Random(11)
     for k in [0, 1, 2, 3, 4] * 20:
         m = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
@@ -487,7 +504,7 @@ def test_det_matches_leibniz_formula():
             * math.prod(m[i][perm[i]] for i in range(k))
             for perm in itertools.permutations(range(k))
         )
-        assert _det(m) == leibniz
+        assert _det_by_normals(m) == leibniz
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +634,64 @@ def test_mul_and_text_agree_with_reference_on_random_matrices():
     assert {0} <= {c for _, _, c in shapes}
 
 
+def _field_bytes(m):
+    """Bytes of the narrowest signed field of 1, 2, 4 or 8 bytes holding
+    +-m; 16 for anything wider."""
+    return next((b for b in (1, 2, 4, 8) if m < 1 << (8 * b - 1)), 16)
+
+
+def _scaled_matrix_pair(rng, shape, low, high, spread):
+    """Matrices of the given (rows, inner, cols) shape: the left one's
+    entries within +-spread, the right one's in [low, high], a zero row in
+    each now and then."""
+
+    def entries(r, c, pick):
+        return tuple(
+            (0,) * c if rng.random() < 0.2 else tuple(pick() for _ in range(c)) for _ in range(r)
+        )
+
+    rows, inner, cols = shape
+    middle = tuple(f"m{i}" for i in range(inner))
+    return (
+        IntMatrix(
+            tuple(f"r{i}" for i in range(rows)),
+            middle,
+            entries(rows, inner, lambda: rng.choice([0, 1, -1, rng.randint(-spread, spread)])),
+        ),
+        IntMatrix(
+            middle,
+            tuple(f"c{i}" for i in range(cols)),
+            entries(inner, cols, lambda: rng.choice([0, low, high, rng.randint(low, high)])),
+        ),
+    )
+
+
+def test_mul_agrees_with_reference_at_every_field_width():
+    # products that need 1-, 2-, 4-, 8-byte and wider fields, from right
+    # entries in range(256) (packed from their bytes) and beyond it
+    rng = random.Random(4242)
+    ranges = [
+        (0, 1), (0, 255), (-3, 3), (-255, 300), (-(2**20), 2**20), (-(2**40), 2**40), (2**62, 2**64)
+    ]
+    seen = set()
+    for low, high in ranges:
+        for spread in (1, 100, 2**16, 2**31):
+            for _ in range(6):
+                shape = tuple(rng.randint(1, 5) for _ in range(3))
+                a, b = _scaled_matrix_pair(rng, shape, low, high, spread)
+                prod = a.mul(b)
+                assert prod == _ref_mul(a, b)
+                top = max(map(abs, itertools.chain.from_iterable(prod.entries)), default=0)
+                seen.add((_field_bytes(top), 0 <= low and high < 256))
+    for shape in itertools.product([0, 3], repeat=3):  # every empty shape
+        for low, high in ((0, 1), (-5, 5)):
+            a, b = _scaled_matrix_pair(rng, shape, low, high, 7)
+            assert a.mul(b) == _ref_mul(a, b)
+    # 16: some product entry is at least 2^63
+    assert {(1, True), (2, True), (4, True), (8, True)} <= seen
+    assert {(1, False), (2, False), (4, False), (8, False), (16, False)} <= seen
+
+
 def test_polytope_builds_neither_s_nor_as(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("display-only matrix built by polytope()")
@@ -627,6 +702,56 @@ def test_polytope_builds_neither_s_nor_as(monkeypatch):
     monkeypatch.setattr(IntMatrix, "mul", refuse)
     poly = polytope(identity(5), longest(5), DIAG)
     assert (len(poly.points), poly.affine_dim) == (1_024, 10)
+
+
+# the catalogue pairs whose lattice points took longest, affine dimension 3
+LATTICE_HEAVY = [
+    ((2, 1, 3, 4), (4, 2, 1, 3), ANTI),
+    ((2, 3, 4, 1, 5), (2, 5, 4, 1, 3), ANTI),
+    ((1, 2, 4, 3, 5), (1, 3, 5, 2, 4), DIAG),
+]
+
+
+@pytest.mark.parametrize(
+    "v, w, order",
+    LATTICE_HEAVY,
+    ids=["".join(map(str, v)) + "-" + "".join(map(str, w)) for v, w, _ in LATTICE_HEAVY],
+)
+def test_lattice_heavy_pairs_agree_with_reference(v, w, order):
+    poly = polytope(v, w, order)
+    assert poly.affine_dim == 3
+    assert lattice_points(poly) == _ref_lattice_points(poly)
+
+
+def _box_volume(pts, coords):
+    return math.prod(max(p[i] for p in pts) - min(p[i] for p in pts) + 1 for i in coords)
+
+
+def test_lattice_points_scans_the_projected_box(monkeypatch):
+    # the hull predicate runs once per point of the box of the projection
+    # onto the pivot columns, not once per point of the ambient box
+    module = importlib.import_module("richtoric.polytope")
+    original = module._hull_test
+    boxes, tested = [], []
+
+    def counting(pts, k):
+        inside = original(pts, k)
+        boxes.append(_box_volume(pts, range(k)))
+
+        def test(x):
+            tested.append(x)
+            return inside(x)
+
+        return test
+
+    monkeypatch.setattr(module, "_hull_test", counting)
+    poly = polytope((2, 1, 3, 4), (4, 2, 1, 3), ANTI)
+    points = lattice_points(poly)
+    assert len(points) == 16
+    assert _box_volume(poly.points, range(len(poly.ambient_labels))) == 192
+    assert boxes == [24]  # pivots x2, x3, y1: 3 * 4 * 2
+    assert len(tested) <= 24
+    assert len(set(tested)) == len(tested)
 
 
 def test_polytope_dimension_is_richardson_dimension():
