@@ -9,6 +9,12 @@ increasing on [t', t].  The family T_n consists of the pairs that stay
 compatible all the way down the recursion (v, w) -> (induced v, induced w),
 with T_1 = {(id, id)}.
 
+``_compatible`` is the one statement of that rule: it returns the positions
+of n in v and w, or None.  ``is_compatible``, ``extensions_in_Tn`` and the
+membership walk all call it.  The walk runs down the induced pairs in one
+loop and cuts each out of its parent at the positions ``_compatible``
+returned, so no level searches for n twice.
+
 A block of a pair in T_n is a window [i, j] of positions on which v and w
 carry the same entry set, produced by one of three rules: creation (the
 shared position of n), persistence of a block of the induced pair, or
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import gt, lt
 from typing import NamedTuple
 
 from .perms import (
@@ -33,10 +40,11 @@ from .perms import (
 )
 
 #: in_Tn results are memoised for pairs at or below this size.  Without the
-#: memo, re-checking all 3,781 comparable pairs of S_5 takes about 10x as
-#: long (2.3 -> 22.3 ms); an unbounded ``lru_cache`` instead would raise the
-#: peak RSS of ``verify --level full`` from 26.3 to 74.3 MB, because its
-#: block suite queries all 518,400 pairs of S_6.
+#: memo, re-checking all 3,781 comparable pairs of S_5 takes about 9x as
+#: long (0.79 -> 6.8-7.4 ms), and a seeded S_6 pair about 1.25x (1.2-1.3 ->
+#: 1.6 us).  A cap of 6 would store every pair that the ``verify`` block
+#: suite queries (518,400 pairs of S_6): that pass then peaks at 69.6 MB RSS
+#: against 18.4 MB, and takes 1.65 s against 0.80 s.
 _MEMO_MAX_N = 5
 
 _tn_memo: dict[tuple[Perm, Perm], bool] = {}
@@ -51,26 +59,23 @@ def is_compatible(v: Perm, w: Perm) -> bool:
     False
     """
     check_same_n(v, w)
-    return _compatible(v, w, len(v))
+    return _compatible(v, w, len(v)) is not None
 
 
-def _compatible(v: Perm, w: Perm, n: int) -> bool:
-    """:func:`is_compatible` on a pair already known to be of size n."""
-    if n == 1:
-        return True
-    t = v.index(n) + 1
-    tp = w.index(n) + 1
+def _compatible(v: Perm, w: Perm, n: int) -> tuple[int, int] | None:
+    """The 0-based positions of n in v and w when the pair, already known to
+    be of size n, is compatible; None when it is not."""
+    t, tp = v.index(n), w.index(n)
     if t == tp:
-        return True
-    if tp > t:
-        return False
-    s = v.index(n - 1) + 1
-    sp = w.index(n - 1) + 1
-    if sp > t or tp > s:
-        return False
-    w_decreases = all(w[k] > w[k + 1] for k in range(tp - 1, t - 1))
-    v_increases = all(v[k] < v[k + 1] for k in range(tp - 1, t - 1))
-    return w_decreases and v_increases
+        return t, tp
+    if tp > t or w.index(n - 1) > t or tp > v.index(n - 1):
+        return None
+    # w strictly decreasing and v strictly increasing on [tp, t]
+    if all(map(gt, w[tp:t], w[tp + 1 : t + 1])) and all(
+        map(lt, v[tp:t], v[tp + 1 : t + 1])
+    ):
+        return t, tp
+    return None
 
 
 def in_Tn(v: Perm, w: Perm) -> bool:
@@ -93,16 +98,26 @@ def in_Tn(v: Perm, w: Perm) -> bool:
 
 
 def _in_Tn(v: Perm, w: Perm, n: int) -> bool:
-    """:func:`in_Tn` on a pair already known to be of size n."""
-    if n == 1:
-        return v == (1,) and w == (1,)
-    key = (v, w)
-    if n <= _MEMO_MAX_N:
-        cached = _tn_memo.get(key)
-        if cached is not None:
-            return cached
-    result = _compatible(v, w, n) and _in_Tn(induced(v), induced(w), n - 1)
-    if n <= _MEMO_MAX_N:
+    """:func:`in_Tn` on a pair already known to be of size n: one walk down
+    the induced pairs, each cut out of its parent at the positions of n.
+    Every pair visited at or below ``_MEMO_MAX_N`` is memoised with the
+    walk's verdict."""
+    visited = []
+    while n > 1:
+        if n <= _MEMO_MAX_N:
+            result = _tn_memo.get((v, w))
+            if result is not None:
+                break
+            visited.append((v, w))
+        positions = _compatible(v, w, n)
+        if positions is None:
+            result = False
+            break
+        t, tp = positions
+        v, w, n = v[:t] + v[t + 1 :], w[:tp] + w[tp + 1 :], n - 1
+    else:
+        result = v == (1,) and w == (1,)
+    for key in visited:
         _tn_memo[key] = result
     return result
 
@@ -115,13 +130,9 @@ def extensions_in_Tn(vbar: Perm, wbar: Perm) -> list[tuple[Perm, Perm]]:
     if not in_Tn(vbar, wbar):
         raise ValueError(f"({perm_str(vbar)}, {perm_str(wbar)}) is not in the family")
     n = len(vbar) + 1
-    out = []
-    for a in range(n):
-        v = vbar[:a] + (n,) + vbar[a:]
-        for b in range(n):
-            w = wbar[:b] + (n,) + wbar[b:]
-            if is_compatible(v, w):
-                out.append((v, w))
+    vs = [vbar[:a] + (n,) + vbar[a:] for a in range(n)]
+    ws = [wbar[:b] + (n,) + wbar[b:] for b in range(n)]
+    out = [(v, w) for v in vs for w in ws if _compatible(v, w, n) is not None]
     out.sort()
     return out
 

@@ -35,10 +35,13 @@ whose lhs / rhs use a subset outside above[v] (the v-half La, Ra) and
 outside below[w] (the w-half Lb, Rb).  With L = La | Lb and R = Ra | Rb, a
 generator is a witness iff its bit is in L ^ R, survives iff it is in
 neither, and vanishes iff it is in both; a verdict needs only the popcount
-of L ^ R.  The folds are cached per mask and shared by every path: a
-sweep's ``witness_table`` folds every permutation of S_n, while
-``is_monomial_free`` and ``restrict`` fold only the two masks their pair
-touches, which later pairs reuse:
+of L ^ R.  The folds are cached per permutation and side, and shared by
+every path: the above side of p holds (prefix[p], La, Ra) and the below
+side (below[p], Lb, Rb), so one lookup per side gives a pair both its
+Bruhat test and its folds.  A sweep's ``witness_table`` reads both sides of
+every permutation of S_n, while ``is_monomial_free`` and ``restrict`` fold
+only the side of v and the side of w that their pair reads, which later
+pairs reuse:
 
 >>> table, perms = witness_table(3, TermOrder.DIAGONAL), all_perms(3)
 >>> (La, Ra), (Lb, Rb) = table[perms.index((1, 3, 2))][2:4], table[perms.index((3, 1, 2))][4:]
@@ -82,6 +85,7 @@ from .perms import (
     _comparable_masks,
     all_perms,
     all_subsets,
+    check_same_n,
     degree_columns,
     perm_masks,
     serial_order,
@@ -274,9 +278,6 @@ def _users(n: int, order: TermOrder) -> tuple[tuple[int, int], ...]:
     )
 
 
-# every above / below mask of S_7 in both orders; a bound, because single
-# pairs at n = 8 would otherwise fill the cache for the life of the process
-@lru_cache(maxsize=4 * factorial(SWEEP_MAX_N))
 def _fold(inside: int, n: int, order: TermOrder) -> tuple[int, int]:
     """The generator bitsets (L, R) of the lhs / rhs that use a subset
     outside ``inside``."""
@@ -288,6 +289,22 @@ def _fold(inside: int, n: int, order: TermOrder) -> tuple[int, int]:
     return lhs, rhs
 
 
+# each side holds every permutation of S_7 in both orders; a bound, because
+# single pairs at n = 8 would otherwise fill them for the life of the process
+@lru_cache(maxsize=2 * factorial(SWEEP_MAX_N))
+def _above_side(p: Perm, order: TermOrder) -> tuple[int, int, int]:
+    """(prefix, La, Ra): p's prefix mask and the fold of its above mask."""
+    m = perm_masks(p)
+    return (m.prefix, *_fold(m.above, len(p), order))
+
+
+@lru_cache(maxsize=2 * factorial(SWEEP_MAX_N))
+def _below_side(p: Perm, order: TermOrder) -> tuple[int, int, int]:
+    """(below, Lb, Rb): p's below mask and its fold."""
+    m = perm_masks(p)
+    return (m.below, *_fold(m.below, len(p), order))
+
+
 @lru_cache(maxsize=None)
 def witness_table(n: int, order: TermOrder) -> tuple[tuple[int, ...], ...]:
     """Per permutation p, in ``all_perms`` order: (prefix, below, La, Ra, Lb, Rb).
@@ -297,25 +314,26 @@ def witness_table(n: int, order: TermOrder) -> tuple[tuple[int, ...], ...]:
     whose lhs / rhs uses a subset outside above[p]; Lb / Rb the same outside
     below[p].
     """
-    masks = map(perm_masks, all_perms(n))
-    return tuple(
-        (m.prefix, m.below, *_fold(m.above, n, order), *_fold(m.below, n, order))
-        for m in masks
-    )
+    rows = []
+    for p in all_perms(n):
+        prefix, la, ra = _above_side(p, order)
+        below, lb, rb = _below_side(p, order)
+        rows.append((prefix, below, la, ra, lb, rb))
+    return tuple(rows)
 
 
 def restrict(v: Perm, w: Perm, order: TermOrder) -> RestrictionReport:
     """Restriction of the cached degree-two kernel to the pair (v, w).
 
-    Reads the same two folds as :func:`is_monomial_free`.  With L = La | Lb
+    Reads the same two sides as :func:`is_monomial_free`.  With L = La | Lb
     and R = Ra | Rb, a generator is a witness iff its bit is in L ^ R (the
     side whose bit is set vanished), survives iff its bit is in neither, and
     vanishes iff its bit is in L & R.
     """
     mv, mw = _comparable_masks(v, w)
     n = len(v)
-    la, ra = _fold(mv.above, n, order)
-    lb, rb = _fold(mw.below, n, order)
+    _, la, ra = _above_side(v, order)
+    _, lb, rb = _below_side(w, order)
     lhs_out, rhs_out = la | lb, ra | rb
     gens = degree2_kernel_generators(n, order)
     T, bit = mv.above & mw.below, subset_bits(n)
@@ -335,14 +353,17 @@ def restrict(v: Perm, w: Perm, order: TermOrder) -> RestrictionReport:
 def is_monomial_free(v: Perm, w: Perm, order: TermOrder) -> bool:
     """True iff no kernel generator restricts to a monomial on (v, w).
 
-    Reads the cached folds of above[v] and below[w], the same folds that
+    Reads the above side of v and the below side of w, the same folds that
     ``witness_table`` rows hold: the pair is monomial-free iff
-    (La | Lb) ^ (Ra | Rb) is empty.
+    (La | Lb) ^ (Ra | Rb) is empty.  Sizes are refused first, then a pair
+    with v not below w, tested on the sides' prefix and below masks; so a
+    refused pair has folded both its sides (at a new n, the kernel is built).
     """
-    mv, mw = _comparable_masks(v, w)
-    n = len(v)
-    la, ra = _fold(mv.above, n, order)
-    lb, rb = _fold(mw.below, n, order)
+    check_same_n(v, w)
+    prefix, la, ra = _above_side(v, order)
+    below, lb, rb = _below_side(w, order)
+    if prefix & ~below:
+        _comparable_masks(v, w)  # the empty-variety refusal
     return not (la | lb) ^ (ra | rb)
 
 

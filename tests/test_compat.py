@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from richtoric import compat
 from richtoric.perms import (
     all_perms,
     bruhat_leq,
+    bruhat_leq_mask,
     identity,
     induced,
     inversions,
@@ -89,6 +91,92 @@ def test_family_membership_agrees_with_the_checked_recursion():
     for v, w in [((1, 2), (1, 2, 3)), ((1, 3, 2), (2, 1)), (identity(6), identity(5))]:
         with pytest.raises(ValueError, match=f"^mismatched sizes: {len(v)} vs {len(w)}$"):
             in_Tn(v, w)
+
+
+def test_family_walk_agrees_with_the_references_on_every_comparable_s6_pair():
+    perms = all_perms(6)
+    pairs = [(v, w) for v in perms for w in perms if bruhat_leq_mask(v, w)]
+    assert len(pairs) == 98_407
+    want = [_ref_in_Tn(v, w) for v, w in pairs]
+    assert sum(want) == len(tn_pairs(6))
+    compat._tn_memo.clear()
+    for _ in range(2):  # the memo cold, then warm
+        assert [in_Tn(v, w) for v, w in pairs] == want
+    assert [is_compatible(v, w) for v, w in pairs] == [
+        _ref_compatible(v, w) for v, w in pairs
+    ]
+
+
+def _insert_top(vbar, wbar, a, b):
+    n = len(vbar) + 1
+    return vbar[:a] + (n,) + vbar[a:], wbar[:b] + (n,) + wbar[b:]
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_family_walk_agrees_with_the_references_on_seeded_slices(n):
+    rng, perms = random.Random(70 + n), all_perms(n)
+    pairs = [(rng.choice(perms), rng.choice(perms)) for _ in range(1500)]
+    # members, drawn as extensions of members one size down
+    for vbar, wbar in rng.sample(tn_pairs(n - 1), 150):
+        pairs.append(rng.choice(extensions_in_Tn(vbar, wbar)))
+    # compatible at the top (n at one position) but outside the family lower
+    # down, and n inserted at random positions into members
+    small = all_perms(n - 1)
+    for _ in range(300):
+        a = rng.randrange(n)
+        pairs.append(_insert_top(rng.choice(small), rng.choice(small), a, a))
+        vbar, wbar = rng.choice(tn_pairs(n - 1))
+        pairs.append(_insert_top(vbar, wbar, rng.randrange(n), rng.randrange(n)))
+    want = [_ref_in_Tn(v, w) for v, w in pairs]
+    assert 150 <= sum(want) < len(pairs)
+    assert sum(_ref_compatible(v, w) and not x for (v, w), x in zip(pairs, want)) > 100
+    compat._tn_memo.clear()
+    for _ in range(2):  # the memo cold, then warm
+        assert [in_Tn(v, w) for v, w in pairs] == want
+    assert [is_compatible(v, w) for v, w in pairs] == [
+        _ref_compatible(v, w) for v, w in pairs
+    ]
+
+
+def test_family_walk_at_size_one_and_on_mismatched_sizes():
+    assert in_Tn((1,), (1,)) == _ref_in_Tn((1,), (1,)) is True
+    assert is_compatible((1,), (1,)) == _ref_compatible((1,), (1,)) is True
+    for v, w in [((1, 2), (1, 2, 3)), ((1,), (2, 1)), (identity(8), identity(7))]:
+        message = f"^mismatched sizes: {len(v)} vs {len(w)}$"
+        with pytest.raises(ValueError, match=message):
+            is_compatible(v, w)
+        with pytest.raises(ValueError, match=message):
+            in_Tn(v, w)
+
+
+def _ref_visited(v, w):
+    """The pairs the family walk meets from (v, w) down: each induced pair
+    while the pairs above it stay compatible, the first incompatible one
+    included."""
+    out = [(v, w)]
+    while len(v) > 1 and _ref_compatible(v, w):
+        v, w = induced(v), induced(w)
+        out.append((v, w))
+    return out
+
+
+def test_memo_holds_exactly_the_visited_small_pairs():
+    rng, perms = random.Random(56), all_perms(6)
+    pairs = [(rng.choice(perms), rng.choice(perms)) for _ in range(200)]
+    pairs += rng.sample(tn_pairs(6), 40)
+    pairs += [_insert_top(*rng.sample(all_perms(5), 2), a, a) for a in range(6)]
+    refused = 0
+    for v, w in pairs:
+        compat._tn_memo.clear()
+        assert in_Tn(v, w) == _ref_in_Tn(v, w)
+        visited = [(x, y) for x, y in _ref_visited(v, w) if 1 < len(x) <= 5]
+        assert compat._tn_memo == {(x, y): _ref_in_Tn(x, y) for x, y in visited}
+        refused += not visited  # refused at n = 6: nothing is written
+    assert 50 <= refused < len(pairs)
+    # a stored verdict answers the next query at its own size
+    compat._tn_memo.clear()
+    v, w = (1, 3, 5, 6, 4, 2), (2, 4, 6, 5, 3, 1)
+    assert in_Tn(v, w) and compat._tn_memo[induced(v), induced(w)] is True
 
 
 def test_family_census():

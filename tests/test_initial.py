@@ -38,6 +38,8 @@ from richtoric.initial import (
     ClassifyRecord,
     KernelBinomial,
     TermOrder,
+    _above_side,
+    _below_side,
     _fold,
     _users,
     classify_all,
@@ -366,7 +368,8 @@ def test_restrict_agrees_with_tuple_scan_seeded(n, order):
     for cold in (True, False):
         for (v, w), (keep, witnesses, vanished) in zip(pairs, want):
             if cold:
-                _fold.cache_clear()
+                _above_side.cache_clear()
+                _below_side.cache_clear()
                 _users.cache_clear()
             report = restrict(v, w, order)
             assert report.survivors == keep
@@ -421,9 +424,9 @@ def _ref_is_monomial_free(v, w, order):
 
 
 def test_cached_fold_agrees_with_generator_scan():
-    # S_6 and S_7 cases interleave, each in both orders on one cache, so a
-    # key missing the order reads the other kernel's fold (no mask of S_6 is
-    # one of S_7: a key missing n is caught by the next test)
+    # S_6 and S_7 cases interleave, each in both orders on the same side
+    # caches, so a key missing the order reads the other kernel's fold (a
+    # side's key is the permutation, which carries n)
     per_n = []
     for n in (6, 7):
         # random comparable pairs are rarely monomial-free, so add family
@@ -440,7 +443,8 @@ def test_cached_fold_agrees_with_generator_scan():
     want = [_ref_is_monomial_free(*case) for case in cases]
     assert len(cases) == 240 and 60 <= sum(want) <= 180
     for case, free in zip(cases, want):
-        _fold.cache_clear()
+        _above_side.cache_clear()
+        _below_side.cache_clear()
         assert is_monomial_free(*case) == free
     for _ in range(2):  # filling the cache, then every fold warm
         for case, free in zip(cases, want):
@@ -460,6 +464,30 @@ def test_fold_is_keyed_by_n_and_order(order):
                     lhs |= bool(lhs_cols & ~mask) << g
                     rhs |= bool(rhs_cols & ~mask) << g
                 assert _fold(mask, n, o) == (lhs, rhs)
+
+
+@pytest.mark.parametrize("order", [DIAG, ANTI])
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_cached_sides_are_the_folds_of_each_permutation(n, order):
+    # every permutation, each side cold and then warm, against the uncached
+    # fold of its mask
+    _above_side.cache_clear()
+    _below_side.cache_clear()
+    for _ in range(2):
+        for p in all_perms(n):
+            m = perm_masks(p)
+            assert _above_side(p, order) == (m.prefix, *_fold(m.above, n, order))
+            assert _below_side(p, order) == (m.below, *_fold(m.below, n, order))
+
+
+def test_cached_sides_stay_within_every_mask_of_s7_in_both_orders():
+    bound = 4 * 5040
+    assert _above_side.cache_info().maxsize + _below_side.cache_info().maxsize == bound
+    # a cold single pair folds only the two sides it reads
+    _above_side.cache_clear()
+    _below_side.cache_clear()
+    is_monomial_free(identity(6), longest(6), DIAG)
+    assert _above_side.cache_info().currsize == _below_side.cache_info().currsize == 1
 
 
 def test_verdict_refusals():
