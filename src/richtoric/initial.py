@@ -38,10 +38,16 @@ neither, and vanishes iff it is in both; a verdict needs only the popcount
 of L ^ R.  The folds are cached per permutation and side, and shared by
 every path: the above side of p holds (prefix[p], La, Ra) and the below
 side (below[p], Lb, Rb), so one lookup per side gives a pair both its
-Bruhat test and its folds.  A sweep's ``witness_table`` reads both sides of
-every permutation of S_n, while ``is_monomial_free`` and ``restrict`` fold
-only the side of v and the side of w that their pair reads, which later
-pairs reuse:
+Bruhat test and its folds.  A side is put together from parts, one per
+prefix set P of p, kept in one table per n and order and filled on first
+use: P's bit, its down- and up-cone within its layer, and the folds of the
+layer's subsets outside each cone.  On layer k, above[p] is the up-cone of
+the k-th prefix set and below[p] its down-cone, so the subsets outside
+either mask fall into disjoint layers and a side is n - 1 ORs of parts;
+the 62 prefix sets of S_6 serve all 720 permutations.  A sweep's
+``witness_table`` reads both sides of every permutation of S_n, while
+``is_monomial_free`` and ``restrict`` fold only the side of v and the side
+of w that their pair reads, which later pairs reuse:
 
 >>> table, perms = witness_table(3, TermOrder.DIAGONAL), all_perms(3)
 >>> (La, Ra), (Lb, Rb) = table[perms.index((1, 3, 2))][2:4], table[perms.index((3, 1, 2))][4:]
@@ -74,7 +80,7 @@ import itertools
 from collections import defaultdict
 from enum import Enum
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import Iterator, NamedTuple
 
 from .perms import (
@@ -83,11 +89,11 @@ from .perms import (
     Subset,
     Tableau,
     _comparable_masks,
+    _cones,
     all_perms,
     all_subsets,
     check_same_n,
     degree_columns,
-    perm_masks,
     serial_order,
     set_bits,
     subset_bits,
@@ -289,20 +295,61 @@ def _fold(inside: int, n: int, order: TermOrder) -> tuple[int, int]:
     return lhs, rhs
 
 
+@lru_cache(maxsize=None)
+def _prefix_parts(n: int, order: TermOrder) -> list[tuple[int, ...] | None]:
+    """Per prefix set P, at the element mask of P (bit j-1 for each j in P):
+    :func:`_prefix_part` of P once a side has read it, None before."""
+    return [None] * (1 << n)
+
+
+def _prefix_part(
+    parts: list[tuple[int, ...] | None], key: int, n: int, order: TermOrder
+) -> tuple[int, ...]:
+    """Fill ``parts[key]`` with (bit, down, up, La, Ra, Lb, Rb) for the set P
+    of the elements in ``key``: P's subset bit, its down- and up-cone in its
+    layer (:func:`richtoric.perms._cones`), and the folds of the layer's
+    subsets outside the up-cone (La, Ra) and outside the down-cone (Lb, Rb)."""
+    P = tuple(j for j in range(1, n + 1) if key >> (j - 1) & 1)
+    k = len(P)
+    first = sum(comb(n, i) for i in range(1, k))
+    rest = ~(((1 << comb(n, k)) - 1) << first)  # every bit outside P's layer
+    down, up = _cones(P, n)
+    la, ra = _fold(rest | up, n, order)
+    lb, rb = _fold(rest | down, n, order)
+    parts[key] = part = (subset_bits(n)[P], down, up, la, ra, lb, rb)
+    return part
+
+
+def _parts(p: Perm, order: TermOrder) -> list[tuple[int, ...]]:
+    """The :func:`_prefix_part` of each prefix set of p, k = 1..n-1."""
+    n = len(p)
+    parts, key, out = _prefix_parts(n, order), 0, []
+    for x in p[:-1]:
+        key |= 1 << (x - 1)
+        out.append(parts[key] or _prefix_part(parts, key, n, order))
+    return out
+
+
 # each side holds every permutation of S_7 in both orders; a bound, because
-# single pairs at n = 8 would otherwise fill them for the life of the process
+# single pairs at n = 8 would otherwise fill them for the life of the
+# process.  A miss ORs the n - 1 parts of p's prefix sets, with no mask
+# decoded and no subset outside the side's mask visited
 @lru_cache(maxsize=2 * factorial(SWEEP_MAX_N))
 def _above_side(p: Perm, order: TermOrder) -> tuple[int, int, int]:
     """(prefix, La, Ra): p's prefix mask and the fold of its above mask."""
-    m = perm_masks(p)
-    return (m.prefix, *_fold(m.above, len(p), order))
+    prefix = lhs = rhs = 0
+    for bit, _, _, la, ra, _, _ in _parts(p, order):
+        prefix, lhs, rhs = prefix | bit, lhs | la, rhs | ra
+    return prefix, lhs, rhs
 
 
 @lru_cache(maxsize=2 * factorial(SWEEP_MAX_N))
 def _below_side(p: Perm, order: TermOrder) -> tuple[int, int, int]:
     """(below, Lb, Rb): p's below mask and its fold."""
-    m = perm_masks(p)
-    return (m.below, *_fold(m.below, len(p), order))
+    below = lhs = rhs = 0
+    for _, down, _, _, _, lb, rb in _parts(p, order):
+        below, lhs, rhs = below | down, lhs | lb, rhs | rb
+    return below, lhs, rhs
 
 
 @lru_cache(maxsize=None)

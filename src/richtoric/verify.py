@@ -61,6 +61,7 @@ from .initial import (
     kernel_hilbert_dim,
     monomial_str,
     restrict,
+    witness_table,
 )
 from .polytope import lattice_points, polytope, restricted_map_matrix, segre_matrix
 from .table1 import compare_with_table1, table1_rows
@@ -117,6 +118,23 @@ def classification_family_agreement(max_n: int = 4):
     ok = all(m == 0 for _, _, m in counts)
     detail = "; ".join(f"n={n}: {t} pairs, {m} mismatches" for n, t, m in counts)
     return ok, detail
+
+
+def family_monomial_free(n: int = 8):
+    """Every pair of T_n is monomial-free in the diagonal order, read off
+    ``witness_table(n, diagonal)``: (La | Lb) ^ (Ra | Rb) is empty for the
+    row of v and the row of w.  Not a suite of :func:`run_suites`; at n = 8
+    it is the first step of the exhaustive S_8 check, run on its own."""
+    row = dict(zip(all_perms(n), witness_table(n, TermOrder.DIAGONAL)))
+    pairs = tn_pairs(n)
+    bad = []
+    for v, w in pairs:
+        _, _, la, ra, _, _ = row[v]
+        _, _, _, _, lb, rb = row[w]
+        if (la | lb) ^ (ra | rb):
+            bad.append(f"{perm_str(v)},{perm_str(w)}")
+    detail = f"n={n}: {len(pairs)} family pairs, {len(bad)} with a witness: {bad[:5]}"
+    return not bad, detail
 
 
 def table1_coverage():

@@ -130,6 +130,27 @@ def test_criterion_3_classification_s7_stream():
     _report("streamed diagonal classification == family membership (S7)", dt)
 
 
+def test_criterion_3_family_monomial_free_small(monkeypatch):
+    counts = {2: 3, 3: 14, 4: 83, 5: 577, 6: 4536}
+    for n, pairs in counts.items():
+        ok, detail = verify.family_monomial_free(n)
+        assert ok and detail == f"n={n}: {pairs} family pairs, 0 with a witness: []"
+    # a pair outside T_3 with a diagonal witness is reported
+    monkeypatch.setattr(verify, "tn_pairs", lambda n: (((1, 3, 2), (3, 1, 2)),))
+    assert verify.family_monomial_free(3) == (
+        False, "n=3: 1 family pairs, 1 with a witness: ['132,312']"
+    )
+
+
+@pytest.mark.skipif(not FULL_TIER, reason="full tier only (RICHTORIC_FULL=1)")
+def test_criterion_3_family_monomial_free_s8():
+    # every pair of T_8 is diagonal monomial-free, read off the S_8 table
+    (ok, detail), dt = _timed(verify.family_monomial_free, 8)
+    assert ok, detail
+    assert detail.startswith("n=8: 380063 family pairs, 0 with a witness:")
+    _report("T8 pairs are diagonal monomial-free", dt)
+
+
 def test_criterion_4_reference_table():
     def run():
         records = classify_all(4, TermOrder.ANTIDIAGONAL)

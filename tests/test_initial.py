@@ -11,6 +11,7 @@ import pytest
 
 from richtoric.perms import (
     BudgetError,
+    _cones,
     all_perms,
     all_subsets,
     bruhat_leq,
@@ -41,6 +42,8 @@ from richtoric.initial import (
     _above_side,
     _below_side,
     _fold,
+    _prefix_part,
+    _prefix_parts,
     _users,
     classify_all,
     classify_rows,
@@ -370,6 +373,7 @@ def test_restrict_agrees_with_tuple_scan_seeded(n, order):
             if cold:
                 _above_side.cache_clear()
                 _below_side.cache_clear()
+                _prefix_parts.cache_clear()
                 _users.cache_clear()
             report = restrict(v, w, order)
             assert report.survivors == keep
@@ -445,6 +449,7 @@ def test_cached_fold_agrees_with_generator_scan():
     for case, free in zip(cases, want):
         _above_side.cache_clear()
         _below_side.cache_clear()
+        _prefix_parts.cache_clear()
         assert is_monomial_free(*case) == free
     for _ in range(2):  # filling the cache, then every fold warm
         for case, free in zip(cases, want):
@@ -473,6 +478,7 @@ def test_cached_sides_are_the_folds_of_each_permutation(n, order):
     # fold of its mask
     _above_side.cache_clear()
     _below_side.cache_clear()
+    _prefix_parts.cache_clear()
     for _ in range(2):
         for p in all_perms(n):
             m = perm_masks(p)
@@ -486,8 +492,69 @@ def test_cached_sides_stay_within_every_mask_of_s7_in_both_orders():
     # a cold single pair folds only the two sides it reads
     _above_side.cache_clear()
     _below_side.cache_clear()
+    _prefix_parts.cache_clear()
     is_monomial_free(identity(6), longest(6), DIAG)
     assert _above_side.cache_info().currsize == _below_side.cache_info().currsize == 1
+
+
+def _definition_fold(masks, out):
+    """Bit g is set iff generator g's lhs / rhs uses a subset in ``out``,
+    read off a string of one digit per generator, the last generator first."""
+    return tuple(
+        int("0" + "".join("1" if side[i] & out else "0" for side in masks[::-1]), 2)
+        for i in (0, 1)
+    )
+
+
+@pytest.mark.parametrize("order", [DIAG, ANTI])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_prefix_parts_against_their_definitions(n, order):
+    # every prefix set P, filled from an empty table: its bit, its cones in
+    # its layer and the folds of the layer's subsets outside each cone
+    masks, bit = _generator_masks(n, order), subset_bits(n)
+    _prefix_parts.cache_clear()
+    parts = _prefix_parts(n, order)
+    assert len(parts) == 1 << n and not any(parts)
+    for P in all_subsets(n):
+        key = sum(1 << (j - 1) for j in P)
+        layer = sum(bit[J] for J in itertools.combinations(range(1, n + 1), len(P)))
+        down, up = _cones(P, n)
+        part = _prefix_part(parts, key, n, order)
+        assert parts[key] is part
+        assert part[:3] == (bit[P], down, up)
+        assert part[3:5] == _definition_fold(masks, layer & ~up)
+        assert part[5:] == _definition_fold(masks, layer & ~down)
+    # the empty and the full set are no prefix set
+    assert parts[0] is parts[-1] is None and all(parts[1:-1])
+
+
+@pytest.mark.parametrize("order", [DIAG, ANTI])
+def test_sides_of_seeded_s8_permutations_are_their_folds(order):
+    # the sides read at n = 8, first with the table and both side caches
+    # empty, then warm
+    perms = random.Random(88).sample(all_perms(8), 40)
+    perms += [identity(8), longest(8)]
+    _above_side.cache_clear()
+    _below_side.cache_clear()
+    _prefix_parts.cache_clear()
+    for _ in range(2):
+        for p in perms:
+            m = perm_masks(p)
+            assert _above_side(p, order) == (m.prefix, *_fold(m.above, 8, order))
+            assert _below_side(p, order) == (m.below, *_fold(m.below, 8, order))
+
+
+def test_cold_sides_fill_one_part_per_prefix_set():
+    _above_side.cache_clear()
+    _below_side.cache_clear()
+    _prefix_parts.cache_clear()
+    is_monomial_free(identity(6), longest(6), DIAG)
+    # {1}, {1,2}, ... for the above side of id; {6}, {5,6}, ... for the
+    # below side of w0
+    filled = [key for key, part in enumerate(_prefix_parts(6, DIAG)) if part]
+    assert filled == sorted({(1 << k) - 1 for k in range(1, 6)} | {
+        ((1 << k) - 1) << (6 - k) for k in range(1, 6)
+    })
 
 
 def test_verdict_refusals():
