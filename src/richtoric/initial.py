@@ -39,15 +39,16 @@ of L ^ R.  The folds are cached per permutation and side, and shared by
 every path: the above side of p holds (prefix[p], La, Ra) and the below
 side (below[p], Lb, Rb), so one lookup per side gives a pair both its
 Bruhat test and its folds.  A side is put together from parts, one per
-prefix set P of p, kept in one table per n and order and filled on first
-use: P's bit, its down- and up-cone within its layer, and the folds of the
-layer's subsets outside each cone.  On layer k, above[p] is the up-cone of
-the k-th prefix set and below[p] its down-cone, so the subsets outside
-either mask fall into disjoint layers and a side is n - 1 ORs of parts;
-the 62 prefix sets of S_6 serve all 720 permutations.  A sweep's
-``witness_table`` reads both sides of every permutation of S_n, while
-``is_monomial_free`` and ``restrict`` fold only the side of v and the side
-of w that their pair reads, which later pairs reuse:
+prefix set P of p, kept in one table per n and order under P's element
+mask and filled on first use: P's bit and cones in its layer, read from
+``perms.prefix_set``, and the folds of the layer's subsets outside each
+cone.  On layer k, above[p] is the up-cone of the k-th prefix set and
+below[p] its down-cone, so the subsets outside either mask fall into
+disjoint layers and a side is n - 1 ORs of parts; the 62 prefix sets of
+S_6 serve all 720 permutations.  A sweep's ``witness_table`` reads both
+sides of every permutation of S_n, while ``is_monomial_free`` and
+``restrict`` fold only the side of v and the side of w that their pair
+reads, which later pairs reuse:
 
 >>> table, perms = witness_table(3, TermOrder.DIAGONAL), all_perms(3)
 >>> (La, Ra), (Lb, Rb) = table[perms.index((1, 3, 2))][2:4], table[perms.index((3, 1, 2))][4:]
@@ -80,7 +81,7 @@ import itertools
 from collections import defaultdict
 from enum import Enum
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 from typing import Iterator, NamedTuple
 
 from .perms import (
@@ -89,11 +90,11 @@ from .perms import (
     Subset,
     Tableau,
     _comparable_masks,
-    _cones,
     all_perms,
     all_subsets,
     check_same_n,
     degree_columns,
+    prefix_set,
     serial_order,
     set_bits,
     subset_bits,
@@ -307,16 +308,12 @@ def _prefix_part(
 ) -> tuple[int, ...]:
     """Fill ``parts[key]`` with (bit, down, up, La, Ra, Lb, Rb) for the set P
     of the elements in ``key``: P's subset bit, its down- and up-cone in its
-    layer (:func:`richtoric.perms._cones`), and the folds of the layer's
+    layer (:func:`richtoric.perms.prefix_set`), and the folds of the layer's
     subsets outside the up-cone (La, Ra) and outside the down-cone (Lb, Rb)."""
-    P = tuple(j for j in range(1, n + 1) if key >> (j - 1) & 1)
-    k = len(P)
-    first = sum(comb(n, i) for i in range(1, k))
-    rest = ~(((1 << comb(n, k)) - 1) << first)  # every bit outside P's layer
-    down, up = _cones(P, n)
-    la, ra = _fold(rest | up, n, order)
-    lb, rb = _fold(rest | down, n, order)
-    parts[key] = part = (subset_bits(n)[P], down, up, la, ra, lb, rb)
+    bit, layer, down, up = prefix_set(n, key)
+    la, ra = _fold(~layer | up, n, order)
+    lb, rb = _fold(~layer | down, n, order)
+    parts[key] = part = (bit, down, up, la, ra, lb, rb)
     return part
 
 

@@ -43,11 +43,12 @@ and the Bruhat order is the tableau criterion on prefix sets,
 Tableaux and the degree-two kernel number subsets in serialised order (by
 :func:`subset_str`), not bit order: :func:`serial_order`, once per n.
 
-The subset order itself is one table per n, :func:`gale_up`: the mask of
-the subsets J with I <= J, for every subset I.  The Bruhat up-sets come from
-one more table per n, :func:`perm_up`: for every subset bit, the bitset of
-the permutations whose ``below`` mask holds it, so the w >= v are the AND of
-those bitsets over the bits of prefix[v] (:func:`upper_indices`).
+Each mask is a union over prefix sets, read from :func:`prefix_set` with
+one running key along w; the Gale up-set of I is the union of the up-cones
+of I[:1], ..., I[:|I|].  The Bruhat up-sets come from one more table per n,
+:func:`perm_up`: for every subset bit, the bitset of the permutations whose
+``below`` mask holds it, so the w >= v are the AND of those bitsets over the
+bits of prefix[v] (:func:`upper_indices`).
 
 >>> [subset_str(J) for J in all_subsets(3)]
 ['1', '2', '3', '12', '13', '23']
@@ -66,7 +67,7 @@ from __future__ import annotations
 import itertools
 import operator
 from bisect import insort
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import factorial
 from typing import Iterable, NamedTuple, Sequence
 
@@ -335,51 +336,51 @@ def serial_order(n: int) -> tuple[tuple[Subset, ...], tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _cones(P: Subset, n: int) -> tuple[int, int]:
-    """Masks of the subsets J of size |P| with J <= P, and with P <= J."""
-    bit = subset_bits(n)
-    down = up = 0
-    for J in itertools.combinations(range(1, n + 1), len(P)):
-        if all(j <= p for j, p in zip(J, P)):
-            down |= bit[J]
-        if all(p <= j for p, j in zip(P, J)):
-            up |= bit[J]
-    return down, up
+def prefix_set(n: int, key: int) -> tuple[int, int, int, int]:
+    """(bit, layer, down, up) for the set P of the elements in ``key`` (bit
+    j-1 for each j in P): P's subset bit, the mask of the subsets of size
+    |P|, and within that layer the masks of the subsets J with J <= P and
+    with P <= J.
 
-
-@lru_cache(maxsize=None)
-def gale_up(n: int) -> dict[Subset, int]:
-    """Each subset I of [n] with the mask of the subsets J with I <= J.
-
-    I <= J compares J with the first |J| elements of I, so the mask is the
-    union of the up-cones of I's truncations I[:1], ..., I[:|I|].
-
-    >>> subsets_of(gale_up(3)[(1, 3)], 3)
-    [(1,), (2,), (3,), (1, 3), (2, 3)]
+    >>> [subsets_of(m, 3) for m in prefix_set(3, 0b101)]
+    [[(1, 3)], [(1, 2), (1, 3), (2, 3)], [(1, 2), (1, 3)], [(1, 3), (2, 3)]]
     """
-    return {
-        I: reduce(operator.or_, (_cones(I[:t], n)[1] for t in range(1, len(I) + 1)))
-        for I in all_subsets(n)
-    }
+    P = tuple(j for j in range(1, n + 1) if key >> (j - 1) & 1)
+    bit = subset_bits(n)
+    layer = down = up = 0
+    for J in itertools.combinations(range(1, n + 1), len(P)):
+        b = bit[J]
+        layer |= b
+        if all(map(operator.le, J, P)):
+            down |= b
+        if all(map(operator.le, P, J)):
+            up |= b
+    return bit[P], layer, down, up
 
 
 @lru_cache(maxsize=None)
 def perm_up(n: int) -> tuple[int, ...]:
     """Per subset bit i: the bitset over ``all_perms(n)`` indices (bit p for
-    the p-th permutation) of the w whose ``below`` mask holds bit i.  Each
-    bitset is set in a byte buffer, then read as one int.
+    the p-th permutation) of the w whose ``below`` mask holds bit i.
+    J <= w iff w's prefix set of size |J| lies in J's up-cone, so J's bitset
+    is the sum of the disjoint holders of the sets in that cone, each the
+    bitset of the w with that prefix set, set in a byte buffer.
 
     >>> [format(b, "06b") for b in perm_up(3)]
     ['111111', '111100', '110000', '111111', '111010', '101000']
     """
     perms = all_perms(n)
-    size = (len(perms) + 7) // 8
-    up = [bytearray(size) for _ in all_subsets(n)]
+    holders = [bytearray((len(perms) + 7) // 8) for _ in range(1 << n)]
     for p, w in enumerate(perms):
-        byte, flag = p >> 3, 1 << (p & 7)
-        for i in subset_indices(perm_masks(w).below, n):
-            up[i][byte] |= flag
-    return tuple(int.from_bytes(b, "little") for b in up)
+        byte, flag, key = p >> 3, 1 << (p & 7), 0
+        for x in w[:-1]:
+            key |= 1 << (x - 1)
+            holders[key][byte] |= flag
+    held = [int.from_bytes(h, "little") for h in holders]
+    keys = [sum(1 << (j - 1) for j in J) for J in all_subsets(n)]
+    return tuple(
+        sum(held[keys[i]] for i in subset_indices(prefix_set(n, key)[3], n)) for key in keys
+    )
 
 
 def upper_indices(prefix: int, n: int) -> list[int]:
@@ -430,8 +431,9 @@ def _byte_positions(k: int) -> tuple[tuple[int, ...], ...]:
 def subset_indices(mask: int, n: int) -> list[int]:
     """The ``all_subsets(n)`` indices of the subsets in ``mask``, ascending,
     read a byte at a time from a table of each byte's bit positions.  The
-    tables cover at most 32 bytes for n <= MAX_N; :func:`set_bits` reads
-    the long bitsets over permutations and generators.
+    tables cover 32 bytes for n <= 8 and 64 for the 510 subsets at n = 9;
+    :func:`set_bits` reads the long bitsets over permutations and
+    generators.
 
     >>> subset_indices(0b101100, 3), subset_indices(0, 3)
     ([2, 3, 5], [])
@@ -454,21 +456,18 @@ def perm_masks(w: Perm) -> PermMasks:
     """The prefix, below and above masks of a permutation.
 
     J <= w compares J with the prefix set of w of the same size, so each
-    mask is a union over the prefix sets of w.
+    mask is a union of :func:`prefix_set` entries over the prefix sets of w.
 
     >>> m = perm_masks((2, 3, 1))
     >>> subsets_of(m.prefix, 3), subsets_of(m.below, 3)
     ([(2,), (2, 3)], [(1,), (2,), (1, 2), (1, 3), (2, 3)])
     """
     n = len(w)
-    bit = subset_bits(n)
-    prefix = below = above = 0
-    for k in range(1, n):
-        P = tuple(sorted(w[:k]))
-        down, up = _cones(P, n)
-        prefix |= bit[P]
-        below |= down
-        above |= up
+    prefix = below = above = key = 0
+    for x in w[:-1]:
+        key |= 1 << (x - 1)
+        bit, _, down, up = prefix_set(n, key)
+        prefix, below, above = prefix | bit, below | down, above | up
     return PermMasks(prefix, below, above)
 
 

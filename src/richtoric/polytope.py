@@ -43,8 +43,8 @@ from typing import NamedTuple
 from .perms import BudgetError, Perm, Subset, enumerate_T, subset_str
 from .initial import TermOrder, initial_term
 
-#: Cap on the volume of the ambient bounding box of a polytope whose lattice
-#: points are enumerated.
+#: Cap on the volume of the box that :func:`lattice_points` scans: the
+#: bounding box of the points projected onto the echelon's pivot columns.
 LATTICE_BUDGET = 1_000_000
 
 #: Cap on the number of products (columns of S and AS); the largest n <= 5
@@ -412,7 +412,8 @@ def lattice_points(poly: LatticePolytope) -> list[tuple[int, ...]]:
     column is its pivot, so the first nonzero coordinate of any direction in
     the affine hull sits at a pivot, and the lifts come out in the
     lexicographic order of the ambient coordinates.  ``LATTICE_BUDGET``
-    bounds the volume of the ambient bounding box.
+    bounds the volume of the scanned box, which is never larger than the
+    ambient bounding box.
     """
     k = poly.affine_dim
     if k > 3:
@@ -422,22 +423,19 @@ def lattice_points(poly: LatticePolytope) -> list[tuple[int, ...]]:
 
     rows = _affine_basis(pts)
     assert len(rows) == k
-    lows = [min(p[i] for p in pts) for i in range(len(base))]
-    highs = [max(p[i] for p in pts) for i in range(len(base))]
-    volume = 1
-    for lo, hi in zip(lows, highs):
-        volume *= hi - lo + 1
+    pivots = sorted(pivot for pivot, _ in rows)
+    box = [range(min(p[i] for p in pts), max(p[i] for p in pts) + 1) for i in pivots]
+    volume = math.prod(map(len, box))
     if volume > LATTICE_BUDGET:
         raise BudgetError(f"bounding box volume {volume} exceeds budget {LATTICE_BUDGET}")
 
     reduced = sorted((pivot, _reduce(rows[i + 1 :], row)) for i, (pivot, row) in enumerate(rows))
-    pivots = [pivot for pivot, _ in reduced]
     scale = math.lcm(*(row[pivot] for pivot, row in reduced))
     scaled = [[scale // row[pivot] * x for x in row] for pivot, row in reduced]
     inside = _hull_test([tuple(p[i] for i in pivots) for p in pts], k)
     origin = [scale * b for b in base]
     out = []
-    for y in itertools.product(*(range(lows[i], highs[i] + 1) for i in pivots)):
+    for y in itertools.product(*box):
         if inside(y):
             lift = origin
             for step, row in zip(map(operator.sub, y, (base[i] for i in pivots)), scaled):

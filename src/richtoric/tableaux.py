@@ -20,13 +20,13 @@ bottom of its maximum chain stays above v.
 The walks over tableaux share one table per n (:class:`_ChainTable`), whose
 columns are the subsets of [n] numbered in serialised order
 (:func:`~richtoric.perms.serial_order`).  A column's successors among the
-columns of T are the bits of its Gale up-set
-(:func:`~richtoric.perms.gale_up`, renumbered once per n) within T, one AND
-per column and no :func:`gale_leq` call.  :func:`enumerate_ssyt` extends
-level by level: level 1 is T in serialised order, and every tableau of a
-level is followed, in order, by its last column's successors in that order.
-A level sorted by serialised columns thus gives a sorted next level, so the
-canonical order needs no sort.
+columns of T are the bits of its Gale up-set within T, one AND per column
+and no :func:`gale_leq` call; the up-set is the union of the up-cones of
+the column's leading sets (:func:`~richtoric.perms.prefix_set`).
+:func:`enumerate_ssyt` extends level by level: level 1 is T in serialised
+order, and every tableau of a level is followed, in order, by its last
+column's successors in that order.  A level sorted by serialised columns
+thus gives a sorted next level, so the canonical order needs no sort.
 
 :func:`count_standard` walks small integers: columns, and chain
 permutations as ids in the same table.  The table stores each permutation
@@ -53,6 +53,7 @@ bracketed permutation lists.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 from .perms import (
     MAX_N,
@@ -65,11 +66,11 @@ from .perms import (
     degree_mask,
     descending_completion,
     gale_leq,
-    gale_up,
     identity,
     longest,
     perm_masks,
     perm_str,
+    prefix_set,
     serial_order,
     subset_indices,
     tableau_str,
@@ -305,12 +306,14 @@ class _ChainTable:
     """The tableau walks' table of S_n.  Columns are positions in
     :func:`~richtoric.perms.serial_order`: ``subsets`` lists them,
     :meth:`serial` renumbers a subset mask to them, and ``gale`` holds each
-    column's :func:`~richtoric.perms.gale_up` mask so renumbered.  The
-    permutations that chain steps have reached are stored once each under a
-    small integer id, with its prefix mask and the complement of its below
-    mask (within ``full``; both in ``all_subsets`` bits) in lists indexed by
-    that id, and the steps between them: ``up`` for :func:`min_extension`
-    and ``down`` for :func:`max_truncation` (see :class:`_Steps`).
+    column I's Gale up-set so renumbered, the union of the
+    :func:`~richtoric.perms.prefix_set` up-cones of I[:1], ..., I[:|I|].
+    The permutations that chain steps have reached are stored once each
+    under a small integer id, with its prefix mask and the complement of
+    its below mask (within ``full``; both in ``all_subsets`` bits) in lists
+    indexed by that id, and the steps between them: ``up`` for
+    :func:`min_extension` and ``down`` for :func:`max_truncation` (see
+    :class:`_Steps`).
     """
 
     __slots__ = ("n", "subsets", "position", "gale", "full", "ids", "perms", "prefix", "not_below",
@@ -320,8 +323,10 @@ class _ChainTable:
         self.n = n
         self.subsets, self.position = serial_order(n)
         self.full = (1 << len(self.subsets)) - 1
-        up = gale_up(n)
-        self.gale = tuple(self.serial(up[J]) for J in self.subsets)
+        self.gale = tuple(
+            self.serial(sum(prefix_set(n, key)[3] for key in accumulate(1 << (x - 1) for x in J)))
+            for J in self.subsets
+        )
         self.ids: dict[Perm, int] = {}
         self.perms: list[Perm] = []
         self.prefix: list[int] = []

@@ -11,7 +11,6 @@ import pytest
 
 from richtoric.perms import (
     BudgetError,
-    _cones,
     all_perms,
     all_subsets,
     bruhat_leq,
@@ -508,7 +507,7 @@ def _definition_fold(masks, out):
 
 @pytest.mark.parametrize("order", [DIAG, ANTI])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
-def test_prefix_parts_against_their_definitions(n, order):
+def test_prefix_parts_against_their_definitions(n, order, cones):
     # every prefix set P, filled from an empty table: its bit, its cones in
     # its layer and the folds of the layer's subsets outside each cone
     masks, bit = _generator_masks(n, order), subset_bits(n)
@@ -518,7 +517,7 @@ def test_prefix_parts_against_their_definitions(n, order):
     for P in all_subsets(n):
         key = sum(1 << (j - 1) for j in P)
         layer = sum(bit[J] for J in itertools.combinations(range(1, n + 1), len(P)))
-        down, up = _cones(P, n)
+        down, up = cones(P, n)
         part = _prefix_part(parts, key, n, order)
         assert parts[key] is part
         assert part[:3] == (bit[P], down, up)

@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 
 import pytest
@@ -26,9 +27,11 @@ from richtoric.perms import (
     perm_masks,
     perm_str,
     perm_up,
+    prefix_set,
     reverse,
     subset_leq_perm,
     subset_leq_perm_bruhat,
+    subset_bits,
     subset_indices,
     subset_str,
     subsets_of,
@@ -247,6 +250,70 @@ def test_up_set_walk_agrees_with_bruhat_order(n):
         assert upper == [w for w in perms if bruhat_leq_mask(v, w)]
         if n <= 4:
             assert upper == [w for w in perms if bruhat_leq(v, w)]
+
+
+def _check_prefix_set(n, key, cones):
+    P = tuple(j for j in range(1, n + 1) if key >> (j - 1) & 1)
+    bit = subset_bits(n)
+    layer = sum(bit[J] for J in itertools.combinations(range(1, n + 1), len(P)))
+    assert prefix_set(n, key) == (bit[P], layer, *cones(P, n)), (n, P)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_prefix_set_against_the_cone_definition(n, cones):
+    # every nonempty proper set, keyed by its element mask
+    for key in range(1, (1 << n) - 1):
+        _check_prefix_set(n, key, cones)
+
+
+def test_prefix_set_against_the_cone_definition_seeded_n9(cones):
+    for key in random.Random(909).sample(range(1, (1 << 9) - 1), 60):
+        _check_prefix_set(9, key, cones)
+
+
+def _ref_perm_masks(w, cones):
+    """perm_masks before the prefix-set table: one sorted tuple per prefix."""
+    n = len(w)
+    bit = subset_bits(n)
+    prefix = below = above = 0
+    for k in range(1, n):
+        P = tuple(sorted(w[:k]))
+        down, up = cones(P, n)
+        prefix |= bit[P]
+        below |= down
+        above |= up
+    return prefix, below, above
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_perm_masks_against_sorted_prefix_reference(n, cones):
+    perms = all_perms(n)
+    if n == 8:
+        perms = random.Random(808).sample(perms, 2_000)
+    for w in perms:
+        assert perm_masks(w) == _ref_perm_masks(w, cones), w
+
+
+def _ref_perm_up(n):
+    """perm_up before the prefix-set holders: every permutation's below
+    mask decoded, one bit set per subset in it."""
+    perms = all_perms(n)
+    size = (len(perms) + 7) // 8
+    up = [bytearray(size) for _ in all_subsets(n)]
+    for p, w in enumerate(perms):
+        byte, flag = p >> 3, 1 << (p & 7)
+        for i in subset_indices(perm_masks(w).below, n):
+            up[i][byte] |= flag
+    return tuple(int.from_bytes(b, "little") for b in up)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [*range(2, 8), pytest.param(8, marks=pytest.mark.skipif(
+        os.environ.get("RICHTORIC_FULL") != "1", reason="full tier only (RICHTORIC_FULL=1)"))],
+)
+def test_perm_up_against_below_mask_decode(n):
+    assert perm_up(n) == _ref_perm_up(n)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

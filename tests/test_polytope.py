@@ -754,6 +754,19 @@ def test_lattice_points_scans_the_projected_box(monkeypatch):
     assert len(set(tested)) == len(tested)
 
 
+def test_lattice_budget_bounds_the_scanned_box(monkeypatch):
+    # the ambient box of (2134, 4213) holds 192 points and the scanned box
+    # 24, so a budget between the two admits the scan
+    module = importlib.import_module("richtoric.polytope")
+    poly = polytope((2, 1, 3, 4), (4, 2, 1, 3), ANTI)
+    points = lattice_points(poly)
+    monkeypatch.setattr(module, "LATTICE_BUDGET", 100)
+    assert lattice_points(poly) == points
+    monkeypatch.setattr(module, "LATTICE_BUDGET", 23)
+    with pytest.raises(BudgetError, match="^bounding box volume 24 exceeds budget 23$"):
+        lattice_points(poly)
+
+
 def test_polytope_dimension_is_richardson_dimension():
     # observed on every monomial-free pair with n <= 4, both orders
     ok, detail = polytope_dimensions(4)

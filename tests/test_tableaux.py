@@ -18,7 +18,6 @@ from richtoric.perms import (
     descending_completion,
     enumerate_T,
     gale_leq,
-    gale_up,
     identity,
     inversions,
     longest,
@@ -26,6 +25,7 @@ from richtoric.perms import (
     perm_leq_subset,
     perm_masks,
     subset_bits,
+    subset_indices,
     subset_leq_perm,
     subset_str,
 )
@@ -495,6 +495,18 @@ def test_count_standard_agrees_with_is_standard_seeded(n, max_d, count, comparab
             assert count_standard(v, w, d) == _ref_count_standard(v, w, d), (v, w, d)
 
 
+def _gale_up(n):
+    """Each subset I of [n], in ``all_subsets`` order, with the mask (in
+    ``all_subsets`` bits) of the subsets J with I <= J, read back from the
+    chain table's serial-numbered Gale masks."""
+    table, bit = _chain_table(n), subset_bits(n)
+    gale = dict(zip(table.subsets, table.gale))
+    return {
+        I: sum(bit[table.subsets[q]] for q in subset_indices(gale[I], n))
+        for I in all_subsets(n)
+    }
+
+
 def _ref_count_walk(v, w, d):
     """count_standard before the chain table: the same pruned walk on tuples,
     with the lru_cache'd min_extension and max_truncation, a |T|^2 successor
@@ -503,7 +515,7 @@ def _ref_count_walk(v, w, d):
     if d == 1:
         return len(cols)
     n = len(v)
-    bit, up = subset_bits(n), gale_up(n)
+    bit, up = subset_bits(n), _gale_up(n)
     succ = {I: [J for J in cols if bit[J] & up[I]] for I in cols}
     not_below_w = ~perm_masks(w).below
     prefix_v = perm_masks(v).prefix
@@ -642,7 +654,7 @@ def test_count_standard_degree_one_needs_no_chains_at_n9():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_gale_up_table_agrees_with_gale_leq(n):
-    bit, up = subset_bits(n), gale_up(n)
+    bit, up = subset_bits(n), _gale_up(n)
     subsets = all_subsets(n)
     assert list(up) == list(subsets)
     for I in subsets:
