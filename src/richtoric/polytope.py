@@ -38,6 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from functools import lru_cache
 from typing import NamedTuple
 
 from .perms import BudgetError, Perm, Subset, enumerate_T, subset_str
@@ -59,23 +60,15 @@ _ORDER = "little" if memoryview(b"\1\0").cast("H")[0] == 1 else "big"
 #: ``memoryview.cast`` codes of signed fields by byte width.
 _FIELD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
+#: How :meth:`IntMatrix.text` shows an entry 0..9: 0 blank, k its digit.
+_SHOWN = bytes.maketrans(bytes(range(10)), b" 123456789")
+
 
 def cell_label(i: int, j: int) -> str:
     """Display label of grid cell (i, j): rows 1..3 are x, y, z."""
     if 1 <= i <= len(_ROW_LETTERS):
         return f"{_ROW_LETTERS[i - 1]}{j}"
     return f"x[{i},{j}]"
-
-
-class _Padded(dict):
-    """Cells of one column width, keyed by entry, each padded on first use."""
-
-    def __init__(self, strs: dict[int, str], width: int):
-        self.strs, self.width = strs, width
-
-    def __missing__(self, entry: int) -> str:
-        cell = self[entry] = self.strs[entry].rjust(self.width)
-        return cell
 
 
 class IntMatrix(NamedTuple):
@@ -105,7 +98,7 @@ class IntMatrix(NamedTuple):
         field, makes every field nonnegative, and xor-ing it back leaves
         each field's two's complement: fields of 1, 2, 4 and 8 bytes decode
         with ``memoryview.cast``, wider ones one by one.  Entries in
-        range(256) pack from ``bytes(row)``, and the bytes of the rows'
+        range(256) pack from ``bytearray(row)``, and the bytes of the rows'
         bitwise or bound them; other entries are packed biased, and the
         bias is taken off the packed int.
         """
@@ -113,7 +106,7 @@ class IntMatrix(NamedTuple):
             raise ValueError("matrix shapes/labels do not align")
         ncols = len(other.col_labels)
         try:
-            raw = [bytes(row) for row in other.entries]
+            raw = [bytearray(row) for row in other.entries]
         except ValueError:  # an entry outside range(256)
             raw = None
             top = max(map(abs, itertools.chain.from_iterable(other.entries)))
@@ -160,35 +153,51 @@ class IntMatrix(NamedTuple):
     def text(self, name: str | None = None) -> str:
         """Aligned display; zero entries print blank.
 
-        A column is as wide as its label and its longest entry, and at
-        least 1 wide (a zero counts as one character).  Each distinct entry
-        is turned into a string once; the columns are scanned for their
-        longest entry only when some entry is wider than the narrowest
-        label, so a matrix of small entries under long labels costs one
-        join per row.  Each cell comes from a table of padded cells, one
-        per column width, filled on first use, so no (width, entry) pair is
-        padded twice; under one width, as under the equal-length labels of
-        a Segre product, a row reads that one table.
+        A column is as wide as its label and its longest entry, at least 1
+        (a zero counts as one character); cells are right-aligned two blanks
+        apart, trailing blanks dropped.  If every entry is a digit 0..9, as
+        in every A, S and AS, each row is its bytes, translated once (0 to a
+        blank, k to its digit) and slice-assigned into a blank row, one
+        strided slice per run of adjacent columns of one width; other
+        matrices go cell by cell.
+
+        >>> m = IntMatrix(("x1", "y12"), ("P1", "P12", "P2"), ((1, 0, 2), (0, 0, 0)))
+        >>> print(m.text("M"))
+        M =
+             P1  P12  P2
+        x1    1        2
+        y12
         """
-        strs = {e: str(e) if e else "" for e in set().union(*self.entries)}
-        shown = strs.__getitem__
         widths = [len(lbl) or 1 for lbl in self.col_labels]
-        if max(map(len, strs.values()), default=0) > min(widths, default=0):
-            columns = zip(*self.entries)
-            widths = [max(wd, *map(len, map(shown, col))) for wd, col in zip(widths, columns)]
-        padded = {wd: _Padded(strs, wd) for wd in set(widths)}
-        tables = [padded[wd] for wd in widths]
-        only = padded[widths[0]].__getitem__ if len(padded) == 1 else None
-        label_w = max((len(r) for r in self.row_labels), default=0)
-        lines = []
-        if name is not None:
-            lines.append(f"{name} =")
-        header = " " * label_w + "  " + "  ".join(map(str.rjust, self.col_labels, widths))
-        lines.append(header.rstrip())
-        for lbl, row in zip(self.row_labels, self.entries):
-            cells = map(only, row) if only else map(operator.getitem, tables, row)
-            lines.append((lbl.ljust(label_w) + "  " + "  ".join(cells)).rstrip())
-        return "\n".join(lines)
+        try:
+            raw = b"".join(map(bytearray, self.entries))
+        except ValueError:  # an entry outside range(256)
+            raw = None
+        if raw is None or not widths or raw.translate(None, bytes(range(10))):
+            cells = [[str(e) if e else "" for e in row] for row in self.entries]
+            if cells:
+                widths = [max(wd, *map(len, col)) for wd, col in zip(widths, zip(*cells))]
+            bodies = ["  ".join(map(str.rjust, row, widths)) for row in cells]
+        else:
+            shown, runs, pos, j = memoryview(raw.translate(_SHOWN)), [], 0, 0
+            for wd, run in itertools.groupby(widths):
+                count = len(list(run))
+                runs.append((slice(pos + wd - 1, pos + count * (wd + 2), wd + 2), j, j + count))
+                pos, j = pos + count * (wd + 2), j + count
+            blank = b" " * (pos - 2)
+
+            def body(at: int) -> str:
+                line = bytearray(blank)
+                for cut, first, stop in runs:
+                    line[cut] = shown[at + first : at + stop]
+                return line.decode()
+
+            bodies = map(body, range(0, len(raw), j))
+        label_w = max(map(len, self.row_labels), default=0)
+        header = "  ".join(map(str.rjust, self.col_labels, widths))
+        rows = zip(("",) + self.row_labels, itertools.chain([header], bodies))
+        lines = [(lbl.ljust(label_w) + "  " + body).rstrip() for lbl, body in rows]
+        return "\n".join(lines if name is None else [f"{name} ="] + lines)
 
     def csv(self) -> str:
         lines = ["," + ",".join(self.col_labels)]
@@ -197,46 +206,43 @@ class IntMatrix(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
+@lru_cache(maxsize=1)
 def restricted_map_matrix(v: Perm, w: Perm, order: TermOrder) -> IntMatrix:
     """Exponent matrix of the monomial map on surviving coordinates.
 
     Columns are the coordinates of T in canonical order; rows are the grid
-    cells hit by at least one coordinate, in row-major order.
+    cells hit by at least one coordinate, in row-major order.  The last
+    matrix is kept: a caller that displays the pair of the last
+    :func:`polytope` reads the A that it built.
     """
     cols = enumerate_T(v, w)
-    terms = {J: frozenset(initial_term(J, order)) for J in cols}
-    cells = sorted({c for t in terms.values() for c in t})
-    entries = tuple(
-        tuple(1 if cell in terms[J] else 0 for J in cols) for cell in cells
-    )
+    terms = [frozenset(initial_term(J, order)) for J in cols]
+    cells = sorted(frozenset().union(*terms))
     return IntMatrix(
-        tuple(cell_label(i, j) for i, j in cells),
+        tuple(itertools.starmap(cell_label, cells)),
         tuple("P" + subset_str(J) for J in cols),
-        entries,
+        tuple(tuple(1 if cell in t else 0 for t in terms) for cell in cells),
     )
 
 
 def segre_factors(v: Perm, w: Perm) -> list[list[Subset]]:
-    """Surviving coordinates grouped into projective factors by size."""
-    cols = enumerate_T(v, w)
-    factors: dict[int, list[Subset]] = {}
-    for J in cols:
-        factors.setdefault(len(J), []).append(J)
-    return [factors[k] for k in sorted(factors)]
+    """Surviving coordinates grouped into projective factors by size (the
+    canonical order lists subsets by size first)."""
+    return [list(f) for _, f in itertools.groupby(enumerate_T(v, w), len)]
 
 
-def _segre_size(factors: list[list[Subset]]) -> int:
-    """Number of products choosing one coordinate per factor.
+def _segre_labels(factors: list[list[Subset]]) -> tuple[list[list[str]], tuple[str, ...]]:
+    """The rows and columns of S: each factor's coordinate names "P" + J, and
+    the "*"-joined names of each product, in ``itertools.product`` order.
 
-    Raises :class:`BudgetError` when it exceeds ``SEGRE_BUDGET``.
+    Raises :class:`BudgetError` first when the products exceed ``SEGRE_BUDGET``.
     """
     size = math.prod(len(f) for f in factors)
     if size > SEGRE_BUDGET:
         sizes = "*".join(str(len(f)) for f in factors)
-        raise BudgetError(
-            f"Segre product {sizes} = {size} columns exceeds budget {SEGRE_BUDGET}"
-        )
-    return size
+        raise BudgetError(f"Segre product {sizes} = {size} columns exceeds budget {SEGRE_BUDGET}")
+    names = [["P" + subset_str(J) for J in f] for f in factors]
+    return names, tuple(map("*".join, itertools.product(*names)))
 
 
 def segre_matrix(v: Perm, w: Perm) -> IntMatrix:
@@ -252,7 +258,8 @@ def segre_matrix(v: Perm, w: Perm) -> IntMatrix:
     products exceeds ``SEGRE_BUDGET``.
     """
     factors = segre_factors(v, w)
-    size = _segre_size(factors)
+    names, products = _segre_labels(factors)
+    size = len(products)
     rows = []
     earlier = 1
     for f in factors:
@@ -261,12 +268,7 @@ def segre_matrix(v: Perm, w: Perm) -> IntMatrix:
             block = (0,) * (i * later) + (1,) * later + (0,) * ((len(f) - 1 - i) * later)
             rows.append(block * earlier)
         earlier *= len(f)
-    names = [["P" + subset_str(J) for J in f] for f in factors]
-    return IntMatrix(
-        tuple(itertools.chain.from_iterable(names)),
-        tuple(map("*".join, itertools.product(*names))),
-        tuple(rows),
-    )
+    return IntMatrix(tuple(itertools.chain.from_iterable(names)), products, tuple(rows))
 
 
 class LatticePolytope(NamedTuple):
@@ -290,17 +292,15 @@ def polytope(v: Perm, w: Perm, order: TermOrder) -> LatticePolytope:
 
     Raises :class:`BudgetError` when S would exceed ``SEGRE_BUDGET`` columns.
     """
-    factors = segre_factors(v, w)
-    _segre_size(factors)
+    names, products = _segre_labels(segre_factors(v, w))
     a = restricted_map_matrix(v, w, order)
     col = dict(zip(a.col_labels, a.columns()))
-    packed = {name: int.from_bytes(bytes(c), "little") for name, c in col.items()}
-    names = [["P" + subset_str(J) for J in f] for f in factors]
+    packed = {name: int.from_bytes(bytearray(c), "little") for name, c in col.items()}
     sums = [0]
     for f in names:
         sums = [p + packed[name] for p in sums for name in f]
     labels: dict[int, list[str]] = {}
-    for p, lbl in zip(sums, map("*".join, itertools.product(*names))):
+    for p, lbl in zip(sums, products):
         labels.setdefault(p, []).append(lbl)
     dim = len(a.row_labels)
     diffs = [tuple(map(operator.sub, col[name], col[f[0]])) for f in names for name in f[1:]]

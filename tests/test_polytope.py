@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import operator
+import os
 import random
 import re
 from fractions import Fraction
@@ -252,11 +253,13 @@ def test_echelon_insert_keeps_rows_primitive_and_reduced():
 # of differential tests
 
 
-def _ref_rank(rows):
+def _ref_pivots(rows):
+    """The pivot columns of the reduced row echelon form of Fraction rows."""
     rows = [row[:] for row in rows]
-    rank = 0
+    pivots = []
     ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
@@ -267,8 +270,12 @@ def _ref_rank(rows):
             if r != rank and rows[r][col]:
                 factor = rows[r][col]
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def _ref_rank(rows):
+    return len(_ref_pivots(rows))
 
 
 def _ref_affine_rank(points):
@@ -374,27 +381,33 @@ def _ref_lattice_points(poly, budget=1_000_000):
         if _ref_rank([[Fraction(x) for x in v] for v in basis + [vec]]) > len(basis):
             basis.append(vec)
 
-    def coords(q):
-        return _ref_solve_in_span(basis, [Fraction(a - b) for a, b in zip(q, base)])
-
-    hull_pts = [coords(p) for p in pts]
-    lows = [min(p[i] for p in pts) for i in range(len(base))]
-    highs = [max(p[i] for p in pts) for i in range(len(base))]
+    # the affine hull projects one-to-one onto the pivot coordinates of its
+    # directions: test the hull there and scan the bounding box there
+    pivots = _ref_pivots([[Fraction(x) for x in vec] for vec in basis])
+    hull_pts = [tuple(p[i] for i in pivots) for p in pts]
+    lows = [min(p) for p in zip(*hull_pts)]
+    highs = [max(p) for p in zip(*hull_pts)]
     volume = 1
     for lo, hi in zip(lows, highs):
         volume *= hi - lo + 1
     if volume > budget:
         raise BudgetError(f"bounding box volume {volume} exceeds budget {budget}")
     inside = _ref_hull_test(hull_pts, k)
-    return [
-        q
-        for q in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs)))
-        if (c := coords(q)) is not None and inside(c)
-    ]
+    projected = [[vec[i] for i in pivots] for vec in basis]
+    out = []
+    for y in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
+        if inside(y):
+            c = _ref_solve_in_span(projected, [Fraction(yi - base[i]) for yi, i in zip(y, pivots)])
+            q = [b + sum(ci * vec[j] for ci, vec in zip(c, basis)) for j, b in enumerate(base)]
+            if all(Fraction(x).denominator == 1 for x in q):
+                out.append(tuple(int(x) for x in q))
+    return sorted(out)
 
 
-def _agree_with_reference(points):
-    k = _ref_affine_rank(points)
+def _agree_with_reference(points, k=None):
+    """``k``, when given, is ``_ref_affine_rank(points)``, already computed."""
+    if k is None:
+        k = _ref_affine_rank(points)
     assert affine_rank(points) == k
     poly = LatticePolytope(
         tuple(f"e{i}" for i in range(len(points[0]))),
@@ -419,8 +432,9 @@ def test_elimination_agrees_with_fraction_reference_on_pairs(n, comparable_pairs
     for v, w in pairs:
         for order in (DIAG, ANTI):
             poly = polytope(v, w, order)
-            assert poly.affine_dim == _ref_affine_rank(poly.points)
-            _agree_with_reference(list(poly.points))
+            k = _ref_affine_rank(poly.points)
+            assert poly.affine_dim == k
+            _agree_with_reference(list(poly.points), k)
 
 
 def _random_point_set(rng):
@@ -453,6 +467,15 @@ def test_elimination_agrees_with_fraction_reference_on_random_sets():
     ]
     for points in special + [_random_point_set(rng) for _ in range(100)]:
         _agree_with_reference(points)
+
+
+def test_long_segment_scans_its_projected_box():
+    # the ambient box holds 2,001 * 1,001 points, over the budget; the scan
+    # and the reference both bound the 2,001 points of its projection
+    points = [(0, 0), (2000, 1000), (1000, 500)]
+    poly = LatticePolytope(("e0", "e1"), tuple(points), (("0",), ("1",), ("2",)), 1)
+    assert lattice_points(poly) == [(2 * t, t) for t in range(1001)]
+    _agree_with_reference(points)
 
 
 def _full_rank_set(rng, k):
@@ -851,3 +874,54 @@ def test_text_agrees_with_per_cell_reference_on_random_matrices():
         "not scanned",
         "wider than own label",
     }
+
+
+# the row path of ``text`` (every entry a digit 0..9) against the per-cell
+# reference, at the edges of the path and on the A, S and AS of S_5 pairs
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        # equal widths in runs that are not adjacent: 2, 3, 2, 3, 2
+        IntMatrix(("r", "rr"), ("ab", "abc", "de", "fgh", "ij"), ((1, 2, 3, 4, 5), (0, 9, 0, 0, 1))),
+        # zero-length labels, and rows of zeros (trailing blanks stripped)
+        IntMatrix(("", "r"), ("", "c", ""), ((0, 0, 0), (0, 7, 0))),
+        IntMatrix(("long label", "x"), ("c1", "c2"), ((0, 0), (0, 0))),
+        IntMatrix(("a",), ("c1", "c2", "c3"), ((5, 0, 0),)),
+        # at the boundary of the path: 9 takes it, 10 and -1 do not
+        IntMatrix(("a", "b"), ("c", "dd"), ((9, 0), (0, 9))),
+        IntMatrix(("a", "b"), ("c", "dd"), ((9, 0), (0, 10))),
+        IntMatrix(("a", "b"), ("c", "dd"), ((-1, 0), (0, 9))),
+        IntMatrix(("a",), ("c",), ((255,),)),
+        IntMatrix(("a",), ("c",), ((256,),)),
+        # no rows, no columns, neither
+        IntMatrix((), ("c1", "", "c333"), ()),
+        IntMatrix(("r1", "r22"), (), ((), ())),
+        IntMatrix((), (), ()),
+    ],
+    ids=lambda m: "x".join(map(str, (len(m.row_labels), len(m.col_labels))))
+    + ":" + ",".join(map(str, itertools.chain.from_iterable(m.entries))),
+)
+def test_text_row_path_edges_agree_with_reference(m):
+    assert m.text() == _ref_text(m)
+    assert m.text("M") == _ref_text(m, "M")
+
+
+@pytest.mark.parametrize(
+    "stride",
+    [10, pytest.param(1, marks=pytest.mark.skipif(
+        os.environ.get("RICHTORIC_FULL") != "1", reason="full tier only (RICHTORIC_FULL=1)"))],
+    ids=["every-10th", "every"],
+)
+def test_text_agrees_with_reference_on_s5_pairs(stride, comparable_pairs):
+    # the per-cell reference takes about 20 s over all 3,781 pairs, so
+    # tier-1 reads every tenth and the full tier reads every one
+    for v, w in comparable_pairs(5)[::stride]:
+        s = segre_matrix(v, w)
+        assert s.text("S") == _ref_text(s, "S")
+        for order in (DIAG, ANTI):
+            a = restricted_map_matrix(v, w, order)
+            prod = a.mul(s)
+            assert a.text("A") == _ref_text(a, "A")
+            assert prod.text("AS") == _ref_text(prod, "AS")
