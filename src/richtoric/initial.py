@@ -46,7 +46,8 @@ cone.  On layer k, above[p] is the up-cone of the k-th prefix set and
 below[p] its down-cone, so the subsets outside either mask fall into
 disjoint layers and a side is n - 1 ORs of parts; the 62 prefix sets of
 S_6 serve all 720 permutations.  A sweep's ``witness_table`` reads both
-sides of every permutation of S_n, while ``is_monomial_free`` and
+sides of every permutation of S_n on each call (the table itself is not
+kept), while ``is_monomial_free`` and
 ``restrict`` fold only the side of v and the side of w that their pair
 reads, which later pairs reuse:
 
@@ -349,14 +350,14 @@ def _below_side(p: Perm, order: TermOrder) -> tuple[int, int, int]:
     return below, lhs, rhs
 
 
-@lru_cache(maxsize=None)
 def witness_table(n: int, order: TermOrder) -> tuple[tuple[int, ...], ...]:
     """Per permutation p, in ``all_perms`` order: (prefix, below, La, Ra, Lb, Rb).
 
     prefix and below are p's ``perm_masks``.  La / Ra are the bitsets (bit g
     for the g-th generator of ``degree2_kernel_generators``) of the generators
     whose lhs / rhs uses a subset outside above[p]; Lb / Rb the same outside
-    below[p].
+    below[p].  The table itself is not cached: each call reads every row
+    from the two side caches, which hold S_n in both orders for n <= 7.
     """
     rows = []
     for p in all_perms(n):

@@ -38,6 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -54,11 +55,9 @@ SEGRE_BUDGET = 20_000
 
 _ROW_LETTERS = ("x", "y", "z")
 
-#: Byte order of ``memoryview.cast``, which reads native fields.
-_ORDER = "little" if memoryview(b"\1\0").cast("H")[0] == 1 else "big"
-
-#: ``memoryview.cast`` codes of signed fields by byte width.
-_FIELD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+#: Unsigned native fields of 1, 2, 4 and 8 bytes: width and
+#: ``memoryview.cast`` code.
+_FIELDS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
 
 #: How :meth:`IntMatrix.text` shows an entry 0..9: 0 blank, k its digit.
 _SHOWN = bytes.maketrans(bytes(range(10)), b" 123456789")
@@ -86,68 +85,47 @@ class IntMatrix(NamedTuple):
         return list(zip(*self.entries))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
-        """The product matrix, for any integer entries (Kronecker substitution).
+        """The product matrix.
 
-        Each row of ``other`` is packed into one int, entry j in field j of
-        ``width`` bytes, so that row r of the product is the one int
-        ``sum(x * packed[i])`` over the nonzero entries ``x =
-        self.entries[r][i]``.  The largest absolute row sum of ``self``
-        times the largest absolute entry of ``other`` bounds every product
-        entry, and a field holds that bound as a signed number, so no field
-        carries into the next.  Adding ``bias``, 2^(8 width - 1) in every
-        field, makes every field nonnegative, and xor-ing it back leaves
-        each field's two's complement: fields of 1, 2, 4 and 8 bytes decode
-        with ``memoryview.cast``, wider ones one by one.  Entries in
-        range(256) pack from ``bytearray(row)``, and the bytes of the rows'
-        bitwise or bound them; other entries are packed biased, and the
-        bias is taken off the packed int.
+        If every entry of both factors is in range(256), as in every A and
+        S, each row of ``other`` is packed into one int, entry j in field j
+        of ``width`` bytes (Kronecker substitution), so that row r of the
+        product is the one int ``sum(x * packed[i])`` over the nonzero
+        entries ``x = self.entries[r][i]``.  The largest row sum of ``self``
+        times the largest entry of ``other``, the largest byte of the bitwise
+        or of its rows, bounds every product entry; a
+        field of 1, 2, 4 or 8 bytes holds it unsigned, so no field carries
+        into the next (255 * 255 * inner < 2^64 for any inner dimension that
+        fits in memory), and ``memoryview.cast`` decodes each product row.
+        Any other pair of factors gets the row-by-column sum of products.
         """
         if self.col_labels != other.row_labels:
             raise ValueError("matrix shapes/labels do not align")
         ncols = len(other.col_labels)
         try:
-            raw = [bytearray(row) for row in other.entries]
+            reach = max(map(sum, map(bytearray, self.entries)), default=0)
+            raw = list(map(bytearray, other.entries))
         except ValueError:  # an entry outside range(256)
-            raw = None
-            top = max(map(abs, itertools.chain.from_iterable(other.entries)))
-        else:
-            ored = 0
-            for row in raw:
-                ored |= int.from_bytes(row, "little")
-            top = max(ored.to_bytes(ncols, "little"), default=0)
-        reach = max((sum(map(abs, row)) for row in self.entries), default=0)
-        bound = max(reach, 1) * top
-        width = next(
-            (b for b in (1, 2, 4, 8) if bound < 1 << (8 * b - 1)), (bound.bit_length() + 8) // 8
-        )
+            cols = other.columns()
+            return IntMatrix(self.row_labels, other.col_labels, tuple(
+                tuple(sum(map(operator.mul, row, col)) for col in cols) for row in self.entries
+            ))
+        ored = 0
+        for row in raw:
+            ored |= int.from_bytes(row, "little")
+        bound = reach * max(ored.to_bytes(ncols, "little"), default=0)
+        width, code = next(f for f in _FIELDS if bound < 1 << 8 * f[0])
         size = ncols * width
-        half = 1 << (8 * width - 1)
-        bias = int.from_bytes(half.to_bytes(width, _ORDER) * ncols, _ORDER)
-        if raw is None:
-            sizes, orders = itertools.repeat(width), itertools.repeat(_ORDER)
-            packed = []
-            for row in other.entries:
-                biased = b"".join(map(int.to_bytes, map(half.__add__, row), sizes, orders))
-                packed.append(int.from_bytes(biased, _ORDER) - bias)
-        else:
-            low_byte = 0 if _ORDER == "little" else width - 1
-            packed = []
-            for row in raw:
-                spread = bytearray(size)
-                spread[low_byte::width] = row
-                packed.append(int.from_bytes(spread, _ORDER))
-        code = _FIELD_CODES.get(width)
+        low_byte = 0 if sys.byteorder == "little" else width - 1
+        packed = []
+        for row in raw:
+            spread = bytearray(size)
+            spread[low_byte::width] = row
+            packed.append(int.from_bytes(spread, sys.byteorder))
         rows = []
         for row in self.entries:
             total = sum(x * term for x, term in zip(row, packed) if x)
-            data = ((total + bias) ^ bias).to_bytes(size, _ORDER)
-            if code:
-                rows.append(tuple(memoryview(data).cast(code)))
-            else:
-                rows.append(tuple(
-                    int.from_bytes(data[i : i + width], _ORDER, signed=True)
-                    for i in range(0, size, width)
-                ))
+            rows.append(tuple(memoryview(total.to_bytes(size, sys.byteorder)).cast(code)))
         return IntMatrix(self.row_labels, other.col_labels, tuple(rows))
 
     def text(self, name: str | None = None) -> str:
@@ -413,7 +391,8 @@ def lattice_points(poly: LatticePolytope) -> list[tuple[int, ...]]:
     the affine hull sits at a pivot, and the lifts come out in the
     lexicographic order of the ambient coordinates.  ``LATTICE_BUDGET``
     bounds the volume of the scanned box, which is never larger than the
-    ambient bounding box.
+    ambient bounding box.  A polytope whose ``affine_dim`` is not the
+    dimension its points span is refused with ``ValueError``.
     """
     k = poly.affine_dim
     if k > 3:
@@ -422,7 +401,8 @@ def lattice_points(poly: LatticePolytope) -> list[tuple[int, ...]]:
     base = pts[0]
 
     rows = _affine_basis(pts)
-    assert len(rows) == k
+    if len(rows) != k:
+        raise ValueError(f"affine dimension {k} recorded, but the points span {len(rows)}")
     pivots = sorted(pivot for pivot, _ in rows)
     box = [range(min(p[i] for p in pts), max(p[i] for p in pts) + 1) for i in pivots]
     volume = math.prod(map(len, box))

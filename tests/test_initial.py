@@ -14,6 +14,7 @@ from richtoric.perms import (
     all_perms,
     all_subsets,
     bruhat_leq,
+    complement,
     enumerate_T,
     identity,
     induced,
@@ -21,6 +22,7 @@ from richtoric.perms import (
     longest,
     perm_leq_subset,
     perm_masks,
+    reverse,
     subset_bits,
     subset_leq_perm,
     subset_str,
@@ -629,6 +631,78 @@ def test_antidiagonal_classification_is_reversed_family(n):
         assert bruhat_leq(w0(r.w), w0(r.v))
         assert r.monomial_free == in_Tn(w0(r.w), w0(r.v))
     assert sum(r.monomial_free for r in records) == len(tn_pairs(n))
+
+
+# ---------------------------------------------------------------------------
+# the two w0 symmetries: left multiplication, w0·u = (n+1-u(i))_i, and right
+# multiplication, u·w0 = the one-line notation reversed
+
+
+def _left_w0(p):
+    n = len(p)
+    return tuple(n + 1 - x for x in p)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_w0_maps_the_interval_subsets(n, comparable_pairs):
+    # T of (w0·w, w0·v) is {n+1-J : J in T_w^v}; T of (w·w0, v·w0) is
+    # {[n] \ J : J in T_w^v}
+    for v, w in comparable_pairs(n):
+        T = enumerate_T(v, w)
+        left = enumerate_T(_left_w0(w), _left_w0(v))
+        right = enumerate_T(reverse(w), reverse(v))
+        assert len(left) == len(right) == len(T)
+        assert set(left) == {tuple(sorted(n + 1 - j for j in J)) for J in T}
+        assert set(right) == {complement(J, n) for J in T}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_left_w0_swaps_the_term_orders(n):
+    # the antidiagonal term of P_J is the diagonal term of P_{w0(J)} with
+    # grid columns reflected, so P_J -> P_{w0(J)} carries the antidiagonal
+    # kernel into the diagonal one, generator by generator
+    def w0(J):
+        return tuple(sorted(n + 1 - j for j in J))
+
+    for J in all_subsets(n):
+        reflected = tuple((r, n + 1 - c) for r, c in initial_term(w0(J), DIAG))
+        assert initial_term(J, ANTI) == reflected
+    for g in degree2_kernel_generators(n, ANTI):
+        lhs, rhs = (sort_columns(map(w0, m)) for m in g)
+        assert lhs != rhs and phi_image(lhs, DIAG) == phi_image(rhs, DIAG)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_w0_maps_the_verdicts(n):
+    # the antidiagonal verdict at (v, w) is the diagonal verdict at
+    # (w0·w, w0·v); (v, w) -> (w·w0, v·w0) keeps the verdict and the witness
+    # count in both orders
+    sweeps = {order: classify_all(n, order) for order in (DIAG, ANTI)}
+    for records in sweeps.values():
+        assert len({(r.v, r.w) for r in records}) == len(records)
+    diag = {(r.v, r.w): r for r in sweeps[DIAG]}
+    for r in sweeps[ANTI]:
+        assert r.monomial_free == diag[_left_w0(r.w), _left_w0(r.v)].monomial_free
+    for records in sweeps.values():
+        by_pair = {(r.v, r.w): r for r in records}
+        for r in records:
+            image = by_pair[reverse(r.w), reverse(r.v)]
+            assert (image.monomial_free, image.num_witnesses) == (r.monomial_free, r.num_witnesses)
+
+
+@pytest.mark.parametrize("order", [DIAG, ANTI])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_complementing_columns_maps_the_kernel_onto_itself(n, order):
+    # complementing every column, wider column first, sends each generator
+    # to a generator, lhs to lhs: the finite check behind the right w0 map
+    gens = degree2_kernel_generators(n, order)
+
+    def flip(m):
+        return sort_columns(complement(J, n) for J in m)
+
+    image = {KernelBinomial(flip(g.lhs), flip(g.rhs)) for g in gens}
+    assert len(image) == len(gens)
+    assert image == set(gens)
 
 
 def test_monomial_freeness_is_inherited():

@@ -1,5 +1,7 @@
 """The package root: every public name, resolved on first use."""
 
+import ast
+import glob
 import importlib
 import os
 import subprocess
@@ -165,3 +167,20 @@ def test_polytope_stays_the_function_after_its_submodule_loads(before):
     # of the same name must win
     code = f"import richtoric as rt\n{before}\nprint(rt.polytope.__module__, callable(rt.polytope))"
     assert _fresh(code) == "richtoric.polytope True\n"
+
+
+def test_no_module_checks_with_assert():
+    # ``python -O`` strips assert statements, so a check the program relies
+    # on must raise an exception of its own
+    paths = sorted(glob.glob(os.path.join(SRC, "richtoric", "**", "*.py"), recursive=True))
+    assert len(paths) >= 10
+    found = []
+    for path in paths:
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), path)
+        found += [
+            f"{os.path.basename(path)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []

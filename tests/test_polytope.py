@@ -224,6 +224,16 @@ def test_lattice_points_dimension_guard():
         lattice_points(poly)
 
 
+@pytest.mark.parametrize("recorded", [0, 1, 3])
+def test_lattice_points_refuses_a_wrong_affine_dimension(recorded):
+    # the points span a plane; a recorded dimension of 1 would scan the
+    # square [0, 2]^2, 9 points, without the check
+    poly = LatticePolytope(("a", "b"), ((0, 0), (2, 0), (0, 2)), (("x",), ("y",), ("z",)), recorded)
+    with pytest.raises(ValueError, match=rf"^affine dimension {recorded} recorded, but the points span 2$"):
+        lattice_points(poly)
+    assert len(lattice_points(poly._replace(affine_dim=2))) == 6
+
+
 def test_lattice_points_budget_guard():
     poly = LatticePolytope(("a",), ((0,), (2_000_000,)), (("p",), ("q",)), 1)
     with pytest.raises(BudgetError):
@@ -690,8 +700,10 @@ def _scaled_matrix_pair(rng, shape, low, high, spread):
 
 
 def test_mul_agrees_with_reference_at_every_field_width():
-    # products that need 1-, 2-, 4-, 8-byte and wider fields, from right
-    # entries in range(256) (packed from their bytes) and beyond it
+    # products whose entries need 1-, 2-, 4-, 8-byte and wider signed
+    # fields, from right entries in range(256) and beyond it; a left factor
+    # with a negative entry takes the plain product, so the packed widths
+    # are pinned by test_mul_packs_byte_valued_factors_at_every_field_width
     rng = random.Random(4242)
     ranges = [
         (0, 1), (0, 255), (-3, 3), (-255, 300), (-(2**20), 2**20), (-(2**40), 2**40), (2**62, 2**64)
@@ -713,6 +725,86 @@ def test_mul_agrees_with_reference_at_every_field_width():
     # 16: some product entry is at least 2^63
     assert {(1, True), (2, True), (4, True), (8, True)} <= seen
     assert {(1, False), (2, False), (4, False), (8, False), (16, False)} <= seen
+
+
+def _casts(monkeypatch):
+    """The ``memoryview.cast`` codes :meth:`IntMatrix.mul` decodes with,
+    one per product row, recorded as it runs."""
+    codes = []
+
+    class View:
+        def __init__(self, data):
+            self.view = memoryview(data)
+
+        def cast(self, code):
+            codes.append(code)
+            return self.view.cast(code)
+
+    module = importlib.import_module("richtoric.polytope")
+    monkeypatch.setattr(module, "memoryview", View, raising=False)
+    return codes
+
+
+@pytest.mark.parametrize(
+    "top, inner, code",
+    [(1, 3, "B"), (15, 1, "B"), (255, 1, "H"), (255, 1_000, "I"), (255, 66_051, "I"), (255, 66_052, "Q")],
+)
+def test_mul_packs_byte_valued_factors_at_every_field_width(monkeypatch, top, inner, code):
+    # entries in range(top + 1); the first row of the left factor and the
+    # first column of the right one are all ``top``, so product entry (0, 0)
+    # is top * top * inner, the bound the field width is chosen from
+    rng = random.Random(top * inner)
+    rows, cols = 3, 4
+    middle = tuple(f"m{i}" for i in range(inner))
+    left = IntMatrix(
+        tuple(f"r{i}" for i in range(rows)),
+        middle,
+        ((top,) * inner,) + tuple(tuple(rng.randint(0, top) for _ in middle) for _ in range(rows - 1)),
+    )
+    right = IntMatrix(
+        middle,
+        tuple(f"c{j}" for j in range(cols)),
+        tuple((top,) + tuple(rng.randint(0, top) for _ in range(cols - 1)) for _ in middle),
+    )
+    codes = _casts(monkeypatch)
+    prod = left.mul(right)
+    assert codes == [code] * rows
+    assert prod == _ref_mul(left, right)
+    assert prod.entries[0][0] == top * top * inner
+
+
+@pytest.mark.parametrize(
+    "low, high",
+    [(-1, 1), (-255, 0), (0, 256), (2**64, 2**64 + 5), (-(2**70), 2**70)],
+)
+def test_mul_takes_the_plain_product_outside_range_256(monkeypatch, low, high):
+    # an entry outside range(256) in either factor: no packing, no cast
+    rng = random.Random(high)
+    codes = _casts(monkeypatch)
+    for outside in ("left", "right", "both"):
+        for shape in [(3, 4, 5), (1, 1, 1), (2, 6, 3)]:
+            rows, inner, cols = shape
+            middle = tuple(f"m{i}" for i in range(inner))
+
+            def entries(r, c, wide):
+                pick = (lambda: rng.randint(low, high)) if wide else (lambda: rng.randint(0, 255))
+                out = [[pick() for _ in range(c)] for _ in range(r)]
+                if wide:
+                    out[0][0] = low if low < 0 else high
+                return tuple(map(tuple, out))
+
+            left = IntMatrix(
+                tuple(f"r{i}" for i in range(rows)),
+                middle,
+                entries(rows, inner, outside != "right"),
+            )
+            right = IntMatrix(
+                middle,
+                tuple(f"c{j}" for j in range(cols)),
+                entries(inner, cols, outside != "left"),
+            )
+            assert left.mul(right) == _ref_mul(left, right)
+    assert codes == []
 
 
 def test_polytope_builds_neither_s_nor_as(monkeypatch):
