@@ -94,7 +94,7 @@ from .perms import (
     all_perms,
     all_subsets,
     check_same_n,
-    degree_columns,
+    degree_mask,
     prefix_set,
     serial_order,
     set_bits,
@@ -196,7 +196,7 @@ def degree2_kernel_generators(n: int, order: TermOrder) -> tuple[KernelBinomial,
     restriction test depends on that.
 
     A pair (A, B), the wider column first as in ``sort_columns``, is keyed
-    by its image ``code[A] + code[B]``, packed by :func:`_cell_codes` with
+    by its image ``code[A] + code[B]``, read from :func:`_code_table` with
     2-bit fields (a column hits a cell at most once, so no field carries),
     and recorded as one integer, rank[A] * size + rank[B], where rank[A]
     is A's position in ``serial_order(n)``.  The classes with two or more
@@ -207,7 +207,7 @@ def degree2_kernel_generators(n: int, order: TermOrder) -> tuple[KernelBinomial,
         raise ValueError("n must be at least 2")
     subs = all_subsets(n)
     size = len(subs)
-    codes = _cell_codes(subs, n, 2, order)
+    codes = _code_table(n, 2, order)
     by_label, low = serial_order(n)
     high = [r * size for r in low]
     classes: defaultdict[int, list[int]] = defaultdict(list)
@@ -330,8 +330,9 @@ def _parts(p: Perm, order: TermOrder) -> list[tuple[int, ...]]:
 
 # each side holds every permutation of S_7 in both orders; a bound, because
 # single pairs at n = 8 would otherwise fill them for the life of the
-# process.  A miss ORs the n - 1 parts of p's prefix sets, with no mask
-# decoded and no subset outside the side's mask visited
+# process; ``witness_table`` above S_7 folds around them.  A miss ORs the
+# n - 1 parts of p's prefix sets, with no mask decoded and no subset
+# outside the side's mask visited
 @lru_cache(maxsize=2 * factorial(SWEEP_MAX_N))
 def _above_side(p: Perm, order: TermOrder) -> tuple[int, int, int]:
     """(prefix, La, Ra): p's prefix mask and the fold of its above mask."""
@@ -357,12 +358,17 @@ def witness_table(n: int, order: TermOrder) -> tuple[tuple[int, ...], ...]:
     for the g-th generator of ``degree2_kernel_generators``) of the generators
     whose lhs / rhs uses a subset outside above[p]; Lb / Rb the same outside
     below[p].  The table itself is not cached: each call reads every row
-    from the two side caches, which hold S_n in both orders for n <= 7.
+    from the two side caches, which hold S_n in both orders for n up to
+    ``SWEEP_MAX_N``.  Above it the sides are folded uncached, so a larger
+    table evicts none of them.
     """
+    above_side, below_side = _above_side, _below_side
+    if n > SWEEP_MAX_N:
+        above_side, below_side = _above_side.__wrapped__, _below_side.__wrapped__
     rows = []
     for p in all_perms(n):
-        prefix, la, ra = _above_side(p, order)
-        below, lb, rb = _below_side(p, order)
+        prefix, la, ra = above_side(p, order)
+        below, lb, rb = below_side(p, order)
         rows.append((prefix, below, la, ra, lb, rb))
     return tuple(rows)
 
@@ -455,40 +461,47 @@ def classify_all(n: int, order: TermOrder) -> list[ClassifyRecord]:
 # Hilbert-style counts of the restricted kernel
 
 
-def _cell_codes(cols, n: int, d: int, order: TermOrder) -> list[int]:
-    """One integer per column: bit 1 in the field of each cell of its
-    initial term, cell (r, j) owning bits from d.bit_length() * ((r-1) n + j-1)."""
-    width = d.bit_length()
-    return [
+@lru_cache(maxsize=None)
+def _code_table(n: int, width: int, order: TermOrder) -> tuple[int, ...]:
+    """One integer per subset of ``all_subsets(n)``, by index: bit 1 in the
+    field of each cell of its initial term, cell (r, j) owning the ``width``
+    bits from width * ((r-1) n + j-1).  Built once per n, width and order,
+    and read by the kernel build (width 2) and :func:`kernel_hilbert_dim`."""
+    return tuple(
         sum(1 << width * ((r - 1) * n + j - 1) for r, j in initial_term(J, order))
-        for J in cols
-    ]
+        for J in all_subsets(n)
+    )
 
 
 def kernel_hilbert_dim(v: Perm, w: Perm, d: int, order: TermOrder) -> int:
     """Number of distinct images of degree-d monomials in surviving
     coordinates.
 
-    For d = 1 this is |T|; for the diagonal order on family pairs it matches
-    the semi-standard tableau count, which the test suite checks rather than
-    assumes.
+    For d = 1 this is |T|: no two coordinates share an initial term.  For
+    the diagonal order on family pairs it matches the semi-standard tableau
+    count, which the test suite checks rather than assumes.
 
-    Each column is packed into one integer by :func:`_cell_codes`, a field
-    of d.bit_length() bits per grid cell.  A column hits a cell at most
-    once, so a degree-d exponent never carries out of its field, and the
-    image of a monomial is the sum of its columns' codes.  On the 3-column
-    grid at d = 2 (2-bit fields, cells in row-major order), P_1 P_23 and
-    P_2 P_13 share the image x_11 x_12 x_23:
+    Above degree one, each column of T is read from :func:`_code_table`, a
+    field of d.bit_length() bits per grid cell.  A column hits a cell at
+    most once, so a degree-d exponent never carries out of its field, and
+    the image of a monomial is the sum of its columns' codes.  On the
+    3-column grid at d = 2 (2-bit fields, cells in row-major order), P_1 P_23
+    and P_2 P_13 share the image x_11 x_12 x_23:
 
-    >>> codes = _cell_codes([(1,), (2, 3), (2,), (1, 3)], 3, 2, TermOrder.DIAGONAL)
+    >>> table, index = _code_table(3, 2, TermOrder.DIAGONAL), all_subsets(3).index
+    >>> codes = [table[index(J)] for J in [(1,), (2, 3), (2,), (1, 3)]]
     >>> fields = lambda c: [c >> 2 * i & 3 for i in range(6)]
     >>> [fields(c) for c in codes]
     [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 1]]
     >>> fields(codes[0] + codes[1]), codes[0] + codes[1] == codes[2] + codes[3]
     ([1, 1, 0, 0, 0, 1], True)
     """
-    cols = degree_columns(v, w, d, MONOMIAL_BUDGET)
-    codes = _cell_codes(cols, len(v), d, order)
+    mask = degree_mask(v, w, d, MONOMIAL_BUDGET)
+    if d == 1:
+        return mask.bit_count()
+    n = len(v)
+    table = _code_table(n, d.bit_length(), order)
+    codes = [table[i] for i in subset_indices(mask, n)]
     return len(set(map(sum, itertools.combinations_with_replacement(codes, d))))
 
 

@@ -290,11 +290,6 @@ def degree_mask(v: Perm, w: Perm, d: int, budget: int) -> int:
     return mask
 
 
-def degree_columns(v: Perm, w: Perm, d: int, budget: int) -> list[Subset]:
-    """The columns of :func:`degree_mask`, in canonical order."""
-    return subsets_of(degree_mask(v, w, d, budget), len(v))
-
-
 def enumerate_S(v: Perm, w: Perm) -> list[Subset]:
     """The complementary set of vanishing coordinates, in canonical order."""
     n = len(v)

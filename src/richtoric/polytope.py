@@ -18,7 +18,11 @@ affine hull of a Minkowski sum is the sum of the factors' affine hulls, so
 the affine dimension is the rank of the in-factor differences A_J - A_J0,
 at most |T| vectors however many points the sumset has.  S is built only
 for display, by :func:`segre_matrix`; the CLI reads AS back from the points
-by their labels, and :meth:`IntMatrix.mul` is the independent check.
+by their labels, and :meth:`IntMatrix.mul` is the independent check.  The
+last pair's A (:func:`restricted_map_matrix`) and Segre labels
+(:func:`_segre_labels`) are kept, so a display of the pair that
+:func:`polytope` has just built reads them back; no result outlives the
+next pair.
 
 All arithmetic is on integers.  One fraction-free elimination routine,
 :func:`_reduce`, reduces an integer vector against integer echelon rows and
@@ -209,17 +213,22 @@ def segre_factors(v: Perm, w: Perm) -> list[list[Subset]]:
     return [list(f) for _, f in itertools.groupby(enumerate_T(v, w), len)]
 
 
-def _segre_labels(factors: list[list[Subset]]) -> tuple[list[list[str]], tuple[str, ...]]:
-    """The rows and columns of S: each factor's coordinate names "P" + J, and
-    the "*"-joined names of each product, in ``itertools.product`` order.
+@lru_cache(maxsize=1)
+def _segre_labels(v: Perm, w: Perm) -> tuple[tuple[tuple[str, ...], ...], tuple[str, ...]]:
+    """The rows and columns of S: the coordinate names "P" + J of each of
+    the :func:`segre_factors`, and the "*"-joined names of each product, in
+    ``itertools.product`` order.  The last pair's labels are kept, for
+    :func:`polytope` and :func:`segre_matrix` on the same pair.
 
-    Raises :class:`BudgetError` first when the products exceed ``SEGRE_BUDGET``.
+    Raises :class:`BudgetError` first, on every call, when the products
+    exceed ``SEGRE_BUDGET`` (a raising call stores nothing).
     """
-    size = math.prod(len(f) for f in factors)
+    factors = segre_factors(v, w)
+    size = math.prod(map(len, factors))
     if size > SEGRE_BUDGET:
         sizes = "*".join(str(len(f)) for f in factors)
         raise BudgetError(f"Segre product {sizes} = {size} columns exceeds budget {SEGRE_BUDGET}")
-    names = [["P" + subset_str(J) for J in f] for f in factors]
+    names = tuple(tuple("P" + subset_str(J) for J in f) for f in factors)
     return names, tuple(map("*".join, itertools.product(*names)))
 
 
@@ -235,12 +244,11 @@ def segre_matrix(v: Perm, w: Perm) -> IntMatrix:
     Raises :class:`BudgetError` before building anything when the number of
     products exceeds ``SEGRE_BUDGET``.
     """
-    factors = segre_factors(v, w)
-    names, products = _segre_labels(factors)
+    names, products = _segre_labels(v, w)
     size = len(products)
     rows = []
     earlier = 1
-    for f in factors:
+    for f in names:
         later = size // (earlier * len(f))
         for i in range(len(f)):
             block = (0,) * (i * later) + (1,) * later + (0,) * ((len(f) - 1 - i) * later)
@@ -270,7 +278,7 @@ def polytope(v: Perm, w: Perm, order: TermOrder) -> LatticePolytope:
 
     Raises :class:`BudgetError` when S would exceed ``SEGRE_BUDGET`` columns.
     """
-    names, products = _segre_labels(segre_factors(v, w))
+    names, products = _segre_labels(v, w)
     a = restricted_map_matrix(v, w, order)
     col = dict(zip(a.col_labels, a.columns()))
     packed = {name: int.from_bytes(bytearray(c), "little") for name, c in col.items()}

@@ -22,7 +22,9 @@ columns are the subsets of [n] numbered in serialised order
 (:func:`~richtoric.perms.serial_order`).  A column's successors among the
 columns of T are the bits of its Gale up-set within T, one AND per column
 and no :func:`gale_leq` call; the up-set is the union of the up-cones of
-the column's leading sets (:func:`~richtoric.perms.prefix_set`).
+the column's leading sets (:func:`~richtoric.perms.prefix_set`).  The table
+keeps the successor lists of the last T it was asked for, keyed by T's
+mask, so the degrees of one pair, enumerated and counted, build them once.
 :func:`enumerate_ssyt` extends level by level: level 1 is T in serialised
 order, and every tableau of a level is followed, in order, by its last
 column's successors in that order.  A level sorted by serialised columns
@@ -313,11 +315,13 @@ class _ChainTable:
     its below mask (within ``full``; both in ``all_subsets`` bits) in lists
     indexed by that id, and the steps between them: ``up`` for
     :func:`min_extension` and ``down`` for :func:`max_truncation` (see
-    :class:`_Steps`).
+    :class:`_Steps`).  ``last_mask`` is the last T whose successors were
+    asked for, kept with its lists by column (``last_succ``) and by subset
+    (``last_columns``, None until asked for).
     """
 
     __slots__ = ("n", "subsets", "position", "gale", "full", "ids", "perms", "prefix", "not_below",
-                 "up", "down")
+                 "up", "down", "last_mask", "last_succ", "last_columns")
 
     def __init__(self, n: int):
         self.n = n
@@ -333,17 +337,33 @@ class _ChainTable:
         self.not_below: list[int] = []
         self.up = _Steps(self, False)
         self.down = _Steps(self, True)
+        self.last_mask: int | None = None
+        self.last_succ: dict[int, list[int]] = {}
+        self.last_columns: dict[Subset, list[Subset]] | None = None
 
     def serial(self, mask: int) -> int:
         """A subset mask renumbered from ``all_subsets`` bits to columns."""
         position = self.position
         return sum(1 << position[i] for i in subset_indices(mask, self.n))
 
-    def successors(self, T: int) -> dict[int, list[int]]:
-        """Each column I of T, a renumbered mask, with the columns J of T
-        with I <= J, ascending."""
-        n, gale = self.n, self.gale
-        return {p: subset_indices(gale[p] & T, n) for p in subset_indices(T, n)}
+    def successors(self, mask: int) -> dict[int, list[int]]:
+        """Each column I of T, in ascending order, with the columns J of T
+        with I <= J, ascending; T is given by its ``all_subsets`` mask.  The
+        last T's lists are kept, so the degrees of one pair build them once."""
+        if mask != self.last_mask:
+            n, gale = self.n, self.gale
+            T = self.serial(mask)
+            self.last_succ = {p: subset_indices(gale[p] & T, n) for p in subset_indices(T, n)}
+            self.last_mask, self.last_columns = mask, None
+        return self.last_succ
+
+    def column_successors(self, mask: int) -> dict[Subset, list[Subset]]:
+        """:meth:`successors` with each column as its subset, kept alike."""
+        succ = self.successors(mask)
+        if self.last_columns is None:
+            subsets = self.subsets
+            self.last_columns = {subsets[p]: [subsets[q] for q in qs] for p, qs in succ.items()}
+        return self.last_columns
 
     def intern(self, z: Perm) -> int:
         """The id of z, stored with its masks on first sight."""
@@ -395,14 +415,10 @@ def enumerate_ssyt(v: Perm, w: Perm, d: int) -> list[Tableau]:
     docstring).
     """
     mask = degree_mask(v, w, d, SSYT_BUDGET)
-    n = len(v)
-    table = _chain_table(n)
-    T, subsets = table.serial(mask), table.subsets
-    level = [(subsets[p],) for p in subset_indices(T, n)]
-    if d > 1:
-        succ = {subsets[p]: [subsets[q] for q in qs] for p, qs in table.successors(T).items()}
-        for _ in range(d - 1):
-            level = [t + (J,) for t in level for J in succ[t[-1]]]
+    succ = _chain_table(len(v)).column_successors(mask)
+    level = [(J,) for J in succ]
+    for _ in range(d - 1):
+        level = [t + (J,) for t in level for J in succ[t[-1]]]
     return level
 
 
@@ -443,7 +459,7 @@ def count_standard(v: Perm, w: Perm, d: int) -> int:
     up, down, prefix, not_below = table.up, table.down, table.prefix, table.not_below
     not_below_w = table.full ^ perm_masks(w).below
     prefix_v = perm_masks(v).prefix
-    succ = table.successors(table.serial(mask))
+    succ = table.successors(mask)
     w0 = table.intern(longest(n)) << 8
 
     def walk(cols: tuple[int, ...], top: int) -> int:

@@ -398,6 +398,16 @@ def test_ssyt_single_column_refuses_large_degree(capsys, pair):
     ]
 
 
+@pytest.mark.parametrize("order", ["diagonal", "antidiagonal"])
+def test_ssyt_golden(capsys, order):
+    code, out, _ = run_cli(
+        capsys, "ssyt", "--v", "21354", "--w", "45213", "--d", "3", "--order", order
+    )
+    assert code == 0
+    golden = open(os.path.join(GOLDEN, f"ssyt_21354_45213_d3_{order}.txt")).read()
+    assert out == golden
+
+
 def test_ssyt_empty_pair(capsys):
     code, out, _ = run_cli(capsys, "ssyt", "--v", "321", "--w", "123")
     assert code == 2
@@ -413,6 +423,14 @@ def test_polytope_golden(capsys):
     )
     assert code == 0
     golden = open(os.path.join(GOLDEN, "polytope_2341_4231_antidiagonal.txt")).read()
+    assert out == golden
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_polytope_golden_formats(capsys, fmt):
+    code, out, _ = run_cli(capsys, "polytope", "--v", "21435", "--w", "42351", "--format", fmt)
+    assert code == 0
+    golden = open(os.path.join(GOLDEN, f"polytope_21435_42351_diagonal.{fmt}")).read()
     assert out == golden
 
 

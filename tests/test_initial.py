@@ -42,6 +42,7 @@ from richtoric.initial import (
     TermOrder,
     _above_side,
     _below_side,
+    _code_table,
     _fold,
     _prefix_part,
     _prefix_parts,
@@ -498,6 +499,27 @@ def test_cached_sides_stay_within_every_mask_of_s7_in_both_orders():
     assert _above_side.cache_info().currsize == _below_side.cache_info().currsize == 1
 
 
+@pytest.mark.parametrize("order", [DIAG, ANTI])
+def test_witness_table_above_the_sweep_bound_keeps_the_side_caches(monkeypatch, order):
+    # the bound is read at call time: lowered to 4, an S_5 table folds its
+    # sides uncached, so it adds no side and evicts none of S_4's
+    _above_side.cache_clear()
+    _below_side.cache_clear()
+    small = witness_table(4, order)
+    filled = (_above_side.cache_info().currsize, _below_side.cache_info().currsize)
+    assert filled == (24, 24)
+    monkeypatch.setattr(initial, "SWEEP_MAX_N", 4)
+    large = witness_table(5, order)
+    assert (_above_side.cache_info().currsize, _below_side.cache_info().currsize) == filled
+    misses = _above_side.cache_info().misses, _below_side.cache_info().misses
+    assert witness_table(4, order) == small
+    assert (_above_side.cache_info().misses, _below_side.cache_info().misses) == misses
+    # the same rows as the cached sides give
+    monkeypatch.undo()
+    assert witness_table(5, order) == large
+    assert _above_side.cache_info().currsize == 24 + 120
+
+
 def _definition_fold(masks, out):
     """Bit g is set iff generator g's lhs / rhs uses a subset in ``out``,
     read off a string of one digit per generator, the last generator first."""
@@ -823,6 +845,27 @@ def test_hilbert_dim_matches_tableau_count_on_family_pairs():
 def test_hilbert_budget_guard():
     with pytest.raises(BudgetError, match=re.escape("|T|^d = 254^3 exceeds budget 2000000")):
         kernel_hilbert_dim(identity(8), longest(8), 3, DIAG)
+
+
+@pytest.mark.parametrize("order", [DIAG, ANTI])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_code_table_against_initial_terms(n, order):
+    # every subset, decoded field by field at each width d.bit_length() for
+    # d <= 400: the field of each grid cell, in row-major order, holds 1 for
+    # the cells of the subset's initial term and 0 elsewhere
+    subsets = all_subsets(n)
+    cells = [(r, j) for r in range(1, n) for j in range(1, n + 1)]
+    for width in range(1, 10):
+        table = _code_table(n, width, order)
+        assert len(table) == len(subsets)
+        for J, code in zip(subsets, table):
+            term = set(initial_term(J, order))
+            fields = [code >> width * i & (1 << width) - 1 for i in range(len(cells))]
+            assert fields == [int(cell in term) for cell in cells], (J, width)
+            assert code >> width * len(cells) == 0
+        # no two coordinates share an initial term: the degree-one count is |T|
+        assert len(set(table)) == len(table)
+    assert _code_table(n, 2, order) is _code_table(n, 2, order)
 
 
 def _ref_kernel_hilbert_dim(v, w, d, order):

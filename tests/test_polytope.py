@@ -18,6 +18,7 @@ from richtoric.polytope import (
     LatticePolytope,
     _hull_test,
     _normal,
+    _segre_labels,
     affine_rank,
     cell_label,
     echelon_insert,
@@ -247,6 +248,51 @@ def test_segre_budget_refuses_before_building():
     with pytest.raises(BudgetError):
         polytope(identity(6), longest(6), DIAG)
     assert len(segre_matrix(identity(5), longest(5)).col_labels) == 2_500
+
+
+# A and B share n; C is of another n
+_A, _B, _C = ((2, 1, 4, 3, 5), (4, 2, 3, 5, 1)), ((1, 3, 2, 4, 5), (5, 3, 4, 1, 2)), (V, W)
+
+
+def _cold_pair(v, w, order):
+    _segre_labels.cache_clear()
+    restricted_map_matrix.cache_clear()
+    return polytope(v, w, order), segre_matrix(v, w)
+
+
+@pytest.mark.parametrize("pairs", [(_A, _B, _A), (_A, _C, _A), (_C, _A, _B, _C, _A)])
+def test_segre_labels_kept_for_the_last_pair_give_the_cold_results(pairs):
+    # each pair's polytope and S from empty caches, then the pairs
+    # interleaved in both orders: every result is the cold one, and only
+    # the last pair's labels are kept
+    cases = [(pair, order) for pair in pairs for order in (DIAG, ANTI)]
+    want = {case: _cold_pair(*case[0], case[1]) for case in set(cases)}
+    _segre_labels.cache_clear()
+    for pair, order in cases:
+        assert segre_matrix(*pair) == want[pair, order][1], pair
+        assert polytope(*pair, order) == want[pair, order][0], (pair, order)
+        assert segre_matrix(*pair) == want[pair, order][1], pair
+        assert _segre_labels.cache_info().currsize == 1
+    # three calls a case, the first of each visit a miss
+    visits = 1 + sum(a != b for a, b in zip(pairs, pairs[1:]))
+    assert _segre_labels.cache_info()[:2] == (3 * len(cases) - visits, visits)
+
+
+def test_over_budget_segre_pair_refuses_every_call():
+    # 162,000 products: refused on every call, by both readers, and the
+    # pairs after it get the results of empty caches
+    big = (identity(6), longest(6))
+    want = {pair: _cold_pair(*pair, DIAG) for pair in (_A, _B)}
+    _segre_labels.cache_clear()
+    assert polytope(*_A, DIAG) == want[_A][0]
+    for _ in range(2):
+        with pytest.raises(BudgetError, match="= 162000 columns exceeds budget"):
+            polytope(*big, DIAG)
+        with pytest.raises(BudgetError, match="= 162000 columns exceeds budget"):
+            segre_matrix(*big)
+    for pair in (_A, _B):
+        assert segre_matrix(*pair) == want[pair][1]
+        assert polytope(*pair, DIAG) == want[pair][0]
 
 
 def test_echelon_insert_keeps_rows_primitive_and_reduced():

@@ -14,7 +14,7 @@ from richtoric.perms import (
     ascending_completion,
     bruhat_leq,
     bruhat_leq_mask,
-    degree_columns,
+    degree_mask,
     descending_completion,
     enumerate_T,
     gale_leq,
@@ -28,11 +28,13 @@ from richtoric.perms import (
     subset_indices,
     subset_leq_perm,
     subset_str,
+    subsets_of,
 )
 from richtoric.tableaux import (
     SSYT_BUDGET,
     NoExtensionError,
     _chain_table,
+    _ChainTable,
     count_standard,
     enumerate_ssyt,
     is_ssyt,
@@ -511,7 +513,7 @@ def _ref_count_walk(v, w, d):
     """count_standard before the chain table: the same pruned walk on tuples,
     with the lru_cache'd min_extension and max_truncation, a |T|^2 successor
     dict and suffix bottoms keyed by column tuples."""
-    cols = degree_columns(v, w, d, SSYT_BUDGET)
+    cols = subsets_of(degree_mask(v, w, d, SSYT_BUDGET), len(v))
     if d == 1:
         return len(cols)
     n = len(v)
@@ -567,6 +569,43 @@ def test_count_standard_agrees_with_the_tuple_walk_cold_and_warm(n, max_d, count
     for side in ("cold", "warm"):
         got = [count_standard(*case) for case in cases]
         assert got == want, (side, [c for c, g, r in zip(cases, got, want) if g != r][:5])
+
+
+# A and B share n; C is of another n
+_A, _B, _C = ((2, 1, 3, 5, 4), (4, 5, 2, 1, 3)), ((1, 3, 2, 4, 5), (5, 3, 4, 1, 2)), ((2, 1, 3, 4), (4, 2, 3, 1))
+
+
+@pytest.mark.parametrize("pairs", [(_A, _B, _A), (_A, _C, _A), (_C, _A, _B, _C, _A)])
+def test_successors_kept_for_the_last_pair_give_the_cold_results(pairs, monkeypatch):
+    # each pair's answers from a chain table cleared just before it, then
+    # the pairs interleaved on warm tables: every result is the cold one,
+    # and a visit renumbers its T once, or not at all when it was the last
+    # pair of its n (each n's table keeps its own last T)
+    def cold(v, w, d):
+        _chain_table.cache_clear()
+        return enumerate_ssyt(v, w, d), count_standard(v, w, d)
+
+    want = {(pair, d): cold(*pair, d) for pair in set(pairs) for d in (2, 3)}
+    serial, renumbered = _ChainTable.serial, []
+
+    def counted(table, mask):
+        renumbered.append(mask)
+        return serial(table, mask)
+
+    _chain_table.cache_clear()
+    for v, _ in pairs:
+        _chain_table(len(v))  # built unpatched: the Gale masks are renumbered too
+    monkeypatch.setattr(_ChainTable, "serial", counted)
+    last = {}
+    for pair in pairs:
+        del renumbered[:]
+        for d in (2, 3):
+            assert (enumerate_ssyt(*pair, d), count_standard(*pair, d)) == want[pair, d], (pair, d)
+        assert count_standard(*pair, 3) == want[pair, 3][1]
+        assert enumerate_ssyt(*pair, 2) == want[pair, 2][0]
+        n = len(pair[0])
+        assert len(renumbered) == (last.get(n) != pair), pair
+        last[n] = pair
 
 
 def test_count_standard_refuses_bad_pairs():
