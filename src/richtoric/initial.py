@@ -69,8 +69,10 @@ A sweep walks up-sets instead of testing all (n!)^2 ordered pairs: v <= w
 iff every bit of prefix[v] is in below[w], so the w above v are the AND,
 over the bits of prefix[v], of the ``perm_up`` bitsets (for each subset
 bit, the permutations whose below mask holds it).  ``upper_indices`` reads
-the set bits of that AND off its binary string, in canonical order, and
-each comparable pair costs one row lookup and one popcount:
+the bits of prefix[v] and the set bits of that AND with ``perms.set_bits``,
+the one decoder of every mask here (the folds' subsets, the Hilbert
+counts' columns), in canonical order, and each comparable pair costs one
+row lookup and one popcount:
 
 >>> [perms[j] for j in upper_indices(table[perms.index((1, 3, 2))][0], 3)]
 [(1, 3, 2), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
@@ -99,7 +101,6 @@ from .perms import (
     serial_order,
     set_bits,
     subset_bits,
-    subset_indices,
     subset_str,
     tableau_str,
     upper_indices,
@@ -291,7 +292,7 @@ def _fold(inside: int, n: int, order: TermOrder) -> tuple[int, int]:
     outside ``inside``."""
     users = _users(n, order)
     lhs = rhs = 0
-    for i in subset_indices(~inside & (1 << len(users)) - 1, n):
+    for i in set_bits(~inside & (1 << len(users)) - 1):
         lhs_users, rhs_users = users[i]
         lhs, rhs = lhs | lhs_users, rhs | rhs_users
     return lhs, rhs
@@ -501,7 +502,7 @@ def kernel_hilbert_dim(v: Perm, w: Perm, d: int, order: TermOrder) -> int:
         return mask.bit_count()
     n = len(v)
     table = _code_table(n, d.bit_length(), order)
-    codes = [table[i] for i in subset_indices(mask, n)]
+    codes = [table[i] for i in set_bits(mask)]
     return len(set(map(sum, itertools.combinations_with_replacement(codes, d))))
 
 

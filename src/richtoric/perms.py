@@ -40,6 +40,9 @@ and the Bruhat order is the tableau criterion on prefix sets,
 
     v <= w   iff   prefix[v] & ~below[w] == 0.
 
+One function, :func:`set_bits`, decodes every mask, and every bitset over
+permutations or kernel generators too.
+
 Tableaux and the degree-two kernel number subsets in serialised order (by
 :func:`subset_str`), not bit order: :func:`serial_order`, once per n.
 
@@ -76,6 +79,9 @@ MAX_N = 8
 
 #: Largest n for exhaustive S_n x S_n sweeps.
 SWEEP_MAX_N = 7
+
+#: :func:`set_bits` reads binary digits as the bytes 0 and 1.
+_BINARY = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class BudgetError(RuntimeError):
@@ -224,22 +230,21 @@ def perm_leq_subset(v: Perm, I: Subset) -> bool:
 def subset_leq_perm_bruhat(I: Subset, w: Perm) -> bool:
     """I <= w evaluated through the Bruhat order.
 
-    Appends the complement of I in ascending order and compares the
-    resulting permutation against w.  Cross-check oracle for
+    Compares :func:`ascending_completion` of I (I, then its complement in
+    ascending order) against w.  Cross-check oracle for
     :func:`subset_leq_perm`; both must always agree.
     """
-    u = tuple(I) + complement(I, len(w))
-    return bruhat_leq(u, w)
+    return bruhat_leq(ascending_completion(I, len(w)), w)
 
 
 def perm_leq_subset_bruhat(v: Perm, I: Subset) -> bool:
     """v <= I evaluated through the Bruhat order (mirror recipe).
 
-    Compares v against I in descending order followed by the complement in
-    descending order.  Cross-check oracle for :func:`perm_leq_subset`.
+    Compares v against :func:`descending_completion` of I (I in descending
+    order, then its complement in descending order).  Cross-check oracle
+    for :func:`perm_leq_subset`.
     """
-    u = tuple(reversed(I)) + tuple(reversed(complement(I, len(v))))
-    return bruhat_leq(v, u)
+    return bruhat_leq(v, descending_completion(I, len(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +318,7 @@ def subset_bits(n: int) -> dict[Subset, int]:
 def subsets_of(mask: int, n: int) -> list[Subset]:
     """Decode a mask into its subsets, in canonical order."""
     subs = all_subsets(n)
-    return [subs[i] for i in subset_indices(mask, n)]
+    return [subs[i] for i in set_bits(mask)]
 
 
 @lru_cache(maxsize=None)
@@ -374,7 +379,7 @@ def perm_up(n: int) -> tuple[int, ...]:
     held = [int.from_bytes(h, "little") for h in holders]
     keys = [sum(1 << (j - 1) for j in J) for J in all_subsets(n)]
     return tuple(
-        sum(held[keys[i]] for i in subset_indices(prefix_set(n, key)[3], n)) for key in keys
+        sum(held[keys[i]] for i in set_bits(prefix_set(n, key)[3])) for key in keys
     )
 
 
@@ -391,53 +396,22 @@ def upper_indices(prefix: int, n: int) -> list[int]:
     """
     up = perm_up(n)
     comp = (1 << factorial(n)) - 1
-    for i in subset_indices(prefix, n):
+    for i in set_bits(prefix):
         comp &= up[i]
     return set_bits(comp)
 
 
 def set_bits(bits: int) -> list[int]:
-    """The positions of the set bits of ``bits``, lowest first, read off its
-    binary string.
+    """The positions of the set bits of ``bits``, lowest first: its binary
+    digits, reversed and translated to the bytes 0 and 1, select their own
+    positions.  The one decoder of every mask, over subsets, permutations
+    and generators alike.
 
     >>> set_bits(0b101100), set_bits(0)
     ([2, 3, 5], [])
     """
-    digits = format(bits, "b")[::-1]
-    out = []
-    p = digits.find("1")
-    while p >= 0:
-        out.append(p)
-        p = digits.find("1", p + 1)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _byte_positions(k: int) -> tuple[tuple[int, ...], ...]:
-    """Per byte value, the positions of its set bits as byte k of a mask,
-    ascending: each value adds its top bit to the value without it."""
-    table: list[tuple[int, ...]] = [()]
-    for byte in range(1, 256):
-        top = byte.bit_length() - 1
-        table.append(table[byte ^ 1 << top] + (8 * k + top,))
-    return tuple(table)
-
-
-def subset_indices(mask: int, n: int) -> list[int]:
-    """The ``all_subsets(n)`` indices of the subsets in ``mask``, ascending,
-    read a byte at a time from a table of each byte's bit positions.  The
-    tables cover 32 bytes for n <= 8 and 64 for the 510 subsets at n = 9;
-    :func:`set_bits` reads the long bitsets over permutations and
-    generators.
-
-    >>> subset_indices(0b101100, 3), subset_indices(0, 3)
-    ([2, 3, 5], [])
-    """
-    out: list[int] = []
-    for k, byte in enumerate(mask.to_bytes((len(all_subsets(n)) + 7) // 8, "little")):
-        if byte:
-            out += _byte_positions(k)[byte]
-    return out
+    digits = format(bits, "b").encode()[::-1].translate(_BINARY)
+    return list(itertools.compress(range(len(digits)), digits))
 
 
 class PermMasks(NamedTuple):

@@ -43,11 +43,20 @@ import itertools
 import math
 import operator
 import sys
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
-from .perms import BudgetError, Perm, Subset, enumerate_T, subset_str
-from .initial import TermOrder, initial_term
+from .perms import (
+    BudgetError,
+    Perm,
+    Subset,
+    all_subsets,
+    enumerate_T,
+    interval_mask,
+    set_bits,
+    subset_str,
+)
+from .initial import TermOrder, _code_table
 
 #: Cap on the volume of the box that :func:`lattice_points` scans: the
 #: bounding box of the points projected onto the echelon's pivot columns.
@@ -193,17 +202,22 @@ def restricted_map_matrix(v: Perm, w: Perm, order: TermOrder) -> IntMatrix:
     """Exponent matrix of the monomial map on surviving coordinates.
 
     Columns are the coordinates of T in canonical order; rows are the grid
-    cells hit by at least one coordinate, in row-major order.  The last
-    matrix is kept: a caller that displays the pair of the last
-    :func:`polytope` reads the A that it built.
+    cells hit by at least one coordinate, in row-major order.  Each column
+    is its subset's code in :func:`~richtoric.initial._code_table` at width
+    1, bit (r-1) n + j-1 set for each cell (r, j) of its initial term, so
+    the rows are the set bits of the codes' union and entry (k, c) is bit k
+    of code c.  The last matrix is kept: a caller that displays the pair of
+    the last :func:`polytope` reads the A that it built.
     """
-    cols = enumerate_T(v, w)
-    terms = [frozenset(initial_term(J, order)) for J in cols]
-    cells = sorted(frozenset().union(*terms))
+    n = len(v)
+    index = set_bits(interval_mask(v, w))
+    table, subsets = _code_table(n, 1, order), all_subsets(n)
+    codes = [table[i] for i in index]
+    cells = set_bits(reduce(operator.or_, codes, 0))
     return IntMatrix(
-        tuple(itertools.starmap(cell_label, cells)),
-        tuple("P" + subset_str(J) for J in cols),
-        tuple(tuple(1 if cell in t else 0 for t in terms) for cell in cells),
+        tuple(cell_label(k // n + 1, k % n + 1) for k in cells),
+        tuple("P" + subset_str(subsets[i]) for i in index),
+        tuple(tuple(c >> k & 1 for c in codes) for k in cells),
     )
 
 

@@ -74,7 +74,7 @@ from .perms import (
     perm_str,
     prefix_set,
     serial_order,
-    subset_indices,
+    set_bits,
     tableau_str,
 )
 
@@ -320,11 +320,10 @@ class _ChainTable:
     (``last_columns``, None until asked for).
     """
 
-    __slots__ = ("n", "subsets", "position", "gale", "full", "ids", "perms", "prefix", "not_below",
+    __slots__ = ("subsets", "position", "gale", "full", "ids", "perms", "prefix", "not_below",
                  "up", "down", "last_mask", "last_succ", "last_columns")
 
     def __init__(self, n: int):
-        self.n = n
         self.subsets, self.position = serial_order(n)
         self.full = (1 << len(self.subsets)) - 1
         self.gale = tuple(
@@ -344,16 +343,15 @@ class _ChainTable:
     def serial(self, mask: int) -> int:
         """A subset mask renumbered from ``all_subsets`` bits to columns."""
         position = self.position
-        return sum(1 << position[i] for i in subset_indices(mask, self.n))
+        return sum(1 << position[i] for i in set_bits(mask))
 
     def successors(self, mask: int) -> dict[int, list[int]]:
         """Each column I of T, in ascending order, with the columns J of T
         with I <= J, ascending; T is given by its ``all_subsets`` mask.  The
         last T's lists are kept, so the degrees of one pair build them once."""
         if mask != self.last_mask:
-            n, gale = self.n, self.gale
-            T = self.serial(mask)
-            self.last_succ = {p: subset_indices(gale[p] & T, n) for p in subset_indices(T, n)}
+            gale, T = self.gale, self.serial(mask)
+            self.last_succ = {p: set_bits(gale[p] & T) for p in set_bits(T)}
             self.last_mask, self.last_columns = mask, None
         return self.last_succ
 

@@ -29,10 +29,10 @@ from richtoric.perms import (
     perm_up,
     prefix_set,
     reverse,
+    set_bits,
     subset_leq_perm,
     subset_leq_perm_bruhat,
     subset_bits,
-    subset_indices,
     subset_str,
     subsets_of,
     upper_indices,
@@ -296,14 +296,16 @@ def test_perm_masks_against_sorted_prefix_reference(n, cones):
 
 def _ref_perm_up(n):
     """perm_up before the prefix-set holders: every permutation's below
-    mask decoded, one bit set per subset in it."""
+    mask decoded bit by bit, one bit set per subset in it."""
     perms = all_perms(n)
     size = (len(perms) + 7) // 8
     up = [bytearray(size) for _ in all_subsets(n)]
     for p, w in enumerate(perms):
         byte, flag = p >> 3, 1 << (p & 7)
-        for i in subset_indices(perm_masks(w).below, n):
-            up[i][byte] |= flag
+        below = perm_masks(w).below
+        for i in range(len(up)):
+            if below >> i & 1:
+                up[i][byte] |= flag
     return tuple(int.from_bytes(b, "little") for b in up)
 
 
@@ -318,14 +320,18 @@ def test_perm_up_against_below_mask_decode(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_subset_indices_decode_every_bit(n):
-    # the byte-table decoder against a bit-by-bit scan, on every single bit,
-    # the full mask and seeded random masks
+    # the decoder against a bit-by-bit scan: 0, every single bit, the full
+    # subset mask and seeded random masks, then seeded ints as long as the
+    # 8,586 kernel generators and the 40,320 permutations at n = 8
     width = len(all_subsets(n))
     rng = random.Random(300 + n)
     masks = [0, (1 << width) - 1, *(1 << i for i in range(width))]
     masks += [rng.getrandbits(width) for _ in range(500)]
     for mask in masks:
-        assert subset_indices(mask, n) == [i for i in range(width) if mask >> i & 1]
+        assert set_bits(mask) == [i for i in range(width) if mask >> i & 1]
+    for bits in (8_586, 40_320):
+        for mask in (1 << bits - 1, rng.getrandbits(bits) | 1 << bits - 1):
+            assert set_bits(mask) == [i for i in range(bits) if mask >> i & 1]
 
 
 # ---------------------------------------------------------------------------

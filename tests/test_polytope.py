@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from richtoric.perms import BudgetError, identity, longest, subset_str
+from richtoric.perms import BudgetError, enumerate_T, identity, longest, subset_str
 from richtoric.compat import tn_pairs
-from richtoric.initial import TermOrder, monomial_str, phi_image
+from richtoric.initial import TermOrder, initial_term, monomial_str, phi_image
 from richtoric.polytope import (
     IntMatrix,
     SEGRE_BUDGET,
@@ -65,6 +65,26 @@ def test_map_matrix_point_pair_has_distinct_columns():
     a = restricted_map_matrix(w, w, DIAG)
     cols = [a.column(j) for j in range(len(a.col_labels))]
     assert len(set(cols)) == len(cols)
+
+
+def _ref_map_matrix(v, w, order):
+    """A as it was built before the packed initial-term table: one set of
+    cells per column of T, the rows their sorted union."""
+    cols = enumerate_T(v, w)
+    terms = [frozenset(initial_term(J, order)) for J in cols]
+    cells = sorted(frozenset().union(*terms))
+    return IntMatrix(
+        tuple(cell_label(i, j) for i, j in cells),
+        tuple("P" + subset_str(J) for J in cols),
+        tuple(tuple(int(cell in t) for t in terms) for cell in cells),
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("order", [DIAG, ANTI])
+def test_map_matrix_agrees_with_per_column_initial_terms(n, order, comparable_pairs):
+    for v, w in comparable_pairs(n):
+        assert restricted_map_matrix(v, w, order) == _ref_map_matrix(v, w, order), (v, w)
 
 
 def test_segre_matrix_instance():

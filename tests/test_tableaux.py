@@ -25,7 +25,6 @@ from richtoric.perms import (
     perm_leq_subset,
     perm_masks,
     subset_bits,
-    subset_indices,
     subset_leq_perm,
     subset_str,
     subsets_of,
@@ -500,11 +499,11 @@ def test_count_standard_agrees_with_is_standard_seeded(n, max_d, count, comparab
 def _gale_up(n):
     """Each subset I of [n], in ``all_subsets`` order, with the mask (in
     ``all_subsets`` bits) of the subsets J with I <= J, read back from the
-    chain table's serial-numbered Gale masks."""
+    chain table's serial-numbered Gale masks, decoded bit by bit."""
     table, bit = _chain_table(n), subset_bits(n)
     gale = dict(zip(table.subsets, table.gale))
     return {
-        I: sum(bit[table.subsets[q]] for q in subset_indices(gale[I], n))
+        I: sum(bit[J] for q, J in enumerate(table.subsets) if gale[I] >> q & 1)
         for I in all_subsets(n)
     }
 
