@@ -35,21 +35,22 @@ whose lhs / rhs use a subset outside above[v] (the v-half La, Ra) and
 outside below[w] (the w-half Lb, Rb).  With L = La | Lb and R = Ra | Rb, a
 generator is a witness iff its bit is in L ^ R, survives iff it is in
 neither, and vanishes iff it is in both; a verdict needs only the popcount
-of L ^ R.  The folds are cached per permutation and side, and shared by
-every path: the above side of p holds (prefix[p], La, Ra) and the below
-side (below[p], Lb, Rb), so one lookup per side gives a pair both its
-Bruhat test and its folds.  A side is put together from parts, one per
-prefix set P of p, kept in one table per n and order under P's element
-mask and filled on first use: P's bit and cones in its layer, read from
-``perms.prefix_set``, and the folds of the layer's subsets outside each
-cone.  On layer k, above[p] is the up-cone of the k-th prefix set and
-below[p] its down-cone, so the subsets outside either mask fall into
-disjoint layers and a side is n - 1 ORs of parts; the 62 prefix sets of
-S_6 serve all 720 permutations.  A sweep's ``witness_table`` reads both
-sides of every permutation of S_n on each call (the table itself is not
-kept), while ``is_monomial_free`` and
-``restrict`` fold only the side of v and the side of w that their pair
-reads, which later pairs reuse:
+of L ^ R.  The folds are kept in one cache, keyed by permutation, order
+and half, and shared by every path: the above side of p holds
+(prefix[p], La, Ra) and the below side (below[p], Lb, Rb), so one lookup
+per side gives a pair both its Bruhat test and its folds.  A side is put
+together from parts, one per prefix set P of p, kept in one table per n
+and order under P's element mask and filled on first use.  A part has two
+halves, read from ``perms.prefix_set``: P's bit with the fold of its
+layer's subsets outside P's up-cone, and P's down-cone in its layer with
+the fold of the layer's subsets outside it.  On layer k, above[p] is the
+up-cone of the k-th prefix set and below[p] its down-cone, so the subsets
+outside either mask fall into disjoint layers and a side is n - 1 ORs of
+one half of each part; the 62 prefix sets of S_6 serve all 720
+permutations.  A sweep's ``witness_table`` reads both sides of every
+permutation of S_n on each call (the table itself is not kept), while
+``is_monomial_free`` and ``restrict`` fold only the side of v and the side
+of w that their pair reads, which later pairs reuse:
 
 >>> table, perms = witness_table(3, TermOrder.DIAGONAL), all_perms(3)
 >>> (La, Ra), (Lb, Rb) = table[perms.index((1, 3, 2))][2:4], table[perms.index((3, 1, 2))][4:]
@@ -299,57 +300,44 @@ def _fold(inside: int, n: int, order: TermOrder) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _prefix_parts(n: int, order: TermOrder) -> list[tuple[int, ...] | None]:
+def _prefix_parts(n: int, order: TermOrder) -> list[tuple[tuple[int, ...], ...] | None]:
     """Per prefix set P, at the element mask of P (bit j-1 for each j in P):
     :func:`_prefix_part` of P once a side has read it, None before."""
     return [None] * (1 << n)
 
 
 def _prefix_part(
-    parts: list[tuple[int, ...] | None], key: int, n: int, order: TermOrder
-) -> tuple[int, ...]:
-    """Fill ``parts[key]`` with (bit, down, up, La, Ra, Lb, Rb) for the set P
-    of the elements in ``key``: P's subset bit, its down- and up-cone in its
-    layer (:func:`richtoric.perms.prefix_set`), and the folds of the layer's
-    subsets outside the up-cone (La, Ra) and outside the down-cone (Lb, Rb)."""
+    parts: list[tuple[tuple[int, ...], ...] | None], key: int, n: int, order: TermOrder
+) -> tuple[tuple[int, ...], ...]:
+    """Fill ``parts[key]`` with ((bit, La, Ra), (down, Lb, Rb)) for the set P
+    of the elements in ``key``: P's subset bit with the fold of its layer's
+    subsets outside its up-cone, and P's down-cone in its layer with the
+    fold of the layer's subsets outside it (:func:`richtoric.perms.prefix_set`)."""
     bit, layer, down, up = prefix_set(n, key)
-    la, ra = _fold(~layer | up, n, order)
-    lb, rb = _fold(~layer | down, n, order)
-    parts[key] = part = (bit, down, up, la, ra, lb, rb)
+    parts[key] = part = (
+        (bit, *_fold(~layer | up, n, order)),
+        (down, *_fold(~layer | down, n, order)),
+    )
     return part
 
 
-def _parts(p: Perm, order: TermOrder) -> list[tuple[int, ...]]:
-    """The :func:`_prefix_part` of each prefix set of p, k = 1..n-1."""
+# holds both sides of every permutation of S_7 in both orders; a bound,
+# because single pairs at n = 8 would otherwise fill it for the life of the
+# process; ``witness_table`` above S_7 folds around it.  A miss ORs one half
+# of each of the n - 1 parts of p's prefix sets, with no mask decoded and no
+# subset outside the side's mask visited
+@lru_cache(maxsize=4 * factorial(SWEEP_MAX_N))
+def _side(p: Perm, order: TermOrder, below: bool) -> tuple[int, int, int]:
+    """The above side of p, (prefix, La, Ra): its prefix mask and the fold
+    of its above mask; with ``below``, its below side (below, Lb, Rb)."""
     n = len(p)
-    parts, key, out = _prefix_parts(n, order), 0, []
+    parts, key = _prefix_parts(n, order), 0
+    mask = lhs = rhs = 0
     for x in p[:-1]:
         key |= 1 << (x - 1)
-        out.append(parts[key] or _prefix_part(parts, key, n, order))
-    return out
-
-
-# each side holds every permutation of S_7 in both orders; a bound, because
-# single pairs at n = 8 would otherwise fill them for the life of the
-# process; ``witness_table`` above S_7 folds around them.  A miss ORs the
-# n - 1 parts of p's prefix sets, with no mask decoded and no subset
-# outside the side's mask visited
-@lru_cache(maxsize=2 * factorial(SWEEP_MAX_N))
-def _above_side(p: Perm, order: TermOrder) -> tuple[int, int, int]:
-    """(prefix, La, Ra): p's prefix mask and the fold of its above mask."""
-    prefix = lhs = rhs = 0
-    for bit, _, _, la, ra, _, _ in _parts(p, order):
-        prefix, lhs, rhs = prefix | bit, lhs | la, rhs | ra
-    return prefix, lhs, rhs
-
-
-@lru_cache(maxsize=2 * factorial(SWEEP_MAX_N))
-def _below_side(p: Perm, order: TermOrder) -> tuple[int, int, int]:
-    """(below, Lb, Rb): p's below mask and its fold."""
-    below = lhs = rhs = 0
-    for _, down, _, _, _, lb, rb in _parts(p, order):
-        below, lhs, rhs = below | down, lhs | lb, rhs | rb
-    return below, lhs, rhs
+        m, la, ra = (parts[key] or _prefix_part(parts, key, n, order))[below]
+        mask, lhs, rhs = mask | m, lhs | la, rhs | ra
+    return mask, lhs, rhs
 
 
 def witness_table(n: int, order: TermOrder) -> tuple[tuple[int, ...], ...]:
@@ -359,17 +347,15 @@ def witness_table(n: int, order: TermOrder) -> tuple[tuple[int, ...], ...]:
     for the g-th generator of ``degree2_kernel_generators``) of the generators
     whose lhs / rhs uses a subset outside above[p]; Lb / Rb the same outside
     below[p].  The table itself is not cached: each call reads every row
-    from the two side caches, which hold S_n in both orders for n up to
-    ``SWEEP_MAX_N``.  Above it the sides are folded uncached, so a larger
-    table evicts none of them.
+    from the side cache, which holds both sides of S_n in both orders for n
+    up to ``SWEEP_MAX_N``.  Above it the sides are folded uncached, so a
+    larger table evicts none of them.
     """
-    above_side, below_side = _above_side, _below_side
-    if n > SWEEP_MAX_N:
-        above_side, below_side = _above_side.__wrapped__, _below_side.__wrapped__
+    side = _side if n <= SWEEP_MAX_N else _side.__wrapped__
     rows = []
     for p in all_perms(n):
-        prefix, la, ra = above_side(p, order)
-        below, lb, rb = below_side(p, order)
+        prefix, la, ra = side(p, order, False)
+        below, lb, rb = side(p, order, True)
         rows.append((prefix, below, la, ra, lb, rb))
     return tuple(rows)
 
@@ -377,15 +363,16 @@ def witness_table(n: int, order: TermOrder) -> tuple[tuple[int, ...], ...]:
 def restrict(v: Perm, w: Perm, order: TermOrder) -> RestrictionReport:
     """Restriction of the cached degree-two kernel to the pair (v, w).
 
-    Reads the same two sides as :func:`is_monomial_free`.  With L = La | Lb
+    Reads the same two :func:`_side` entries as :func:`is_monomial_free`,
+    the above side of v and the below side of w.  With L = La | Lb
     and R = Ra | Rb, a generator is a witness iff its bit is in L ^ R (the
     side whose bit is set vanished), survives iff its bit is in neither, and
     vanishes iff its bit is in L & R.
     """
     mv, mw = _comparable_masks(v, w)
     n = len(v)
-    _, la, ra = _above_side(v, order)
-    _, lb, rb = _below_side(w, order)
+    _, la, ra = _side(v, order, False)
+    _, lb, rb = _side(w, order, True)
     lhs_out, rhs_out = la | lb, ra | rb
     gens = degree2_kernel_generators(n, order)
     T, bit = mv.above & mw.below, subset_bits(n)
@@ -405,15 +392,15 @@ def restrict(v: Perm, w: Perm, order: TermOrder) -> RestrictionReport:
 def is_monomial_free(v: Perm, w: Perm, order: TermOrder) -> bool:
     """True iff no kernel generator restricts to a monomial on (v, w).
 
-    Reads the above side of v and the below side of w, the same folds that
-    ``witness_table`` rows hold: the pair is monomial-free iff
+    Reads the above side of v and the below side of w from the one side
+    cache, :func:`_side`, the same folds that ``witness_table`` rows hold: the pair is monomial-free iff
     (La | Lb) ^ (Ra | Rb) is empty.  Sizes are refused first, then a pair
     with v not below w, tested on the sides' prefix and below masks; so a
     refused pair has folded both its sides (at a new n, the kernel is built).
     """
     check_same_n(v, w)
-    prefix, la, ra = _above_side(v, order)
-    below, lb, rb = _below_side(w, order)
+    prefix, la, ra = _side(v, order, False)
+    below, lb, rb = _side(w, order, True)
     if prefix & ~below:
         _comparable_masks(v, w)  # the empty-variety refusal
     return not (la | lb) ^ (ra | rb)

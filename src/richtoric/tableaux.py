@@ -265,6 +265,8 @@ def _chain_columns(cols, n: int) -> Tableau:
         raise ValueError("empty tableau has no defining chain")
     if not all(0 < x <= n for c in cols for x in c):
         raise ValueError(f"entries outside 1..{n}: {tableau_str(cols)}")
+    if not all(a < b for c in cols for a, b in zip(c, c[1:])):
+        raise ValueError(f"column not strictly increasing: {tableau_str(cols)}")
     if not is_ssyt(cols):
         raise ValueError(f"not semi-standard: {tableau_str(cols)}")
     return cols

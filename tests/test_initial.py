@@ -40,12 +40,11 @@ from richtoric.initial import (
     ClassifyRecord,
     KernelBinomial,
     TermOrder,
-    _above_side,
-    _below_side,
     _code_table,
     _fold,
     _prefix_part,
     _prefix_parts,
+    _side,
     _users,
     classify_all,
     classify_rows,
@@ -373,8 +372,7 @@ def test_restrict_agrees_with_tuple_scan_seeded(n, order):
     for cold in (True, False):
         for (v, w), (keep, witnesses, vanished) in zip(pairs, want):
             if cold:
-                _above_side.cache_clear()
-                _below_side.cache_clear()
+                _side.cache_clear()
                 _prefix_parts.cache_clear()
                 _users.cache_clear()
             report = restrict(v, w, order)
@@ -449,8 +447,7 @@ def test_cached_fold_agrees_with_generator_scan():
     want = [_ref_is_monomial_free(*case) for case in cases]
     assert len(cases) == 240 and 60 <= sum(want) <= 180
     for case, free in zip(cases, want):
-        _above_side.cache_clear()
-        _below_side.cache_clear()
+        _side.cache_clear()
         _prefix_parts.cache_clear()
         assert is_monomial_free(*case) == free
     for _ in range(2):  # filling the cache, then every fold warm
@@ -478,46 +475,57 @@ def test_fold_is_keyed_by_n_and_order(order):
 def test_cached_sides_are_the_folds_of_each_permutation(n, order):
     # every permutation, each side cold and then warm, against the uncached
     # fold of its mask
-    _above_side.cache_clear()
-    _below_side.cache_clear()
+    _side.cache_clear()
     _prefix_parts.cache_clear()
     for _ in range(2):
         for p in all_perms(n):
             m = perm_masks(p)
-            assert _above_side(p, order) == (m.prefix, *_fold(m.above, n, order))
-            assert _below_side(p, order) == (m.below, *_fold(m.below, n, order))
+            assert _side(p, order, False) == (m.prefix, *_fold(m.above, n, order))
+            assert _side(p, order, True) == (m.below, *_fold(m.below, n, order))
 
 
 def test_cached_sides_stay_within_every_mask_of_s7_in_both_orders():
     bound = 4 * 5040
-    assert _above_side.cache_info().maxsize + _below_side.cache_info().maxsize == bound
+    assert _side.cache_info().maxsize == bound
     # a cold single pair folds only the two sides it reads
-    _above_side.cache_clear()
-    _below_side.cache_clear()
+    _side.cache_clear()
     _prefix_parts.cache_clear()
     is_monomial_free(identity(6), longest(6), DIAG)
-    assert _above_side.cache_info().currsize == _below_side.cache_info().currsize == 1
+    assert _side.cache_info().currsize == 2
+
+
+def test_side_cache_holds_both_sides_of_s7_in_both_orders():
+    # the bound is exactly every side of S_7 in both orders: both tables
+    # fill it without an eviction, and a second pass reads every side back
+    _side.cache_clear()
+    for order in (DIAG, ANTI):
+        witness_table(7, order)
+    assert _side.cache_info().currsize == 4 * 5040
+    misses = _side.cache_info().misses
+    for order in (DIAG, ANTI):
+        witness_table(7, order)
+    assert _side.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("order", [DIAG, ANTI])
 def test_witness_table_above_the_sweep_bound_keeps_the_side_caches(monkeypatch, order):
     # the bound is read at call time: lowered to 4, an S_5 table folds its
-    # sides uncached, so it adds no side and evicts none of S_4's
-    _above_side.cache_clear()
-    _below_side.cache_clear()
+    # sides uncached, so it adds no side and evicts none of S_4's (each
+    # permutation has two sides, one cache entry each)
+    _side.cache_clear()
     small = witness_table(4, order)
-    filled = (_above_side.cache_info().currsize, _below_side.cache_info().currsize)
-    assert filled == (24, 24)
+    filled = _side.cache_info().currsize
+    assert filled == 2 * 24
     monkeypatch.setattr(initial, "SWEEP_MAX_N", 4)
     large = witness_table(5, order)
-    assert (_above_side.cache_info().currsize, _below_side.cache_info().currsize) == filled
-    misses = _above_side.cache_info().misses, _below_side.cache_info().misses
+    assert _side.cache_info().currsize == filled
+    misses = _side.cache_info().misses
     assert witness_table(4, order) == small
-    assert (_above_side.cache_info().misses, _below_side.cache_info().misses) == misses
+    assert _side.cache_info().misses == misses
     # the same rows as the cached sides give
     monkeypatch.undo()
     assert witness_table(5, order) == large
-    assert _above_side.cache_info().currsize == 24 + 120
+    assert _side.cache_info().currsize == 2 * (24 + 120)
 
 
 def _definition_fold(masks, out):
@@ -544,9 +552,11 @@ def test_prefix_parts_against_their_definitions(n, order, cones):
         down, up = cones(P, n)
         part = _prefix_part(parts, key, n, order)
         assert parts[key] is part
-        assert part[:3] == (bit[P], down, up)
-        assert part[3:5] == _definition_fold(masks, layer & ~up)
-        assert part[5:] == _definition_fold(masks, layer & ~down)
+        # the up-cone is read only through its fold
+        assert part == (
+            (bit[P], *_definition_fold(masks, layer & ~up)),
+            (down, *_definition_fold(masks, layer & ~down)),
+        )
     # the empty and the full set are no prefix set
     assert parts[0] is parts[-1] is None and all(parts[1:-1])
 
@@ -557,19 +567,17 @@ def test_sides_of_seeded_s8_permutations_are_their_folds(order):
     # empty, then warm
     perms = random.Random(88).sample(all_perms(8), 40)
     perms += [identity(8), longest(8)]
-    _above_side.cache_clear()
-    _below_side.cache_clear()
+    _side.cache_clear()
     _prefix_parts.cache_clear()
     for _ in range(2):
         for p in perms:
             m = perm_masks(p)
-            assert _above_side(p, order) == (m.prefix, *_fold(m.above, 8, order))
-            assert _below_side(p, order) == (m.below, *_fold(m.below, 8, order))
+            assert _side(p, order, False) == (m.prefix, *_fold(m.above, 8, order))
+            assert _side(p, order, True) == (m.below, *_fold(m.below, 8, order))
 
 
 def test_cold_sides_fill_one_part_per_prefix_set():
-    _above_side.cache_clear()
-    _below_side.cache_clear()
+    _side.cache_clear()
     _prefix_parts.cache_clear()
     is_monomial_free(identity(6), longest(6), DIAG)
     # {1}, {1,2}, ... for the above side of id; {6}, {5,6}, ... for the

@@ -147,6 +147,17 @@ def test_chains_refuse_bad_tableaux(build):
             build(cols, n)
 
 
+def test_chains_and_standard_test_refuse_columns_not_strictly_increasing():
+    # a repeated or descending entry is no subset, so no chain permutation
+    # can lead with it; is_ssyt alone compares only consecutive columns
+    for cols in ([(2, 2)], [(3, 1)], [(1, 1, 2)], [(2, 2), (2, 2)]):
+        for build in (min_defining_chain, max_defining_chain):
+            with pytest.raises(ValueError, match="^column not strictly increasing: "):
+                build(cols, 3)
+        with pytest.raises(ValueError, match="^column not strictly increasing: "):
+            is_standard(cols, (1, 2, 3), (3, 2, 1))
+
+
 def test_is_standard_refuses_entries_outside_n():
     with pytest.raises(ValueError, match="outside"):
         is_standard([(1, 4)], (1, 2, 3), (3, 2, 1))
