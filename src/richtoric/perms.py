@@ -502,14 +502,32 @@ def partition_perm(parts: Sequence[Iterable[int]], dirs: Sequence[str]) -> Perm:
     return tuple(out)
 
 
+def _completed(J: Subset, n: int) -> Subset:
+    """J as a tuple, refused unless it is strictly increasing within [n]."""
+    J = tuple(J)
+    if not all(0 < x <= n for x in J) or not all(a < b for a, b in zip(J, J[1:])):
+        raise ValueError(f"not a strictly increasing subset of 1..{n}: {J!r}")
+    return J
+
+
 def ascending_completion(J: Subset, n: int) -> Perm:
-    """The minimum permutation whose first |J| entries form the set J."""
-    return tuple(J) + complement(J, n)
+    """The minimum permutation whose first |J| entries form the set J.
+
+    >>> ascending_completion((2, 4), 4)
+    (2, 4, 1, 3)
+    """
+    J = _completed(J, n)
+    return J + complement(J, n)
 
 
 def descending_completion(J: Subset, n: int) -> Perm:
-    """The maximum permutation whose first |J| entries form the set J."""
-    return tuple(reversed(J)) + tuple(reversed(complement(J, n)))
+    """The maximum permutation whose first |J| entries form the set J.
+
+    >>> descending_completion((2, 4), 4)
+    (4, 2, 3, 1)
+    """
+    J = _completed(J, n)
+    return J[::-1] + complement(J, n)[::-1]
 
 
 # ---------------------------------------------------------------------------

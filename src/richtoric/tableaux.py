@@ -37,9 +37,13 @@ lists indexed by the id, and every chain step taken so far, up
 (:func:`min_extension`) and down (:func:`max_truncation`), in two dicts
 keyed by ``perm_id << 8 | column``.  A miss takes the step with
 :func:`_step`; every later call reads it back, so a warm walk hashes only
-ints.  The walk carries each prefix's columns and minimum-chain top; a
-leaf's maximum-chain bottom is w0 stepped down through its columns, last
-to first.  Both chain ends are then one AND each against masks of v and w.
+ints.  The chain ends of a two-column tableau do not depend on (v, w), so
+the table keeps them too, one row per first column keyed by the second: the
+minimum chain's top from the identity and the maximum chain's bottom from
+w0.  Degree two reads both ends of each tableau there; above, the walk
+steps through every column but the last two, which it counts by popcount
+against bitsets of rights grouped by top and by bottom.  Every chain end is
+tested with one AND against masks of v and w.
 
 A chain step makes no subset comparison either.  :func:`_lift` keeps, for
 every threshold t, the slack between u's prefix count and the chosen
@@ -317,13 +321,24 @@ class _ChainTable:
     its below mask (within ``full``; both in ``all_subsets`` bits) in lists
     indexed by that id, and the steps between them: ``up`` for
     :func:`min_extension` and ``down`` for :func:`max_truncation` (see
-    :class:`_Steps`).  ``last_mask`` is the last T whose successors were
-    asked for, kept with its lists by column (``last_succ``) and by subset
-    (``last_columns``, None until asked for).
+    :class:`_Steps`).  The two-column chain ends read those steps once per
+    Gale pair I <= J of columns, in one row per column I keyed by J:
+    ``tops[I][J]`` is the top of the minimum chain, the identity stepped up
+    through I then J, and ``bottoms[I][J]`` the bottom of the maximum
+    chain, w0 stepped down through J then I (see :class:`_Ends`).  Their
+    keys are columns, small ints, so a lookup allocates no key, as the
+    steps' ``perm_id << 8 | column`` does.  ``last_mask`` is the last T
+    whose successors were asked for, kept with its lists by column
+    (``last_succ``) and by subset (``last_columns``, None until asked for).
+
+    >>> table = _chain_table(3)
+    >>> I, J = table.subsets.index((1, 2)), table.subsets.index((1, 3))
+    >>> table.perms[table.tops[I][J]], table.perms[table.bottoms[I][J]]
+    ((1, 3, 2), (2, 1, 3))
     """
 
     __slots__ = ("subsets", "position", "gale", "full", "ids", "perms", "prefix", "not_below",
-                 "up", "down", "last_mask", "last_succ", "last_columns")
+                 "up", "down", "tops", "bottoms", "last_mask", "last_succ", "last_columns")
 
     def __init__(self, n: int):
         self.subsets, self.position = serial_order(n)
@@ -338,6 +353,8 @@ class _ChainTable:
         self.not_below: list[int] = []
         self.up = _Steps(self, False)
         self.down = _Steps(self, True)
+        self.tops = [_Ends(self.up, identity(n), I) for I in range(len(self.subsets))]
+        self.bottoms = [_Ends(self.down, longest(n), I) for I in range(len(self.subsets))]
         self.last_mask: int | None = None
         self.last_succ: dict[int, list[int]] = {}
         self.last_columns: dict[Subset, list[Subset]] | None = None
@@ -394,6 +411,30 @@ class _Steps(dict):
         return i
 
 
+class _Ends(dict):
+    """The two-column chain ends of one column I, keyed by the column J of
+    a Gale pair I <= J and valued by an id: ``start`` stepped by ``steps``,
+    up through I then J (the top of the minimum chain) or down through J
+    then I (the bottom of the maximum chain).  A miss reads both steps from
+    ``steps``, which takes them on its own misses; ``base`` keeps the id
+    the row's misses step from, shifted, once its first miss has read it:
+    the identity stepped up through I, or w0."""
+
+    __slots__ = ("steps", "start", "column", "base")
+
+    def __init__(self, steps: _Steps, start: Perm, column: int):
+        self.steps, self.start, self.column, self.base = steps, start, column, None
+
+    def __missing__(self, J: int) -> int:
+        steps, I = self.steps, self.column
+        if self.base is None:
+            start = steps.table.intern(self.start) << 8
+            self.base = start if steps.down else steps[start | I] << 8
+        z = steps[self.base | J]
+        i = self[J] = steps[z << 8 | I] if steps.down else z
+        return i
+
+
 @lru_cache(maxsize=None)
 def _chain_table(n: int) -> _ChainTable:
     """The table of S_n, shared by every :func:`enumerate_ssyt` and
@@ -429,22 +470,31 @@ def count_standard(v: Perm, w: Perm, d: int) -> int:
     Standard monomials have all columns between v and w.  In degree one
     every column J of T is standard, since its chains are its ascending
     completion, <= w as J <= w, and its descending completion, >= v as
-    v <= J.  Above degree one, a depth-first walk over T's Gale successors
-    meets every candidate.  The walk carries each prefix's columns and the
-    top of its minimum chain, one :func:`min_extension` step per node; the
-    empty prefix tops at the identity.  Since min_extension(u, J) >= u,
-    tops only rise along a chain, so a prefix whose top is not <= w has no
-    standard completion and the walk prunes it.  At a leaf, the bottom of
-    the maximum chain is w0 stepped down by :func:`max_truncation` through
-    the columns, last to first.  Both Bruhat tests are one AND against a
-    mask read once per call: a top z is <= w when no prefix set of z lies
-    outside ``below[w]``, and a bottom b is >= v when no prefix set of v
-    lies outside ``below[b]``.
+    v <= J.  Above, a tableau is standard when the top of its minimum chain
+    is <= w and the bottom of its maximum chain is >= v, each one AND
+    against a mask read once per call: a top z is <= w when no prefix set
+    of z lies outside ``below[w]``, and a bottom b is >= v when no prefix
+    set of v lies outside ``below[b]``.
+
+    In degree two both ends of each Gale pair of T are the chain table's
+    two-column ends, the bottom read only when the top is <= w.  Above, a
+    depth-first walk over T's Gale successors meets every prefix of d - 2
+    columns, carrying the top of its minimum chain, one
+    :func:`min_extension` step per node from the identity.  Tops only rise
+    along a chain, as min_extension(u, J) >= u, so a prefix whose top is
+    not <= w is pruned.  The last two columns, a middle c and a right k,
+    are counted at once per c.  The rights whose top is <= w form one
+    bitset, kept for the call per distinct top of the prefix and c.  Their
+    two-column tops are <= w too, and the rights with that property are
+    grouped per c into one bitset per distinct two-column bottom; the
+    groups whose bottom, stepped down by :func:`max_truncation` through the
+    prefix, is >= v are ORed, and the count grows by the popcount of the
+    AND.  Each chain step taken is one that a walk to every leaf takes.
 
     The walk runs on small integers.  Columns are serialised positions, a
     column's successors are the bits of its Gale up-set within T, and chain
-    permutations are ids in the table of S_n, which holds each one's masks
-    and every step already taken, up and down, under an integer key (see
+    permutations are ids in the table of S_n, which holds each one's masks,
+    every step already taken, up and down, and the two-column ends (see
     :class:`_ChainTable`).  Each step is lifted once per process.
 
     >>> count_standard((1, 2, 3), (3, 1, 2), 2), len(enumerate_ssyt((1, 2, 3), (3, 1, 2), 2))
@@ -456,32 +506,73 @@ def count_standard(v: Perm, w: Perm, d: int) -> int:
     n = len(v)
     _check_size(n)
     table = _chain_table(n)
-    up, down, prefix, not_below = table.up, table.down, table.prefix, table.not_below
+    up, down, tops, bottoms = table.up, table.down, table.tops, table.bottoms
+    prefix, not_below = table.prefix, table.not_below
     not_below_w = table.full ^ perm_masks(w).below
     prefix_v = perm_masks(v).prefix
     succ = table.successors(mask)
-    w0 = table.intern(longest(n)) << 8
+    if d == 2:
+        count = 0
+        for c, ks in succ.items():
+            top, bottom = tops[c], bottoms[c]
+            for k in ks:
+                if not prefix[top[k]] & not_below_w:
+                    count += not prefix_v & not_below[bottom[k]]
+        return count
+    # per column c: its rights k whose two-column top is <= w, as one bitset
+    # per distinct two-column bottom of (c, k); their union is the rights
+    # of c's own top, the top of the prefix c, c
+    start = table.intern(identity(n))
+    rights: dict[int, int] = {}
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for c, ks in succ.items():
+        by: dict[int, int] = {}
+        top, bottom, union = tops[c], bottoms[c], 0
+        for k in ks:
+            if not prefix[top[k]] & not_below_w:
+                b, bit = bottom[k], 1 << k
+                by[b] = by.get(b, 0) | bit
+                union |= bit
+        groups[c] = list(by.items())
+        rights[up[start << 8 | c] << 8 | c] = union
 
     def walk(cols: tuple[int, ...], top: int) -> int:
-        # ``cols``: a prefix of fewer than d columns, last column first,
+        # ``cols``: a prefix of at most d - 2 columns, last column first,
         # whose minimum chain tops out at ``top``, which is <= w
         count, base = 0, top << 8
-        nexts = succ[cols[0]] if cols else succ
-        if len(cols) + 1 < d:
-            for j in nexts:
+        if len(cols) + 2 < d:
+            for j in succ[cols[0]] if cols else succ:
                 z = up[base | j]
                 if not prefix[z] & not_below_w:
                     count += walk((j,) + cols, z)
             return count
-        for j in nexts:
-            if not prefix[up[base | j]] & not_below_w:
-                b = down[w0 | j]
-                for c in cols:
-                    b = down[b << 8 | c]
-                count += not prefix_v & not_below[b]
+        last, rest = cols[0], cols[1:]
+        for c in succ[last]:
+            z = up[base | c]
+            if prefix[z] & not_below_w:
+                continue
+            key = z << 8 | c
+            ks = rights.get(key)
+            if ks is None:
+                zk, ks = z << 8, 0
+                for k in succ[c]:
+                    if not prefix[up[zk | k]] & not_below_w:
+                        ks |= 1 << k
+                rights[key] = ks
+            if ks:
+                ok = 0
+                for b, group in groups[c]:
+                    if group & ks:
+                        b = down[b << 8 | last]
+                        for p in rest:
+                            b = down[b << 8 | p]
+                        if not prefix_v & not_below[b]:
+                            ok |= group
+                count += (ok & ks).bit_count()
         return count
 
-    return walk((), table.intern(identity(n)))
+    return walk((), start)
+
 
 if __name__ == "__main__":
     import doctest

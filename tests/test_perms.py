@@ -8,10 +8,12 @@ from hypothesis import given, strategies as st
 from richtoric.perms import (
     all_perms,
     all_subsets,
+    ascending_completion,
     bruhat_leq,
     bruhat_leq_mask,
     check_perm,
     complement,
+    descending_completion,
     enumerate_S,
     enumerate_T,
     gale_leq,
@@ -47,6 +49,34 @@ def test_check_perm_rejects_non_bijections():
     for bad in [(), (0, 1), (1, 1), (2, 3), (1, 2, 4)]:
         with pytest.raises(ValueError):
             check_perm(bad)
+
+
+@pytest.mark.parametrize(
+    "complete,J",
+    [
+        (ascending_completion, (2, 2)),
+        (ascending_completion, (4,)),
+        (ascending_completion, (0, 1)),
+        (descending_completion, (3, 1)),
+        (descending_completion, (2, 2)),
+        (descending_completion, (1, 4)),
+    ],
+)
+def test_completions_refuse_what_is_no_subset_of_n(complete, J):
+    # a repeated, descending or out-of-range entry gave a tuple that is no
+    # permutation, or the other completion
+    with pytest.raises(ValueError, match=r"not a strictly increasing subset of 1\.\.3"):
+        complete(J, 3)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_completions_of_every_subset_are_unchanged(n):
+    # the formulas before the refusal, on every subset of [n], the empty one too
+    for J in [()] + list(all_subsets(n)):
+        rest = complement(J, n)
+        assert ascending_completion(J, n) == J + rest
+        assert descending_completion(J, n) == tuple(reversed(J)) + tuple(reversed(rest))
+        assert ascending_completion(list(J), n) == J + rest
 
 
 # ---------------------------------------------------------------------------

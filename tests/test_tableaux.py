@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 import re
 from functools import reduce
@@ -6,6 +7,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, strategies as st
 
+from richtoric.compat import tn_pairs
 from richtoric.initial import MONOMIAL_BUDGET, TermOrder, kernel_hilbert_dim
 from richtoric.perms import (
     BudgetError,
@@ -19,6 +21,7 @@ from richtoric.perms import (
     enumerate_T,
     gale_leq,
     identity,
+    interval_mask,
     inversions,
     longest,
     partition_perm,
@@ -29,6 +32,7 @@ from richtoric.perms import (
     subset_str,
     subsets_of,
 )
+from richtoric import tableaux
 from richtoric.tableaux import (
     SSYT_BUDGET,
     NoExtensionError,
@@ -568,7 +572,9 @@ def _seeded_pairs(n, count, seed):
     return pairs
 
 
-@pytest.mark.parametrize("n,max_d,count", [(5, 3, 300), (6, 2, 100), (7, 2, 50), (8, 2, 50)])
+@pytest.mark.parametrize(
+    "n,max_d,count", [(5, 3, 300), (6, 2, 100), (7, 2, 50), (8, 2, 50), (6, 3, 30), (7, 3, 12)]
+)
 def test_count_standard_agrees_with_the_tuple_walk_cold_and_warm(n, max_d, count):
     # the integer walk against the tuple walk it replaced, first on a chain
     # table cleared just before the pass, so every step it takes is lifted
@@ -579,6 +585,58 @@ def test_count_standard_agrees_with_the_tuple_walk_cold_and_warm(n, max_d, count
     for side in ("cold", "warm"):
         got = [count_standard(*case) for case in cases]
         assert got == want, (side, [c for c, g, r in zip(cases, got, want) if g != r][:5])
+
+
+@pytest.mark.parametrize("n,d", [(6, 3), (5, 4)])
+def test_count_standard_of_the_whole_flag_variety_agrees_with_the_tuple_walk(n, d):
+    # (id, w0): T is every subset, so every tableau's chains are walked
+    want = _ref_count_walk(identity(n), longest(n), d)
+    _chain_table.cache_clear()
+    assert count_standard(identity(n), longest(n), d) == want
+
+
+def _cold_steps(monkeypatch, call, *args):
+    """The chain steps ``call`` lifts from a cleared chain table and cleared
+    min_extension and max_truncation caches, with its result."""
+    lifted = []
+
+    def counted(u, J, down):
+        lifted.append((u, J, down))
+        return step(u, J, down)
+
+    step = tableaux._step
+    _chain_table.cache_clear()
+    min_extension.cache_clear()
+    max_truncation.cache_clear()
+    monkeypatch.setattr(tableaux, "_step", counted)
+    try:
+        return call(*args), lifted
+    finally:
+        monkeypatch.setattr(tableaux, "_step", step)
+
+
+@pytest.mark.parametrize("n,count", [(5, 8), (6, 6), (7, 2), (8, 2)])
+def test_count_standard_lifts_no_more_chain_steps_than_the_tuple_walk(n, count, monkeypatch):
+    # a cold count takes no chain step that a walk to every leaf would not;
+    # pairs over the d = 3 budget refuse before any step and are left out
+    for v, w in _seeded_pairs(n, count, 3000 + n):
+        for d in (2, 3):
+            if len(subsets_of(interval_mask(v, w), n)) ** d > SSYT_BUDGET:
+                continue
+            want, ref = _cold_steps(monkeypatch, _ref_count_walk, v, w, d)
+            got, new = _cold_steps(monkeypatch, count_standard, v, w, d)
+            assert got == want, (v, w, d)
+            assert len(new) <= len(ref), (v, w, d)
+
+
+@pytest.mark.parametrize("n,d", [(4, 3), (5, 3), (6, 2)])
+def test_whole_flag_variety_count_lifts_every_chain_step(n, d, monkeypatch):
+    # the pair-study set-up: the count at (id, w0) lifts every step the walk
+    # to every leaf lifts, so later pairs of that n find them in the table
+    want, ref = _cold_steps(monkeypatch, _ref_count_walk, identity(n), longest(n), d)
+    got, new = _cold_steps(monkeypatch, count_standard, identity(n), longest(n), d)
+    assert got == want
+    assert sorted(new) == sorted(ref)
 
 
 # A and B share n; C is of another n
@@ -616,6 +674,68 @@ def test_successors_kept_for_the_last_pair_give_the_cold_results(pairs, monkeypa
         n = len(pair[0])
         assert len(renumbered) == (last.get(n) != pair), pair
         last[n] = pair
+
+
+@pytest.mark.parametrize("pairs", [(_A, _C, _A), (_C, _A, _B, _C, _A)])
+def test_two_column_ends_kept_across_pairs_give_the_cold_results(pairs):
+    # each pair's counts from a chain table cleared just before it, then the
+    # pairs in turn on warm tables, cleared once midway: every count is the
+    # cold one, and every two-column end held is the end of its pair's chain
+    def cold(v, w, d):
+        _chain_table.cache_clear()
+        return count_standard(v, w, d)
+
+    want = {(pair, d): cold(*pair, d) for pair in set(pairs) for d in (2, 3, 4)}
+    _chain_table.cache_clear()
+    for i, pair in enumerate(pairs + pairs):
+        if i == len(pairs):
+            _chain_table.cache_clear()
+        for d in (2, 3, 4):
+            assert count_standard(*pair, d) == want[pair, d], (pair, d)
+    for n in {len(v) for v, _ in pairs}:
+        table = _chain_table(n)
+        for I, (tops, bottoms) in enumerate(zip(table.tops, table.bottoms)):
+            assert set(bottoms) <= set(tops)
+            for J, top in tops.items():
+                cols = (table.subsets[I], table.subsets[J])
+                assert table.perms[top] == min_defining_chain(cols, n)[-1], cols
+                if J in bottoms:
+                    assert table.perms[bottoms[J]] == max_defining_chain(cols, n)[0], cols
+
+
+@pytest.mark.parametrize("pair", [_A, _B, _C])
+def test_degree_two_reads_a_bottom_only_below_its_top(pair):
+    # a cold degree-2 count fills the top of every Gale pair of T and the
+    # bottom of exactly those whose top is <= w
+    v, w = pair
+    n = len(v)
+    _chain_table.cache_clear()
+    count_standard(v, w, 2)
+    table, T = _chain_table(n), enumerate_T(v, w)
+    gale = {(I, J) for I in T for J in T if gale_leq(I, J)}
+    tops = {(table.subsets[I], table.subsets[J]) for I, row in enumerate(table.tops) for J in row}
+    bottoms = {(table.subsets[I], table.subsets[J]) for I, row in enumerate(table.bottoms) for J in row}
+    assert tops == gale
+    assert bottoms == {cols for cols in gale if bruhat_leq(min_defining_chain(cols, n)[-1], w)}
+
+
+FULL_TIER = os.environ.get("RICHTORIC_FULL") == "1"
+
+
+@pytest.mark.skipif(not FULL_TIER, reason="full tier only (RICHTORIC_FULL=1)")
+def test_every_degree_three_tableau_of_t6_is_standard():
+    # the paper's theorem by counts: for a pair of T_6 every SSYT with
+    # columns in T is standard
+    pairs = tn_pairs(6)
+    assert len(pairs) == 4536
+    for v, w in pairs:
+        assert count_standard(v, w, 3) == len(enumerate_ssyt(v, w, 3)), (v, w)
+
+
+@pytest.mark.skipif(not FULL_TIER, reason="full tier only (RICHTORIC_FULL=1)")
+def test_count_standard_agrees_with_the_tuple_walk_on_a_slice_of_s6(comparable_pairs):
+    for v, w in random.Random(6000).sample(comparable_pairs(6), 2000):
+        assert count_standard(v, w, 3) == _ref_count_walk(v, w, 3), (v, w)
 
 
 def test_count_standard_refuses_bad_pairs():
