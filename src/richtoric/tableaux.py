@@ -31,26 +31,26 @@ column's successors in that order.  A level sorted by serialised columns
 thus gives a sorted next level, so the canonical order needs no sort.
 
 :func:`count_standard` walks small integers: columns, and chain
-permutations as ids in the same table.  The table stores each permutation
-reached once, with its prefix mask and the complement of its below mask in
-lists indexed by the id, and every chain step taken so far, up
-(:func:`min_extension`) and down (:func:`max_truncation`), in two dicts
-keyed by ``perm_id << 8 | column``.  A miss takes the step with
-:func:`_step`; every later call reads it back, so a warm walk hashes only
-ints.  The chain ends of a two-column tableau do not depend on (v, w), so
-the table keeps them too, one row per first column keyed by the second: the
-minimum chain's top from the identity and the maximum chain's bottom from
-w0.  Degree two reads both ends of each tableau there; above, the walk
-steps through every column but the last two, which it counts by popcount
-against bitsets of rights grouped by top and by bottom.  Every chain end is
-tested with one AND against masks of v and w.
+permutations as ids in the same table, which stores each one reached with
+its masks and two rows of chain steps, up (:func:`min_extension`) and down
+(:func:`max_truncation`), dicts keyed by column.  A miss takes the step
+with :func:`_step`; later calls read it back, so a warm walk hashes only
+small ints and builds no key.  The chain ends of a two-column tableau do
+not depend on (v, w), so the table keeps them in rows of the same type,
+one per first column keyed by the second: the minimum chain's top from the
+identity and the maximum chain's bottom from w0.  Degree two reads both
+ends of each tableau there; above, the walk steps through every column but
+the last two, which it counts by popcount against bitsets of rights
+grouped by top and by bottom.  Every chain end is tested with one AND
+against masks of v and w.
 
 A chain step makes no subset comparison either.  :func:`_lift` keeps, for
 every threshold t, the slack between u's prefix count and the chosen
 prefix count of entries <= t, all thresholds packed in one int.  The next
 entry is the least free value above the highest threshold with no slack,
 found with a few integer operations; when there is none, no extension
-exists, so the step needs no separate existence test.
+exists, so the step needs no separate existence test.  A step down lifts
+on the value mirror x -> n+1-x, from tables made once per n.
 
 Tableaux serialise as bracketed column lists, e.g. "[125,246,35]"; chains as
 bracketed permutation lists.
@@ -58,7 +58,7 @@ bracketed permutation lists.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 
 from .perms import (
@@ -149,7 +149,7 @@ def chain_str(perms) -> str:
 
 
 #: Width of one slack field in :func:`_lift`: a 4-bit count (at most MAX_N)
-#: under a guard bit, so subtracting one from every field never borrows.
+#: under a guard bit kept set, so subtracting one from every field never borrows.
 _FIELD = 5
 _ONES = sum(1 << _FIELD * t for t in range(MAX_N + 1))
 _GUARDS = _ONES << _FIELD - 1
@@ -157,9 +157,9 @@ _GUARDS = _ONES << _FIELD - 1
 _STEP = tuple(_ONES >> _FIELD * x << _FIELD * x for x in range(MAX_N + 1))
 
 
-def _lift(u: Perm, J: Subset) -> Perm | None:
+def _lift(u: Perm, pool: int, steps: tuple[int, ...], values: tuple[int, ...]) -> Perm | None:
     """The Bruhat-minimum z >= u whose first |J| entries form J, or None
-    when there is none.
+    when there is none; J is given as ``pool``, bit x for each value x.
 
     z >= u iff each prefix set of z dominates u's of the same size, that is,
     for every threshold t it has no more entries <= t.  Position i takes the
@@ -184,28 +184,39 @@ def _lift(u: Perm, J: Subset) -> Perm | None:
     and s(t) >= 1.  After |J| the same holds with [n] for J.  So the greedy
     runs dry only when no z >= u has leading set J.
 
-    The slack of every t sits in one int, one _FIELD-bit field per t.
-    Setting the guard bits and subtracting one from every field clears the
-    guard of exactly the zero fields, the highest of which is m; values are
-    bits of a mask, so one step is a few integer operations.
+    The slack of every t sits in one int, one guarded _FIELD-bit field per
+    t.  Subtracting one from every field clears the guard of exactly the
+    zero fields, the highest of which is m; values are bits of a mask, so
+    one step is a few integer operations.  J's unused values run out just
+    after position |J|, and from there the pool is every unused value.  The
+    last value left needs no test: the prefix [n] dominates.
+
+    ``steps[x]`` adds u's entry x to the slack and ``values[y]`` is the
+    value y stands for: _STEP and the identity step up; their value mirror
+    x -> n+1-x (:func:`_lifts`), J mirrored in ``pool``, steps down.
     """
     free = (2 << len(u)) - 2
-    pool = sum(1 << x for x in J)
-    k, s, z = len(J), 0, []
-    for i, x in enumerate(u):
-        if i == k:
-            pool = free
-        s += _STEP[x]
-        tight = ~((s | _GUARDS) - _ONES) & _GUARDS
-        m = tight.bit_length() // _FIELD - 1
-        above = free & pool & (-2 << m)
+    s, z = _GUARDS, []
+    for x in u[:-1]:
+        s += steps[x]
+        tight = ~(s - _ONES) & _GUARDS
+        above = (free & pool or free) & -1 << tight.bit_length() // _FIELD
         if not above:
             return None
         y = (above & -above).bit_length() - 1
         free ^= 1 << y
         s -= _STEP[y]
-        z.append(y)
+        z.append(values[y])
+    z.append(values[free.bit_length() - 1])
     return tuple(z)
+
+
+@lru_cache(maxsize=None)
+def _lifts(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The ``steps`` and ``values`` of :func:`_lift` in S_n, up then down
+    (on the value mirror x -> n+1-x); n above MAX_N is refused."""
+    _check_size(n)
+    return (_STEP, tuple(range(n + 1))), ((0,) + _STEP[n:0:-1], tuple(range(n + 1, 0, -1)))
 
 
 @lru_cache(maxsize=None)
@@ -221,7 +232,7 @@ def min_extension(u: Perm, J: Subset) -> Perm:
     >>> min_extension((1, 2, 3), (3,))
     (3, 1, 2)
     """
-    return _step(u, J, False)
+    return _step(u, J, False, *_column(u, J, False))
 
 
 @lru_cache(maxsize=None)
@@ -235,29 +246,30 @@ def max_truncation(u: Perm, I: Subset) -> Perm:
     >>> max_truncation((3, 2, 1), (1, 2)), r(min_extension(r((3, 2, 1)), r((2, 1))))
     ((2, 1, 3), (2, 1, 3))
     """
-    return _step(u, I, True)
+    return _step(u, I, True, *_column(u, I, True))
 
 
-def _step(u: Perm, J: Subset, down: bool) -> Perm:
-    """:func:`min_extension`, or with ``down`` :func:`max_truncation` (by
-    :func:`_lift` on the value mirror x -> n+1-x): every chain step, cached
-    or in the chain table, and its refusals, n above MAX_N first."""
-    _check_size(len(u))
-    if down:
-        m = len(u) + 1
-        z = _lift(tuple(m - x for x in u), tuple(m - x for x in J))
-        z = z and tuple(m - x for x in z)
-    else:
-        z = _lift(u, J)
-    if z is None:
+def _column(u: Perm, J: Subset, down: bool) -> tuple[int | None, tuple]:
+    """J's ``pool`` for a step of u, up or down, and that direction's
+    :func:`_lifts`; a J that is not a set in 1..n gets None, a refusal."""
+    lift = _lifts(len(u))[down]
+    pool = sum(1 << lift[1][x] for x in set(J) if 0 < x <= len(u))
+    return pool if pool.bit_count() == len(J) else None, lift
+
+
+def _step(u: Perm, J: Subset, down: bool, pool: int | None, lift: tuple) -> Perm:
+    """:func:`min_extension`, or with ``down`` :func:`max_truncation`, with
+    J given as its ``pool`` and the direction's ``lift`` data too: every
+    chain step, cached or in the chain table's rows, and its refusal."""
+    z = pool is not None and _lift(u, pool, *lift)
+    if not z:
         side = "below" if down else "above"
         raise NoExtensionError(f"no permutation {side} {u} with prefix {J}")
     return z
 
 
 def _check_size(n: int) -> None:
-    """Refuse n above MAX_N, which sizes :func:`_lift`'s fields and the
-    8-bit column field of the chain table's keys."""
+    """Refuse n above MAX_N, which sizes :func:`_lift`'s fields."""
     if n > MAX_N:
         raise ValueError(f"n={n} is outside the supported range 1..{MAX_N}")
 
@@ -319,17 +331,16 @@ class _ChainTable:
     The permutations that chain steps have reached are stored once each
     under a small integer id, with its prefix mask and the complement of
     its below mask (within ``full``; both in ``all_subsets`` bits) in lists
-    indexed by that id, and the steps between them: ``up`` for
-    :func:`min_extension` and ``down`` for :func:`max_truncation` (see
-    :class:`_Steps`).  The two-column chain ends read those steps once per
-    Gale pair I <= J of columns, in one row per column I keyed by J:
-    ``tops[I][J]`` is the top of the minimum chain, the identity stepped up
-    through I then J, and ``bottoms[I][J]`` the bottom of the maximum
-    chain, w0 stepped down through J then I (see :class:`_Ends`).  Their
-    keys are columns, small ints, so a lookup allocates no key, as the
-    steps' ``perm_id << 8 | column`` does.  ``last_mask`` is the last T
-    whose successors were asked for, kept with its lists by column
-    (``last_succ``) and by subset (``last_columns``, None until asked for).
+    indexed by that id, and two rows made then: ``up[i]`` for
+    :func:`min_extension` and ``down[i]`` for :func:`max_truncation`, step
+    ends keyed by column that step on a miss with the column's mask in
+    ``pools`` (up, then down on the value mirror).  ``tops[I][J]``, the
+    identity stepped up through I then J, and ``bottoms[I][J]``, w0 stepped
+    down through J then I, the ends of the tableau I, J, are rows of the
+    same type (:class:`_Row`).  Every key is a column, a small int, so a
+    lookup allocates none.  ``last_mask`` is the last T whose successors
+    were asked for, kept with its lists by column (``last_succ``) and by
+    subset (``last_columns``, None until asked for).
 
     >>> table = _chain_table(3)
     >>> I, J = table.subsets.index((1, 2)), table.subsets.index((1, 3))
@@ -337,24 +348,30 @@ class _ChainTable:
     ((1, 3, 2), (2, 1, 3))
     """
 
-    __slots__ = ("subsets", "position", "gale", "full", "ids", "perms", "prefix", "not_below",
-                 "up", "down", "tops", "bottoms", "last_mask", "last_succ", "last_columns")
+    __slots__ = ("n", "subsets", "position", "gale", "full", "pools", "lifts", "fills", "bases", "ids",
+                 "perms", "prefix", "not_below", "up", "down", "tops", "bottoms", "last_mask", "last_succ",
+                 "last_columns")
 
     def __init__(self, n: int):
+        self.n = n
         self.subsets, self.position = serial_order(n)
         self.full = (1 << len(self.subsets)) - 1
         self.gale = tuple(
             self.serial(sum(prefix_set(n, key)[3] for key in accumulate(1 << (x - 1) for x in J)))
             for J in self.subsets
         )
+        self.pools = [[sum(1 << (n + 1 - x if down else x) for x in J) for J in self.subsets] for down in (0, 1)]
+        self.lifts = _lifts(n) if n <= MAX_N else None
+        self.bases: tuple[int, int] | None = None
         self.ids: dict[Perm, int] = {}
         self.perms: list[Perm] = []
         self.prefix: list[int] = []
         self.not_below: list[int] = []
-        self.up = _Steps(self, False)
-        self.down = _Steps(self, True)
-        self.tops = [_Ends(self.up, identity(n), I) for I in range(len(self.subsets))]
-        self.bottoms = [_Ends(self.down, longest(n), I) for I in range(len(self.subsets))]
+        self.up: list[_Row] = []
+        self.down: list[_Row] = []
+        self.fills = partial(self.step, False), partial(self.step, True)
+        self.tops = [_Row(partial(self.end, False), I) for I in range(len(self.subsets))]
+        self.bottoms = [_Row(partial(self.end, True), I) for I in range(len(self.subsets))]
         self.last_mask: int | None = None
         self.last_succ: dict[int, list[int]] = {}
         self.last_columns: dict[Subset, list[Subset]] | None = None
@@ -383,7 +400,7 @@ class _ChainTable:
         return self.last_columns
 
     def intern(self, z: Perm) -> int:
-        """The id of z, stored with its masks on first sight."""
+        """The id of z, stored with its masks and rows on first sight."""
         i = self.ids.get(z)
         if i is None:
             i = self.ids[z] = len(self.perms)
@@ -391,56 +408,42 @@ class _ChainTable:
             self.perms.append(z)
             self.prefix.append(masks.prefix)
             self.not_below.append(self.full ^ masks.below)
+            self.up.append(_Row(self.fills[0], z))
+            self.down.append(_Row(self.fills[1], z))
         return i
 
+    def step(self, down: bool, u: Perm, c: int) -> int:
+        """The id of u stepped up or down through column c."""
+        return self.intern(_step(u, self.subsets[c], down, self.pools[down][c], self.lifts[down]))
 
-class _Steps(dict):
-    """Chain steps keyed by ``perm_id << 8 | column`` (the column's serialised
-    position, below 256 for n <= MAX_N), valued by the id of the step's end.
-    A miss takes the step with :func:`_step` and stores it."""
-
-    __slots__ = ("table", "down")
-
-    def __init__(self, table: _ChainTable, down: bool):
-        self.table, self.down = table, down
-
-    def __missing__(self, key: int) -> int:
-        table = self.table
-        z = _step(table.perms[key >> 8], table.subsets[key & 255], self.down)
-        i = self[key] = table.intern(z)
-        return i
+    def end(self, down: bool, I: int, J: int) -> int:
+        """The identity stepped up through columns I then J, or with
+        ``down`` w0 stepped down through J then I."""
+        if self.bases is None:
+            self.bases = self.intern(identity(self.n)), self.intern(longest(self.n))
+        if down:
+            return self.down[self.down[self.bases[1]][J]][I]
+        return self.up[self.up[self.bases[0]][I]][J]
 
 
-class _Ends(dict):
-    """The two-column chain ends of one column I, keyed by the column J of
-    a Gale pair I <= J and valued by an id: ``start`` stepped by ``steps``,
-    up through I then J (the top of the minimum chain) or down through J
-    then I (the bottom of the maximum chain).  A miss reads both steps from
-    ``steps``, which takes them on its own misses; ``base`` keeps the id
-    the row's misses step from, shifted, once its first miss has read it:
-    the identity stepped up through I, or w0."""
+class _Row(dict):
+    """Chain table ids keyed by column; a miss stores ``fill(arg, column)``."""
 
-    __slots__ = ("steps", "start", "column", "base")
+    __slots__ = ("fill", "arg")
 
-    def __init__(self, steps: _Steps, start: Perm, column: int):
-        self.steps, self.start, self.column, self.base = steps, start, column, None
+    def __init__(self, fill, arg):
+        self.fill, self.arg = fill, arg
 
-    def __missing__(self, J: int) -> int:
-        steps, I = self.steps, self.column
-        if self.base is None:
-            start = steps.table.intern(self.start) << 8
-            self.base = start if steps.down else steps[start | I] << 8
-        z = steps[self.base | J]
-        i = self[J] = steps[z << 8 | I] if steps.down else z
+    def __missing__(self, c: int) -> int:
+        i = self[c] = self.fill(self.arg, c)
         return i
 
 
 @lru_cache(maxsize=None)
 def _chain_table(n: int) -> _ChainTable:
     """The table of S_n, shared by every :func:`enumerate_ssyt` and
-    :func:`count_standard` call.  Any n is accepted: chain steps refuse n
-    above MAX_N, and :func:`count_standard` refuses it before it builds a
-    key."""
+    :func:`count_standard` call.  Any n is accepted; :func:`count_standard`
+    refuses n above MAX_N before its first chain step."""
     return _ChainTable(n)
 
 
@@ -491,11 +494,8 @@ def count_standard(v: Perm, w: Perm, d: int) -> int:
     prefix, is >= v are ORed, and the count grows by the popcount of the
     AND.  Each chain step taken is one that a walk to every leaf takes.
 
-    The walk runs on small integers.  Columns are serialised positions, a
-    column's successors are the bits of its Gale up-set within T, and chain
-    permutations are ids in the table of S_n, which holds each one's masks,
-    every step already taken, up and down, and the two-column ends (see
-    :class:`_ChainTable`).  Each step is lifted once per process.
+    The walk runs on columns and chain permutation ids of the table of S_n
+    (:class:`_ChainTable`); each step is lifted once per process.
 
     >>> count_standard((1, 2, 3), (3, 1, 2), 2), len(enumerate_ssyt((1, 2, 3), (3, 1, 2), 2))
     (14, 15)
@@ -523,7 +523,7 @@ def count_standard(v: Perm, w: Perm, d: int) -> int:
     # per distinct two-column bottom of (c, k); their union is the rights
     # of c's own top, the top of the prefix c, c
     start = table.intern(identity(n))
-    rights: dict[int, int] = {}
+    rights: dict[int, dict[int, int]] = {}
     groups: dict[int, list[tuple[int, int]]] = {}
     for c, ks in succ.items():
         by: dict[int, int] = {}
@@ -534,38 +534,38 @@ def count_standard(v: Perm, w: Perm, d: int) -> int:
                 by[b] = by.get(b, 0) | bit
                 union |= bit
         groups[c] = list(by.items())
-        rights[up[start << 8 | c] << 8 | c] = union
+        rights[c] = {up[start][c]: union}
 
     def walk(cols: tuple[int, ...], top: int) -> int:
         # ``cols``: a prefix of at most d - 2 columns, last column first,
         # whose minimum chain tops out at ``top``, which is <= w
-        count, base = 0, top << 8
+        count, row = 0, up[top]
         if len(cols) + 2 < d:
             for j in succ[cols[0]] if cols else succ:
-                z = up[base | j]
+                z = row[j]
                 if not prefix[z] & not_below_w:
                     count += walk((j,) + cols, z)
             return count
         last, rest = cols[0], cols[1:]
         for c in succ[last]:
-            z = up[base | c]
+            z = row[c]
             if prefix[z] & not_below_w:
                 continue
-            key = z << 8 | c
-            ks = rights.get(key)
+            known = rights[c]
+            ks = known.get(z)
             if ks is None:
-                zk, ks = z << 8, 0
+                zrow, ks = up[z], 0
                 for k in succ[c]:
-                    if not prefix[up[zk | k]] & not_below_w:
+                    if not prefix[zrow[k]] & not_below_w:
                         ks |= 1 << k
-                rights[key] = ks
+                known[z] = ks
             if ks:
                 ok = 0
                 for b, group in groups[c]:
                     if group & ks:
-                        b = down[b << 8 | last]
+                        b = down[b][last]
                         for p in rest:
-                            b = down[b << 8 | p]
+                            b = down[b][p]
                         if not prefix_v & not_below[b]:
                             ok |= group
                 count += (ok & ks).bit_count()

@@ -132,6 +132,14 @@ def test_min_extension_no_candidate():
         min_extension((2, 1, 3), (1,))
 
 
+def test_steps_refuse_a_prefix_that_is_not_a_set_in_range():
+    # no permutation of S_3 leads with a repeated value or one outside 1..3
+    for J in ((1, 1), (4,), (0, 2)):
+        for lift, side in ((min_extension, "above"), (max_truncation, "below")):
+            with pytest.raises(NoExtensionError, match=re.escape(f"no permutation {side} (1, 2, 3) with prefix {J}")):
+                lift((1, 2, 3), J)
+
+
 def test_max_truncation_examples():
     assert max_truncation((3, 1, 2), (1, 3)) == (3, 1, 2)
     assert max_truncation(longest(3), (1, 2)) == (2, 1, 3)
@@ -600,9 +608,9 @@ def _cold_steps(monkeypatch, call, *args):
     min_extension and max_truncation caches, with its result."""
     lifted = []
 
-    def counted(u, J, down):
+    def counted(u, J, down, *lift):
         lifted.append((u, J, down))
-        return step(u, J, down)
+        return step(u, J, down, *lift)
 
     step = tableaux._step
     _chain_table.cache_clear()
@@ -637,6 +645,59 @@ def test_whole_flag_variety_count_lifts_every_chain_step(n, d, monkeypatch):
     got, new = _cold_steps(monkeypatch, count_standard, identity(n), longest(n), d)
     assert got == want
     assert sorted(new) == sorted(ref)
+
+
+@pytest.mark.parametrize("n,d", [(4, 3), (5, 3), (6, 2)])
+def test_rows_filled_by_a_whole_flag_variety_count_hold_the_chain_steps(n, d):
+    # every step a cold count stored in a row is the step min_extension or
+    # max_truncation takes, and every two-column end is its chain's end
+    _chain_table.cache_clear()
+    count_standard(identity(n), longest(n), d)
+    table = _chain_table(n)
+    ids, perms, subsets = table.ids, table.perms, table.subsets
+    for rows, lift in ((table.up, min_extension), (table.down, max_truncation)):
+        assert sum(map(len, rows)) > 0
+        for i, row in enumerate(rows):
+            for c, z in row.items():
+                assert ids.get(lift.__wrapped__(perms[i], subsets[c])) == z, (lift.__name__, perms[i], c)
+    assert sum(map(len, table.tops)) > 0 and sum(map(len, table.bottoms)) > 0
+    for I, (tops, bottoms) in enumerate(zip(table.tops, table.bottoms)):
+        for J, z in tops.items():
+            assert perms[z] == min_defining_chain((subsets[I], subsets[J]), n)[-1], (I, J)
+        for J, b in bottoms.items():
+            assert perms[b] == max_defining_chain((subsets[I], subsets[J]), n)[0], (I, J)
+
+
+def test_a_refused_row_step_raises_and_stores_nothing():
+    _chain_table.cache_clear()
+    table = _chain_table(3)
+    for rows, u, J, side in ((table.up, (2, 1, 3), (1,), "above"), (table.down, (1, 2, 3), (3,), "below")):
+        row, c, known = rows[table.intern(u)], table.subsets.index(J), len(table.perms)
+        with pytest.raises(NoExtensionError, match=re.escape(f"no permutation {side} {u} with prefix {J}")):
+            row[c]
+        assert c not in row and len(table.perms) == known
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_row_steps_agree_with_the_tuple_greedy(n):
+    # every (u, J), both directions, read through the chain table's rows,
+    # refusals and their messages included
+    _chain_table.cache_clear()
+    table, refused = _chain_table(n), 0
+    for u in all_perms(n):
+        i = table.intern(u)
+        for c, J in enumerate(table.subsets):
+            for rows, above, side in ((table.up, True, "above"), (table.down, False, "below")):
+                want = _ref_lift(u, J, above)
+                try:
+                    got = table.perms[rows[i][c]]
+                except NoExtensionError as e:
+                    got = str(e)
+                if want is None:
+                    refused += 1
+                    want = f"no permutation {side} {u} with prefix {J}"
+                assert got == want, (u, J, side)
+    assert refused > 0
 
 
 # A and B share n; C is of another n
