@@ -284,12 +284,14 @@ def degree_mask(v: Perm, w: Perm, d: int, budget: int) -> int:
     d < 1, then as :func:`interval_mask` refuses the pair, and, before any
     monomial is built, when |T|^d exceeds ``budget``, |T| counted as at
     least 2: the one monomial of a single column (n = 2, v = w) still takes
-    d steps to walk, and the refusal says so."""
+    d steps to walk, and the refusal says so.  As the base is at least 2, a
+    d of ``budget.bit_length()`` or more is refused before the power is
+    taken, so a huge d is refused at once."""
     if d < 1:
         raise ValueError("degree must be positive")
     mask = interval_mask(v, w)
     size = mask.bit_count()
-    if max(size, 2) ** d > budget:
+    if d >= budget.bit_length() or max(size, 2) ** d > budget:
         counted = " (|T| counted as 2)" if size < 2 else ""
         raise BudgetError(f"|T|^d = {size}^{d}{counted} exceeds budget {budget}")
     return mask

@@ -35,12 +35,12 @@ permutations as ids in the same table, which stores each one reached with
 its masks and two rows of chain steps, up (:func:`min_extension`) and down
 (:func:`max_truncation`), dicts keyed by column.  A miss takes the step
 with :func:`_step`; later calls read it back, so a warm walk hashes only
-small ints and builds no key.  The chain ends of a two-column tableau do
-not depend on (v, w), so the table keeps them in rows of the same type,
-one per first column keyed by the second: the minimum chain's top from the
-identity and the maximum chain's bottom from w0.  Degree two reads both
-ends of each tableau there; above, the walk steps through every column but
-the last two, which it counts by popcount against bitsets of rights
+small ints and builds no key.  The chain ends of a two-column tableau I, J
+are two steps through those rows: the minimum chain's top is
+``up[up[id][I]][J]`` and the maximum chain's bottom ``down[down[w0][J]][I]``,
+with the identity's and w0's rows read once per call.  Degree two reads
+both ends of each tableau so; above, the walk steps through every column
+but the last two, which it counts by popcount against bitsets of rights
 grouped by top and by bottom.  Every chain end is tested with one AND
 against masks of v and w.
 
@@ -334,23 +334,25 @@ class _ChainTable:
     indexed by that id, and two rows made then: ``up[i]`` for
     :func:`min_extension` and ``down[i]`` for :func:`max_truncation`, step
     ends keyed by column that step on a miss with the column's mask in
-    ``pools`` (up, then down on the value mirror).  ``tops[I][J]``, the
-    identity stepped up through I then J, and ``bottoms[I][J]``, w0 stepped
-    down through J then I, the ends of the tableau I, J, are rows of the
-    same type (:class:`_Row`).  Every key is a column, a small int, so a
-    lookup allocates none.  ``last_mask`` is the last T whose successors
-    were asked for, kept with its lists by column (``last_succ``) and by
-    subset (``last_columns``, None until asked for).
+    ``pools`` (up, then down on the value mirror); both are :class:`_Row`.
+    Every key is a column, a small int, so a lookup allocates none.  The
+    ends of the tableau I, J are steps too: the identity stepped up
+    through I then J, and w0 stepped down through J then I.
+    ``last_mask`` is the last T whose successors were asked for, kept with
+    its lists by column (``last_succ``) and by subset (``last_columns``,
+    None until asked for).
 
     >>> table = _chain_table(3)
     >>> I, J = table.subsets.index((1, 2)), table.subsets.index((1, 3))
-    >>> table.perms[table.tops[I][J]], table.perms[table.bottoms[I][J]]
+    >>> up, down = table.up, table.down
+    >>> top = up[up[table.intern((1, 2, 3))][I]][J]
+    >>> bottom = down[down[table.intern((3, 2, 1))][J]][I]
+    >>> table.perms[top], table.perms[bottom]
     ((1, 3, 2), (2, 1, 3))
     """
 
-    __slots__ = ("n", "subsets", "position", "gale", "full", "pools", "lifts", "fills", "bases", "ids",
-                 "perms", "prefix", "not_below", "up", "down", "tops", "bottoms", "last_mask", "last_succ",
-                 "last_columns")
+    __slots__ = ("n", "subsets", "position", "gale", "full", "pools", "lifts", "fills", "ids", "perms",
+                 "prefix", "not_below", "up", "down", "last_mask", "last_succ", "last_columns")
 
     def __init__(self, n: int):
         self.n = n
@@ -362,7 +364,6 @@ class _ChainTable:
         )
         self.pools = [[sum(1 << (n + 1 - x if down else x) for x in J) for J in self.subsets] for down in (0, 1)]
         self.lifts = _lifts(n) if n <= MAX_N else None
-        self.bases: tuple[int, int] | None = None
         self.ids: dict[Perm, int] = {}
         self.perms: list[Perm] = []
         self.prefix: list[int] = []
@@ -370,8 +371,6 @@ class _ChainTable:
         self.up: list[_Row] = []
         self.down: list[_Row] = []
         self.fills = partial(self.step, False), partial(self.step, True)
-        self.tops = [_Row(partial(self.end, False), I) for I in range(len(self.subsets))]
-        self.bottoms = [_Row(partial(self.end, True), I) for I in range(len(self.subsets))]
         self.last_mask: int | None = None
         self.last_succ: dict[int, list[int]] = {}
         self.last_columns: dict[Subset, list[Subset]] | None = None
@@ -415,15 +414,6 @@ class _ChainTable:
     def step(self, down: bool, u: Perm, c: int) -> int:
         """The id of u stepped up or down through column c."""
         return self.intern(_step(u, self.subsets[c], down, self.pools[down][c], self.lifts[down]))
-
-    def end(self, down: bool, I: int, J: int) -> int:
-        """The identity stepped up through columns I then J, or with
-        ``down`` w0 stepped down through J then I."""
-        if self.bases is None:
-            self.bases = self.intern(identity(self.n)), self.intern(longest(self.n))
-        if down:
-            return self.down[self.down[self.bases[1]][J]][I]
-        return self.up[self.up[self.bases[0]][I]][J]
 
 
 class _Row(dict):
@@ -479,20 +469,23 @@ def count_standard(v: Perm, w: Perm, d: int) -> int:
     of z lies outside ``below[w]``, and a bottom b is >= v when no prefix
     set of v lies outside ``below[b]``.
 
-    In degree two both ends of each Gale pair of T are the chain table's
-    two-column ends, the bottom read only when the top is <= w.  Above, a
-    depth-first walk over T's Gale successors meets every prefix of d - 2
-    columns, carrying the top of its minimum chain, one
-    :func:`min_extension` step per node from the identity.  Tops only rise
-    along a chain, as min_extension(u, J) >= u, so a prefix whose top is
-    not <= w is pruned.  The last two columns, a middle c and a right k,
-    are counted at once per c.  The rights whose top is <= w form one
-    bitset, kept for the call per distinct top of the prefix and c.  Their
-    two-column tops are <= w too, and the rights with that property are
-    grouped per c into one bitset per distinct two-column bottom; the
-    groups whose bottom, stepped down by :func:`max_truncation` through the
-    prefix, is >= v are ORed, and the count grows by the popcount of the
-    AND.  Each chain step taken is one that a walk to every leaf takes.
+    In degree two both ends of each Gale pair I, J of T are two steps in
+    the chain table's rows: the top from the identity's up row, through I
+    then J, and, only when that top is <= w, the bottom from w0's down
+    row, through J then I.  Above, a depth-first walk over T's Gale
+    successors meets every prefix of d - 2 columns, carrying the top of its
+    minimum chain, one :func:`min_extension` step per node from the
+    identity.  Tops only rise along a chain, as min_extension(u, J) >= u,
+    so a prefix whose top is not <= w is pruned.  The last two columns, a
+    middle c and a right k, are counted at once per c.  The rights whose
+    top is <= w form one bitset, kept for the call per distinct top of the
+    prefix and c.  Their two-column tops are <= w too, and the rights with
+    that property are grouped per c into one bitset per distinct
+    two-column bottom, both ends read through the rows as in degree two;
+    the groups whose bottom, stepped down by :func:`max_truncation`
+    through the prefix, is >= v are ORed, and the count grows by the
+    popcount of the AND.  Each chain step taken is one that a walk to
+    every leaf takes.
 
     The walk runs on columns and chain permutation ids of the table of S_n
     (:class:`_ChainTable`); each step is lifted once per process.
@@ -506,35 +499,36 @@ def count_standard(v: Perm, w: Perm, d: int) -> int:
     n = len(v)
     _check_size(n)
     table = _chain_table(n)
-    up, down, tops, bottoms = table.up, table.down, table.tops, table.bottoms
+    up, down = table.up, table.down
     prefix, not_below = table.prefix, table.not_below
     not_below_w = table.full ^ perm_masks(w).below
     prefix_v = perm_masks(v).prefix
     succ = table.successors(mask)
+    start = table.intern(identity(n))
+    first, last = up[start], down[table.intern(longest(n))]
     if d == 2:
         count = 0
         for c, ks in succ.items():
-            top, bottom = tops[c], bottoms[c]
+            top = up[first[c]]
             for k in ks:
                 if not prefix[top[k]] & not_below_w:
-                    count += not prefix_v & not_below[bottom[k]]
+                    count += not prefix_v & not_below[down[last[k]][c]]
         return count
     # per column c: its rights k whose two-column top is <= w, as one bitset
     # per distinct two-column bottom of (c, k); their union is the rights
     # of c's own top, the top of the prefix c, c
-    start = table.intern(identity(n))
     rights: dict[int, dict[int, int]] = {}
     groups: dict[int, list[tuple[int, int]]] = {}
     for c, ks in succ.items():
         by: dict[int, int] = {}
-        top, bottom, union = tops[c], bottoms[c], 0
+        top, union = up[first[c]], 0
         for k in ks:
             if not prefix[top[k]] & not_below_w:
-                b, bit = bottom[k], 1 << k
+                b, bit = down[last[k]][c], 1 << k
                 by[b] = by.get(b, 0) | bit
                 union |= bit
         groups[c] = list(by.items())
-        rights[c] = {up[start][c]: union}
+        rights[c] = {first[c]: union}
 
     def walk(cols: tuple[int, ...], top: int) -> int:
         # ``cols``: a prefix of at most d - 2 columns, last column first,

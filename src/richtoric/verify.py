@@ -3,10 +3,11 @@ Reproduction and property suites behind the ``verify`` command.
 
 Each suite returns (ok, detail) and is pure; the quick tier keeps every
 exhaustive sweep at n <= 4, the full tier raises the bounds to n = 5 (the
-chain oracle at degree <= 2), classifies all of S_6 and adds the
-polytope-dimension suite.  Brute-force oracles (chain enumeration, the
-Bruhat reformulation of subset comparisons) are implemented here from
-scratch so that they stay independent of the code paths they check.
+chain oracle at degree <= 2) and to n = 6 for the classification and
+block suites, and adds the polytope-dimension suite at n = 5.
+Brute-force oracles (chain enumeration, the Bruhat reformulation of subset
+comparisons) are implemented here from scratch so that they stay
+independent of the code paths they check.
 """
 
 from __future__ import annotations

@@ -384,6 +384,12 @@ def test_ssyt_over_budget_degree_refused_before_any_output(capsys, monkeypatch):
     assert err == "error: |T|^d = 254^3 exceeds budget 1000000\n"
 
 
+def test_ssyt_refuses_a_huge_degree_at_once(capsys):
+    code, out, err = run_cli(capsys, "ssyt", "--v", "123", "--w", "321", "--d", "1000000000000")
+    assert (code, out) == (2, "")
+    assert err == "error: |T|^d = 6^1000000000000 exceeds budget 1000000\n"
+
+
 @pytest.mark.parametrize("pair", ["12", "21"])
 def test_ssyt_single_column_refuses_large_degree(capsys, pair):
     # |T| = 1 (n = 2, v = w) counts as 2 against the budget, so a degree whose

@@ -2,6 +2,7 @@ import itertools
 import os
 import random
 import re
+import time
 from functools import reduce
 
 import pytest
@@ -647,6 +648,24 @@ def test_whole_flag_variety_count_lifts_every_chain_step(n, d, monkeypatch):
     assert sorted(new) == sorted(ref)
 
 
+def _held_ends(table):
+    """The two-column chain ends a chain table holds, read through its step
+    rows without filling them: each Gale pair (I, J) of subsets with the id
+    of the identity stepped up through I then J (``tops``) and with that of
+    w0 stepped down through J then I (``bottoms``)."""
+    subsets, tops, bottoms = table.subsets, {}, {}
+    for base, rows, ends, down in ((identity(table.n), table.up, tops, False),
+                                   (longest(table.n), table.down, bottoms, True)):
+        if base not in table.ids:
+            continue
+        for a, z in rows[table.ids[base]].items():
+            for b, end in rows[z].items():
+                cols = (subsets[b], subsets[a]) if down else (subsets[a], subsets[b])
+                if gale_leq(*cols):
+                    ends[cols] = end
+    return tops, bottoms
+
+
 @pytest.mark.parametrize("n,d", [(4, 3), (5, 3), (6, 2)])
 def test_rows_filled_by_a_whole_flag_variety_count_hold_the_chain_steps(n, d):
     # every step a cold count stored in a row is the step min_extension or
@@ -660,12 +679,12 @@ def test_rows_filled_by_a_whole_flag_variety_count_hold_the_chain_steps(n, d):
         for i, row in enumerate(rows):
             for c, z in row.items():
                 assert ids.get(lift.__wrapped__(perms[i], subsets[c])) == z, (lift.__name__, perms[i], c)
-    assert sum(map(len, table.tops)) > 0 and sum(map(len, table.bottoms)) > 0
-    for I, (tops, bottoms) in enumerate(zip(table.tops, table.bottoms)):
-        for J, z in tops.items():
-            assert perms[z] == min_defining_chain((subsets[I], subsets[J]), n)[-1], (I, J)
-        for J, b in bottoms.items():
-            assert perms[b] == max_defining_chain((subsets[I], subsets[J]), n)[0], (I, J)
+    tops, bottoms = _held_ends(table)
+    gale = {(I, J) for I in subsets for J in subsets if gale_leq(I, J)}
+    assert set(tops) == set(bottoms) == gale
+    for cols in gale:
+        assert perms[tops[cols]] == min_defining_chain(cols, n)[-1], cols
+        assert perms[bottoms[cols]] == max_defining_chain(cols, n)[0], cols
 
 
 def test_a_refused_row_step_raises_and_stores_nothing():
@@ -741,7 +760,9 @@ def test_successors_kept_for_the_last_pair_give_the_cold_results(pairs, monkeypa
 def test_two_column_ends_kept_across_pairs_give_the_cold_results(pairs):
     # each pair's counts from a chain table cleared just before it, then the
     # pairs in turn on warm tables, cleared once midway: every count is the
-    # cold one, and every two-column end held is the end of its pair's chain
+    # cold one, every two-column end held is the end of its pair's chain, and
+    # the ends held after the second pass include, for every pair, the top
+    # of each Gale pair of its T and the bottom of each one whose top is <= w
     def cold(v, w, d):
         _chain_table.cache_clear()
         return count_standard(v, w, d)
@@ -755,29 +776,34 @@ def test_two_column_ends_kept_across_pairs_give_the_cold_results(pairs):
             assert count_standard(*pair, d) == want[pair, d], (pair, d)
     for n in {len(v) for v, _ in pairs}:
         table = _chain_table(n)
-        for I, (tops, bottoms) in enumerate(zip(table.tops, table.bottoms)):
-            assert set(bottoms) <= set(tops)
-            for J, top in tops.items():
-                cols = (table.subsets[I], table.subsets[J])
-                assert table.perms[top] == min_defining_chain(cols, n)[-1], cols
-                if J in bottoms:
-                    assert table.perms[bottoms[J]] == max_defining_chain(cols, n)[0], cols
+        tops, bottoms = _held_ends(table)
+        for v, w in {pair for pair in pairs if len(pair[0]) == n}:
+            T = enumerate_T(v, w)
+            gale = {(I, J) for I in T for J in T if gale_leq(I, J)}
+            assert gale <= set(tops), (v, w)
+            assert {cols for cols in gale if bruhat_leq(min_defining_chain(cols, n)[-1], w)} <= set(bottoms), (v, w)
+        for cols, top in tops.items():
+            assert table.perms[top] == min_defining_chain(cols, n)[-1], cols
+            if cols in bottoms:
+                assert table.perms[bottoms[cols]] == max_defining_chain(cols, n)[0], cols
 
 
 @pytest.mark.parametrize("pair", [_A, _B, _C])
-def test_degree_two_reads_a_bottom_only_below_its_top(pair):
-    # a cold degree-2 count fills the top of every Gale pair of T and the
-    # bottom of exactly those whose top is <= w
+def test_degree_two_reads_a_bottom_only_below_its_top(pair, monkeypatch):
+    # a cold degree-2 count fills the top of every Gale pair of T, and the
+    # only down steps it lifts are those to the bottoms of the pairs whose
+    # top is <= w: w0 down through J, then through I
     v, w = pair
     n = len(v)
-    _chain_table.cache_clear()
-    count_standard(v, w, 2)
-    table, T = _chain_table(n), enumerate_T(v, w)
+    T = enumerate_T(v, w)
     gale = {(I, J) for I in T for J in T if gale_leq(I, J)}
-    tops = {(table.subsets[I], table.subsets[J]) for I, row in enumerate(table.tops) for J in row}
-    bottoms = {(table.subsets[I], table.subsets[J]) for I, row in enumerate(table.bottoms) for J in row}
-    assert tops == gale
-    assert bottoms == {cols for cols in gale if bruhat_leq(min_defining_chain(cols, n)[-1], w)}
+    below = {cols for cols in gale if bruhat_leq(min_defining_chain(cols, n)[-1], w)}
+    assert below < gale
+    _, lifted = _cold_steps(monkeypatch, count_standard, v, w, 2)
+    tops, bottoms = _held_ends(_chain_table(n))
+    assert set(tops) == gale and set(bottoms) >= below
+    want = {(longest(n), J, True) for _, J in below} | {(descending_completion(J, n), I, True) for I, J in below}
+    assert sorted(step for step in lifted if step[2]) == sorted(want)
 
 
 FULL_TIER = os.environ.get("RICHTORIC_FULL") == "1"
@@ -846,6 +872,18 @@ def test_single_column_counts_as_two_against_the_budget(pair):
     assert kernel_hilbert_dim(pair, pair, 20, TermOrder.DIAGONAL) == 1
 
 
+@pytest.mark.parametrize("pair,size", [(((1, 2, 3), (3, 2, 1)), "6"), (((1, 2), (1, 2)), "1")])
+def test_degree_mask_refuses_a_huge_degree_at_once(pair, size):
+    # the base is at least 2, so a degree of budget.bit_length() or more is
+    # refused without taking the power, with the message the power would give
+    counted = " (|T| counted as 2)" if size == "1" else ""
+    message = re.escape(f"|T|^d = {size}^{10**12}{counted} exceeds budget {SSYT_BUDGET}")
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=message):
+        degree_mask(*pair, 10**12, SSYT_BUDGET)
+    assert time.perf_counter() - start < 1
+
+
 def test_count_standard_refuses_over_budget():
     # the walk checks |T|^d itself, before any tableau is built
     with pytest.raises(BudgetError, match=re.escape("|T|^d = 254^3 exceeds budget 1000000")):
@@ -867,8 +905,8 @@ N9 = "n=9 is outside the supported range 1..8"
     ids=["min_extension", "max_truncation", "is_standard", "count_standard_d2", "count_standard_d3"],
 )
 def test_chain_layer_refuses_n_above_max_n(call):
-    # the slack fields and the 8-bit subset field of the chain keys are sized
-    # by MAX_N; at n = 9 (510 subsets) the keys would collide
+    # _lift keeps one slack field per threshold 0..MAX_N, and _lifts builds
+    # its step tables from them; at n = 9 threshold 9 has no field
     with pytest.raises(ValueError, match=re.escape(N9)):
         call()
 
