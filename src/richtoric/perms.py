@@ -286,14 +286,19 @@ def degree_mask(v: Perm, w: Perm, d: int, budget: int) -> int:
     least 2: the one monomial of a single column (n = 2, v = w) still takes
     d steps to walk, and the refusal says so.  As the base is at least 2, a
     d of ``budget.bit_length()`` or more is refused before the power is
-    taken, so a huge d is refused at once."""
+    taken, so a huge d is refused at once; a d with more digits than
+    ``str`` may print is shown by its bit length."""
     if d < 1:
         raise ValueError("degree must be positive")
     mask = interval_mask(v, w)
     size = mask.bit_count()
     if d >= budget.bit_length() or max(size, 2) ** d > budget:
         counted = " (|T| counted as 2)" if size < 2 else ""
-        raise BudgetError(f"|T|^d = {size}^{d}{counted} exceeds budget {budget}")
+        try:
+            shown = str(d)
+        except ValueError:  # past the interpreter's limit on int-to-str digits
+            shown = f"<{d.bit_length()}-bit d>"
+        raise BudgetError(f"|T|^d = {size}^{shown}{counted} exceeds budget {budget}")
     return mask
 
 

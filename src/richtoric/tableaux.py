@@ -48,9 +48,10 @@ A chain step makes no subset comparison either.  :func:`_lift` keeps, for
 every threshold t, the slack between u's prefix count and the chosen
 prefix count of entries <= t, all thresholds packed in one int.  The next
 entry is the least free value above the highest threshold with no slack,
-found with a few integer operations; when there is none, no extension
-exists, so the step needs no separate existence test.  A step down lifts
-on the value mirror x -> n+1-x, from tables made once per n.
+found with a few integer operations and reads of tables made at import;
+when there is none, no extension exists, so the step needs no separate
+existence test.  A step down lifts on the value mirror x -> n+1-x, from
+tables made once per n.
 
 Tableaux serialise as bracketed column lists, e.g. "[125,246,35]"; chains as
 bracketed permutation lists.
@@ -58,7 +59,7 @@ bracketed permutation lists.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate
 
 from .perms import (
@@ -148,13 +149,22 @@ def chain_str(perms) -> str:
 # defining chains
 
 
-#: Width of one slack field in :func:`_lift`: a 4-bit count (at most MAX_N)
-#: under a guard bit kept set, so subtracting one from every field never borrows.
+#: Width of one slack field in :func:`_lift`: a slack s (at most MAX_N) held
+#: as 2**(_FIELD-1) - 1 + s, so the field never borrows and its top bit, the
+#: guard, is clear exactly when s = 0.
 _FIELD = 5
 _ONES = sum(1 << _FIELD * t for t in range(MAX_N + 1))
 _GUARDS = _ONES << _FIELD - 1
+#: Every slack zero, so every guard clear.
+_TIGHT = _GUARDS - _ONES
 #: _STEP[x] is one in every field t >= x, the count of one value x <= t.
 _STEP = tuple(_ONES >> _FIELD * x << _FIELD * x for x in range(MAX_N + 1))
+#: _ABOVE[b] masks the values above threshold t when b, the bit length of
+#: the clear guards, is that of t's guard, _FIELD * (t + 1).
+_ABOVE = tuple(-1 << b // _FIELD for b in range(_FIELD * (MAX_N + 1) + 1))
+#: _BIT[y] is value y's bit, and _LOW[a] the lowest value in the mask a.
+_BIT = tuple(1 << y for y in range(MAX_N + 1))
+_LOW = (0,) + tuple((a & -a).bit_length() - 1 for a in range(1, 2 << MAX_N))
 
 
 def _lift(u: Perm, pool: int, steps: tuple[int, ...], values: tuple[int, ...]) -> Perm | None:
@@ -184,30 +194,32 @@ def _lift(u: Perm, pool: int, steps: tuple[int, ...], values: tuple[int, ...]) -
     and s(t) >= 1.  After |J| the same holds with [n] for J.  So the greedy
     runs dry only when no z >= u has leading set J.
 
-    The slack of every t sits in one int, one guarded _FIELD-bit field per
-    t.  Subtracting one from every field clears the guard of exactly the
-    zero fields, the highest of which is m; values are bits of a mask, so
-    one step is a few integer operations.  J's unused values run out just
-    after position |J|, and from there the pool is every unused value.  The
-    last value left needs no test: the prefix [n] dominates.
+    The slack of every t sits in one int, one _FIELD-bit field per t held
+    so that its guard bit is clear exactly when the slack is zero; the
+    highest clear guard is m's.  Values are bits of a mask, and the rest is
+    read from tables made at import: the candidates above m by the bit
+    length of the clear guards (_ABOVE), the least candidate (_LOW) and its
+    bit (_BIT).  So one step is a few integer operations and subscripts.
+    J's unused values run out just after position |J|, and from there the
+    pool is every unused value.  The last value left needs no test: the
+    prefix [n] dominates.
 
     ``steps[x]`` adds u's entry x to the slack and ``values[y]`` is the
     value y stands for: _STEP and the identity step up; their value mirror
     x -> n+1-x (:func:`_lifts`), J mirrored in ``pool``, steps down.
     """
     free = (2 << len(u)) - 2
-    s, z = _GUARDS, []
+    s, z = _TIGHT, []
     for x in u[:-1]:
         s += steps[x]
-        tight = ~(s - _ONES) & _GUARDS
-        above = (free & pool or free) & -1 << tight.bit_length() // _FIELD
+        above = (free & pool or free) & _ABOVE[(~s & _GUARDS).bit_length()]
         if not above:
             return None
-        y = (above & -above).bit_length() - 1
-        free ^= 1 << y
+        y = _LOW[above]
+        free ^= _BIT[y]
         s -= _STEP[y]
         z.append(values[y])
-    z.append(values[free.bit_length() - 1])
+    z.append(values[_LOW[free]])
     return tuple(z)
 
 
@@ -331,7 +343,8 @@ class _ChainTable:
     The permutations that chain steps have reached are stored once each
     under a small integer id, with its prefix mask and the complement of
     its below mask (within ``full``; both in ``all_subsets`` bits) in lists
-    indexed by that id, and two rows made then: ``up[i]`` for
+    indexed by that id, both ORed from the ``prefix_set`` entries along
+    the permutation's running key, and two rows made then: ``up[i]`` for
     :func:`min_extension` and ``down[i]`` for :func:`max_truncation`, step
     ends keyed by column that step on a miss with the column's mask in
     ``pools`` (up, then down on the value mirror); both are :class:`_Row`.
@@ -351,7 +364,7 @@ class _ChainTable:
     ((1, 3, 2), (2, 1, 3))
     """
 
-    __slots__ = ("n", "subsets", "position", "gale", "full", "pools", "lifts", "fills", "ids", "perms",
+    __slots__ = ("n", "subsets", "position", "gale", "full", "pools", "lifts", "ids", "perms",
                  "prefix", "not_below", "up", "down", "last_mask", "last_succ", "last_columns")
 
     def __init__(self, n: int):
@@ -370,7 +383,6 @@ class _ChainTable:
         self.not_below: list[int] = []
         self.up: list[_Row] = []
         self.down: list[_Row] = []
-        self.fills = partial(self.step, False), partial(self.step, True)
         self.last_mask: int | None = None
         self.last_succ: dict[int, list[int]] = {}
         self.last_columns: dict[Subset, list[Subset]] | None = None
@@ -399,33 +411,38 @@ class _ChainTable:
         return self.last_columns
 
     def intern(self, z: Perm) -> int:
-        """The id of z, stored with its masks and rows on first sight."""
+        """The id of z, stored with its masks and rows on first sight; the
+        masks are those of :func:`~richtoric.perms.perm_masks`, folded
+        here without its above mask or a cache entry."""
         i = self.ids.get(z)
         if i is None:
             i = self.ids[z] = len(self.perms)
-            masks = perm_masks(z)
+            n, prefix, below, key = self.n, 0, 0, 0
+            for x in z[:-1]:
+                key |= 1 << (x - 1)
+                bit, _, down, _ = prefix_set(n, key)
+                prefix, below = prefix | bit, below | down
             self.perms.append(z)
-            self.prefix.append(masks.prefix)
-            self.not_below.append(self.full ^ masks.below)
-            self.up.append(_Row(self.fills[0], z))
-            self.down.append(_Row(self.fills[1], z))
+            self.prefix.append(prefix)
+            self.not_below.append(self.full ^ below)
+            self.up.append(_Row(self, False, z))
+            self.down.append(_Row(self, True, z))
         return i
-
-    def step(self, down: bool, u: Perm, c: int) -> int:
-        """The id of u stepped up or down through column c."""
-        return self.intern(_step(u, self.subsets[c], down, self.pools[down][c], self.lifts[down]))
 
 
 class _Row(dict):
-    """Chain table ids keyed by column; a miss stores ``fill(arg, column)``."""
+    """Chain table ids keyed by column: the ids of u stepped up, or with
+    ``down`` down, through each column; a miss takes the step."""
 
-    __slots__ = ("fill", "arg")
+    __slots__ = ("table", "down", "u")
 
-    def __init__(self, fill, arg):
-        self.fill, self.arg = fill, arg
+    def __init__(self, table: _ChainTable, down: bool, u: Perm):
+        self.table, self.down, self.u = table, down, u
 
     def __missing__(self, c: int) -> int:
-        i = self[c] = self.fill(self.arg, c)
+        table, down = self.table, self.down
+        z = _step(self.u, table.subsets[c], down, table.pools[down][c], table.lifts[down])
+        i = self[c] = table.intern(z)
         return i
 
 

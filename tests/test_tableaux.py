@@ -2,6 +2,7 @@ import itertools
 import os
 import random
 import re
+import sys
 import time
 from functools import reduce
 
@@ -687,6 +688,25 @@ def test_rows_filled_by_a_whole_flag_variety_count_hold_the_chain_steps(n, d):
         assert perms[bottoms[cols]] == max_defining_chain(cols, n)[0], cols
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_interned_masks_are_the_permutation_masks(n):
+    # intern ORs each id's masks along its running key; they must be the
+    # masks perm_masks folds, after the pair-study warm-up counts and, at
+    # n = 7 and 8, after one seeded cold count
+    _chain_table.cache_clear()
+    warm_up = {4: 3, 5: 3, 6: 2}
+    if n in warm_up:
+        count_standard(identity(n), longest(n), warm_up[n])
+    else:
+        count_standard(*_seeded_pairs(n, 1, 4100 + n)[0], 2)
+    table = _chain_table(n)
+    assert len(table.perms) > n
+    for i, z in enumerate(table.perms):
+        masks = perm_masks(z)
+        assert table.prefix[i] == masks.prefix, z
+        assert table.not_below[i] == table.full ^ masks.below, z
+
+
 def test_a_refused_row_step_raises_and_stores_nothing():
     _chain_table.cache_clear()
     table = _chain_table(3)
@@ -882,6 +902,34 @@ def test_degree_mask_refuses_a_huge_degree_at_once(pair, size):
     with pytest.raises(BudgetError, match=message):
         degree_mask(*pair, 10**12, SSYT_BUDGET)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "call,budget",
+    [
+        (count_standard, SSYT_BUDGET),
+        (enumerate_ssyt, SSYT_BUDGET),
+        (lambda v, w, d: kernel_hilbert_dim(v, w, d, TermOrder.DIAGONAL), MONOMIAL_BUDGET),
+    ],
+    ids=["count_standard", "enumerate_ssyt", "kernel_hilbert_dim"],
+)
+def test_a_degree_too_long_to_print_is_refused_by_budget(call, budget):
+    # str refuses ints of more digits than the interpreter's limit; such a
+    # degree is shown by its bit length, and every printable one as before
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        pair = (1, 2, 3), (3, 2, 1)
+        printable = 10**4299
+        with pytest.raises(BudgetError, match=re.escape(f"|T|^d = 6^{printable} exceeds budget {budget}")):
+            call(*pair, printable)
+        huge = 10**5000
+        with pytest.raises(BudgetError, match=re.escape(f"|T|^d = 6^<16610-bit d> exceeds budget {budget}")):
+            call(*pair, huge)
+        with pytest.raises(BudgetError, match=re.escape("|T|^d = 1^<16610-bit d> (|T| counted as 2) exceeds")):
+            call((1, 2), (1, 2), huge)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_count_standard_refuses_over_budget():
