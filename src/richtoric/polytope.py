@@ -413,13 +413,16 @@ def lattice_points(poly: LatticePolytope) -> list[tuple[int, ...]]:
     the affine hull sits at a pivot, and the lifts come out in the
     lexicographic order of the ambient coordinates.  ``LATTICE_BUDGET``
     bounds the volume of the scanned box, which is never larger than the
-    ambient bounding box.  A polytope whose ``affine_dim`` is not the
-    dimension its points span is refused with ``ValueError``.
+    ambient bounding box.  A polytope with no points, or whose
+    ``affine_dim`` is not the dimension its points span, is refused with
+    ``ValueError``.
     """
     k = poly.affine_dim
     if k > 3:
         raise ValueError(f"lattice points unsupported in affine dimension {k}")
     pts = [tuple(p) for p in poly.points]
+    if not pts:
+        raise ValueError("a polytope with no points has no lattice points to scan")
     base = pts[0]
 
     rows = _affine_basis(pts)

@@ -255,6 +255,12 @@ def test_lattice_points_refuses_a_wrong_affine_dimension(recorded):
     assert len(lattice_points(poly._replace(affine_dim=2))) == 6
 
 
+def test_lattice_points_refuses_a_polytope_with_no_points():
+    poly = LatticePolytope((), (), (), 0)
+    with pytest.raises(ValueError, match="^a polytope with no points has no lattice points to scan$"):
+        lattice_points(poly)
+
+
 def test_lattice_points_budget_guard():
     poly = LatticePolytope(("a",), ((0,), (2_000_000,)), (("p",), ("q",)), 1)
     with pytest.raises(BudgetError):
