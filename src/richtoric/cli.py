@@ -477,6 +477,3 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # pragma: no cover
         return EXIT_ERROR
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -282,8 +282,3 @@ def is_213_avoiding(v: Perm) -> bool:
             return False
     return True
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

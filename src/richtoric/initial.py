@@ -147,6 +147,15 @@ MONOMIAL_BUDGET = 2_000_000
 
 
 class TermOrder(Enum):
+    """The diagonal or antidiagonal monomial map.
+
+    Pass a member, never its value: every function that builds a table for
+    an order (the initial terms, the kernel, the folds, the code tables and
+    so A and the polytope) refuses anything else, the string "diagonal"
+    too, with ``TypeError`` before any cache keeps an entry for it.  Use
+    ``TermOrder("diagonal")`` to turn a value into its member.
+    """
+
     DIAGONAL = "diagonal"
     ANTIDIAGONAL = "antidiagonal"
 
@@ -171,8 +180,24 @@ def weight_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _check_order(order: TermOrder) -> None:
+    """Refuse an ``order`` that is not a :class:`TermOrder` member."""
+    if not isinstance(order, TermOrder):
+        raise TypeError(f"order must be a TermOrder member, not {order!r}")
+
+
 def initial_term(J: Subset, order: TermOrder) -> tuple[Cell, ...]:
-    """Grid cells of the image of P_J, one per row 1..|J|."""
+    """Grid cells of the image of P_J, one per row 1..|J|.
+
+    An ``order`` that is not a :class:`TermOrder` member is refused with
+    ``TypeError``, the value of a member too:
+
+    >>> initial_term((1, 3), "diagonal")
+    Traceback (most recent call last):
+    ...
+    TypeError: order must be a TermOrder member, not 'diagonal'
+    """
+    _check_order(order)
     t = len(J)
     if order is TermOrder.DIAGONAL:
         return tuple((r + 1, J[r]) for r in range(t))
@@ -335,7 +360,9 @@ def _fold(inside: int, n: int, order: TermOrder) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def _prefix_parts(n: int, order: TermOrder) -> list[tuple[tuple[int, ...], ...] | None]:
     """Per prefix set P, at the element mask of P (bit j-1 for each j in P):
-    :func:`_prefix_part` of P once a side has read it, None before."""
+    :func:`_prefix_part` of P once a side has read it, None before.  The
+    order is checked here, since no part is folded before a side reads it."""
+    _check_order(order)
     return [None] * (1 << n)
 
 
@@ -525,8 +552,3 @@ def kernel_hilbert_dim(v: Perm, w: Perm, d: int, order: TermOrder) -> int:
     codes = [table[i] for i in set_bits(mask)]
     return len(set(map(sum, itertools.combinations_with_replacement(codes, d))))
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -575,8 +575,3 @@ def tableau_str(cols) -> str:
     """Serialise a tableau as its bracketed column list ("[125,246,35]")."""
     return "[" + ",".join(subset_str(tuple(c)) for c in cols) + "]"
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

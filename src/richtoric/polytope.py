@@ -18,11 +18,15 @@ affine hull of a Minkowski sum is the sum of the factors' affine hulls, so
 the affine dimension is the rank of the in-factor differences A_J - A_J0,
 at most |T| vectors however many points the sumset has.  S is built only
 for display, by :func:`segre_matrix`; the CLI reads AS back from the points
-by their labels, and :meth:`IntMatrix.mul` is the independent check.  The
-last pair's A (:func:`restricted_map_matrix`) and Segre labels
-(:func:`_segre_labels`) are kept, so a display of the pair that
-:func:`polytope` has just built reads them back; no result outlives the
-next pair.
+by their labels, and :meth:`IntMatrix.mul` is the independent check.  It
+packs one byte per product entry, the one width A times S needs: S is 0/1,
+so an entry of AS is at most a row sum of A, and a row of A is a grid cell
+in the initial terms of at most 2^(n-1) - 1 proper subsets, below 256 for
+n <= 9; factors whose product entries could reach 256 take the plain
+row-by-column product.  The last pair's A (:func:`restricted_map_matrix`)
+and Segre labels (:func:`_segre_labels`) are kept, so a display of the
+pair that :func:`polytope` has just built reads them back; no result
+outlives the next pair.
 
 All arithmetic is on integers.  One fraction-free elimination routine,
 :func:`_reduce`, reduces an integer vector against integer echelon rows and
@@ -42,7 +46,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import sys
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
@@ -67,10 +70,6 @@ LATTICE_BUDGET = 1_000_000
 SEGRE_BUDGET = 20_000
 
 _ROW_LETTERS = ("x", "y", "z")
-
-#: Unsigned native fields of 1, 2, 4 and 8 bytes: width and
-#: ``memoryview.cast`` code.
-_FIELDS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
 
 #: How :meth:`IntMatrix.text` shows an entry 0..9: 0 blank, k its digit.
 _SHOWN = bytes.maketrans(bytes(range(10)), b" 123456789")
@@ -100,46 +99,38 @@ class IntMatrix(NamedTuple):
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         """The product matrix.
 
-        If every entry of both factors is in range(256), as in every A and
-        S, each row of ``other`` is packed into one int, entry j in field j
-        of ``width`` bytes (Kronecker substitution), so that row r of the
+        If every entry of both factors is in range(256), the largest row sum
+        of ``self`` times the largest byte of the bitwise or of the rows of
+        ``other`` bounds every product entry.  When that bound is below 256,
+        each row of ``other`` is packed into one int, one byte per entry,
+        little-endian (Kronecker substitution), so that row r of the
         product is the one int ``sum(x * packed[i])`` over the nonzero
-        entries ``x = self.entries[r][i]``.  The largest row sum of ``self``
-        times the largest entry of ``other``, the largest byte of the bitwise
-        or of its rows, bounds every product entry; a
-        field of 1, 2, 4 or 8 bytes holds it unsigned, so no field carries
-        into the next (255 * 255 * inner < 2^64 for any inner dimension that
-        fits in memory), and ``memoryview.cast`` decodes each product row.
-        Any other pair of factors gets the row-by-column sum of products.
+        entries ``x = self.entries[r][i]``, no byte carries into the next,
+        and the row is that int's bytes.  Every A times S packs: a row of A
+        is a grid cell, and at most 2^(n-1) - 1 proper subsets put their
+        initial term there (the subsets with least element 1 at cell (1, 1)
+        in the diagonal order, with greatest element n at (1, n) in the
+        antidiagonal one); S is 0/1, so the bound is at most 127 for n <= 8
+        and 255 for n <= 9.  Any other pair of factors gets the
+        row-by-column sum of products.
         """
         if self.col_labels != other.row_labels:
             raise ValueError("matrix shapes/labels do not align")
         ncols = len(other.col_labels)
         try:
             reach = max(map(sum, map(bytearray, self.entries)), default=0)
-            raw = list(map(bytearray, other.entries))
+            packed = [int.from_bytes(bytearray(row), "little") for row in other.entries]
+            top = max(reduce(operator.or_, packed, 0).to_bytes(ncols, "little"), default=0)
         except ValueError:  # an entry outside range(256)
-            cols = other.columns()
-            return IntMatrix(self.row_labels, other.col_labels, tuple(
-                tuple(sum(map(operator.mul, row, col)) for col in cols) for row in self.entries
-            ))
-        ored = 0
-        for row in raw:
-            ored |= int.from_bytes(row, "little")
-        bound = reach * max(ored.to_bytes(ncols, "little"), default=0)
-        width, code = next(f for f in _FIELDS if bound < 1 << 8 * f[0])
-        size = ncols * width
-        low_byte = 0 if sys.byteorder == "little" else width - 1
-        packed = []
-        for row in raw:
-            spread = bytearray(size)
-            spread[low_byte::width] = row
-            packed.append(int.from_bytes(spread, sys.byteorder))
-        rows = []
-        for row in self.entries:
-            total = sum(x * term for x, term in zip(row, packed) if x)
-            rows.append(tuple(memoryview(total.to_bytes(size, sys.byteorder)).cast(code)))
-        return IntMatrix(self.row_labels, other.col_labels, tuple(rows))
+            reach = top = 256
+        if reach * top < 256:
+            totals = (sum(x * term for x, term in zip(row, packed) if x) for row in self.entries)
+            rows = tuple(tuple(total.to_bytes(ncols, "little")) for total in totals)
+            return IntMatrix(self.row_labels, other.col_labels, rows)
+        cols = other.columns()
+        return IntMatrix(self.row_labels, other.col_labels, tuple(
+            tuple(sum(map(operator.mul, row, col)) for col in cols) for row in self.entries
+        ))
 
     def text(self, name: str | None = None) -> str:
         """Aligned display; zero entries print blank.

@@ -584,8 +584,3 @@ def count_standard(v: Perm, w: Perm, d: int) -> int:
 
     return walk((), start)
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -80,6 +80,32 @@ def test_term_order_hashes_by_identity():
     assert degree2_kernel_generators.cache_info().hits == hits + 1
 
 
+@pytest.mark.parametrize("order", ["diagonal", "antidiagonal", None])
+def test_an_order_that_is_not_a_member_is_refused_before_any_table(order):
+    # a member's value once took the antidiagonal branch and was cached
+    # under its own key; every table-building path refuses it instead
+    from richtoric.polytope import polytope, restricted_map_matrix
+
+    v, w = (1, 2, 3, 4), (1, 3, 4, 2)
+    caches = (degree2_kernel_generators, _users, _prefix_parts, _side, _code_table)
+    sizes = [c.cache_info().currsize for c in caches]
+    calls = [
+        lambda: initial_term((1, 3), order),
+        lambda: degree2_kernel_generators(4, order),
+        lambda: is_monomial_free(v, w, order),
+        lambda: restrict(v, w, order),
+        lambda: next(classify_rows(4, order)),
+        lambda: kernel_hilbert_dim(v, w, 2, order),
+        lambda: restricted_map_matrix(v, w, order),
+        lambda: polytope(v, w, order),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="TermOrder member"):
+            call()
+    assert [c.cache_info().currsize for c in caches] == sizes
+    assert is_monomial_free(v, w, DIAG) and not is_monomial_free(v, w, ANTI)
+
+
 def test_weight_matrix_n5():
     assert weight_matrix(5) == (
         (0, 0, 0, 0, 0),

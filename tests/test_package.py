@@ -184,3 +184,22 @@ def test_no_module_checks_with_assert():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_only_the_package_main_runs_as_a_script():
+    # ``python -m richtoric`` and the console script are the entry points;
+    # the doctests run under tests/test_doctests.py
+    paths = sorted(glob.glob(os.path.join(SRC, "richtoric", "**", "*.py"), recursive=True))
+    assert len(paths) >= 10
+    found = []
+    for path in paths:
+        if os.path.basename(path) == "__main__.py":
+            continue
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), path)
+        found += [
+            f"{os.path.basename(path)}:{node.lineno}"
+            for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+    assert found == []

@@ -799,32 +799,35 @@ def test_mul_agrees_with_reference_at_every_field_width():
     assert {(1, False), (2, False), (4, False), (8, False), (16, False)} <= seen
 
 
-def _casts(monkeypatch):
-    """The ``memoryview.cast`` codes :meth:`IntMatrix.mul` decodes with,
-    one per product row, recorded as it runs."""
-    codes = []
+def _operator_reads(monkeypatch):
+    """The names :meth:`IntMatrix.mul` reads from ``operator``, recorded as
+    it runs: the plain product reads ``mul`` once per product entry, the
+    packed product never."""
+    reads = []
 
-    class View:
-        def __init__(self, data):
-            self.view = memoryview(data)
-
-        def cast(self, code):
-            codes.append(code)
-            return self.view.cast(code)
+    class Operator:
+        def __getattr__(self, name):
+            reads.append(name)
+            return getattr(operator, name)
 
     module = importlib.import_module("richtoric.polytope")
-    monkeypatch.setattr(module, "memoryview", View, raising=False)
-    return codes
+    monkeypatch.setattr(module, "operator", Operator())
+    return reads
 
 
 @pytest.mark.parametrize(
     "top, inner, code",
-    [(1, 3, "B"), (15, 1, "B"), (255, 1, "H"), (255, 1_000, "I"), (255, 66_051, "I"), (255, 66_052, "Q")],
+    [
+        (1, 3, "B"), (15, 1, "B"), (1, 255, "B"), (16, 1, "H"), (1, 256, "H"), (255, 1, "H"),
+        (255, 1_000, "I"), (255, 66_051, "I"), (255, 66_052, "Q"),
+    ],
 )
 def test_mul_packs_byte_valued_factors_at_every_field_width(monkeypatch, top, inner, code):
     # entries in range(top + 1); the first row of the left factor and the
     # first column of the right one are all ``top``, so product entry (0, 0)
-    # is top * top * inner, the bound the field width is chosen from
+    # is top * top * inner, the largest; ``code`` names the narrowest
+    # unsigned field that holds it, and only a one-byte field ("B") is
+    # packed: every wider product takes the plain row-by-column sum
     rng = random.Random(top * inner)
     rows, cols = 3, 4
     middle = tuple(f"m{i}" for i in range(inner))
@@ -838,9 +841,9 @@ def test_mul_packs_byte_valued_factors_at_every_field_width(monkeypatch, top, in
         tuple(f"c{j}" for j in range(cols)),
         tuple((top,) + tuple(rng.randint(0, top) for _ in range(cols - 1)) for _ in middle),
     )
-    codes = _casts(monkeypatch)
+    reads = _operator_reads(monkeypatch)
     prod = left.mul(right)
-    assert codes == [code] * rows
+    assert reads.count("mul") == (0 if code == "B" else rows * cols)
     assert prod == _ref_mul(left, right)
     assert prod.entries[0][0] == top * top * inner
 
@@ -850,9 +853,11 @@ def test_mul_packs_byte_valued_factors_at_every_field_width(monkeypatch, top, in
     [(-1, 1), (-255, 0), (0, 256), (2**64, 2**64 + 5), (-(2**70), 2**70)],
 )
 def test_mul_takes_the_plain_product_outside_range_256(monkeypatch, low, high):
-    # an entry outside range(256) in either factor: no packing, no cast
+    # an entry outside range(256) in either factor: no packing, one plain
+    # sum of products per product entry
     rng = random.Random(high)
-    codes = _casts(monkeypatch)
+    reads = _operator_reads(monkeypatch)
+    entries_made = 0
     for outside in ("left", "right", "both"):
         for shape in [(3, 4, 5), (1, 1, 1), (2, 6, 3)]:
             rows, inner, cols = shape
@@ -876,7 +881,34 @@ def test_mul_takes_the_plain_product_outside_range_256(monkeypatch, low, high):
                 entries(inner, cols, outside != "left"),
             )
             assert left.mul(right) == _ref_mul(left, right)
-    assert codes == []
+            entries_made += rows * cols
+    assert reads.count("mul") == entries_made
+
+
+def test_every_restricted_map_times_segre_matrix_is_packed(monkeypatch, comparable_pairs):
+    # a row of A is a grid cell, in the initial terms of at most
+    # 2^(n-1) - 1 proper subsets, a bound (id, w0) meets; S is 0/1, so the
+    # largest row sum of A bounds every entry of AS and is below 256
+    reads = _operator_reads(monkeypatch)
+    for n in (2, 3, 4, 5):
+        for v, w in comparable_pairs(n):
+            s = segre_matrix(v, w)
+            for order in (DIAG, ANTI):
+                a = restricted_map_matrix(v, w, order)
+                assert max(map(sum, a.entries)) <= 2 ** (n - 1) - 1
+                a.mul(s)
+    assert reads.count("mul") == 0
+    # from n = 6 the Segre product of (id, w0) exceeds SEGRE_BUDGET; one
+    # all-ones column is the 0/1 factor whose product is A's row sums, and
+    # its bound, like that of any nonempty S, is A's largest row sum
+    for n in (6, 7, 8):
+        for order in (DIAG, ANTI):
+            a = restricted_map_matrix(identity(n), longest(n), order)
+            ones = IntMatrix(a.col_labels, ("all",), ((1,),) * len(a.col_labels))
+            sums = a.mul(ones)
+            assert max(sums.entries) == (2 ** (n - 1) - 1,)
+            assert sums.entries == tuple((sum(row),) for row in a.entries)
+    assert reads.count("mul") == 0
 
 
 def test_polytope_builds_neither_s_nor_as(monkeypatch):
